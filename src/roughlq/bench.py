@@ -232,8 +232,9 @@ def run_comparison(
     Writes per-seed trajectory CSVs (plus correction series for the
     corrected controller), a per-run ``runs.csv``, an aggregate
     ``summary.txt`` and a config echo when ``out_dir`` is given.  A
-    numeric failure inside one run is recorded as that run's divergence
-    and never aborts the batch.
+    numeric failure inside one run (``LinAlgError`` or ``ArithmeticError``)
+    is recorded as that run's divergence and never aborts the batch; any
+    other exception propagates.
     """
     cfg = scenario_config(scenario, overrides)
     run_cfg = cfg["run"]
@@ -294,7 +295,7 @@ def run_comparison(
                 tag = f"{scenario}_{controller}_{mode}_seed{seed:03d}"
                 try:
                     traj = integrate(run, v, w, design, observer=observer)
-                except Exception:
+                except (np.linalg.LinAlgError, ArithmeticError):
                     # a numeric failure counts as that run's divergence
                     records.append(
                         RunRecord(

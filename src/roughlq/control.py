@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import expm, toeplitz
 
 from .lift import RoughPath, rough_integral_admissible
 from .noise import NoiseModel, SamplePath, fgn_autocovariance
@@ -50,6 +51,12 @@ __all__ = [
 #: Time-smooth integrands are Lipschitz in time; this is the regularity
 #: fed into the admissibility predicate for the correction integral.
 INTEGRAND_HOLDER = 1.0
+
+#: powers of the closed-loop step whose norms are tested together
+_HORIZON_BLOCK = 1024
+
+#: increments x window entries copied at once by the correction sweep
+_SWEEP_CHUNK = 1 << 20
 
 
 class PredictorError(ValueError):
@@ -117,13 +124,31 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
 
     Hurwitz decay makes the discarded tail of the future-noise integral
     negligible beyond this point.
+
+    The powers are the plain sequential ``power @ step`` products, so the
+    returned step count is identical to a scan that takes the 2-norm of
+    every power.  Their norms are evaluated per block of powers: since
+    ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the Frobenius norm decides
+    every power outside ``[1e-6, sqrt(n) 1e-6]`` and an SVD runs only on
+    the few inside.  Cost: O(m n^3) for m horizon steps.
     """
+    tol = 1e-6
+    n = design.n
+    # the margins keep rounding in the two norms from flipping a decision
+    surely_below = tol * (1.0 - 1e-12)
+    maybe_below = np.sqrt(n) * tol * (1.0 + 1e-12)
     step = expm(design.A_cl * dt)
-    power = np.eye(design.n)
-    for k in range(1, max_steps + 1):
-        power = power @ step
-        if np.linalg.norm(power, 2) < 1e-6:
-            return k * dt
+    power = np.eye(n)
+    block = np.empty((_HORIZON_BLOCK, n, n))
+    for start in range(0, max_steps, _HORIZON_BLOCK):
+        count = min(_HORIZON_BLOCK, max_steps - start)
+        for i in range(count):
+            power = power @ step
+            block[i] = power
+        fro = np.sqrt(np.einsum("kij,kij->k", block[:count], block[:count]))
+        for i in np.flatnonzero(fro < maybe_below):
+            if fro[i] < surely_below or np.linalg.norm(block[i], 2) < tol:
+                return (start + int(i) + 1) * dt
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
 
@@ -147,12 +172,17 @@ def _fgn_prediction_matrix(
     # after history increment i
     lead = np.arange(1, n_future + 1)[:, None] + (n_hist - 1 - np.arange(n_hist))[None, :]
     cross = fgn_autocovariance(lead, dt, hurst)
+    return _solve_gram(gram, cross.T).T
+
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``gram^{-1} rhs``; jitters the Gram matrix once if it is singular."""
     try:
-        return np.linalg.solve(gram, cross.T).T
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         jitter = 1e-12 * float(np.max(np.diag(gram)))
         try:
-            return np.linalg.solve(gram + jitter * np.eye(n_hist), cross.T).T
+            return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), rhs)
         except np.linalg.LinAlgError as exc:
             raise PredictorError("history Gram matrix is singular") from exc
 
@@ -307,12 +337,24 @@ def gaussian_correction_series(
     """Conditional-mean V(t_k) along a sampled path, shape (N + 1, n).
 
     Exact for H = 1/2 (identically zero).  For other Hurst indices the
-    conditioning window at step k is the largest power of two not
-    exceeding min(k, window); collapsing the prediction weights and the
-    Phi^T P factors into one convolution kernel keeps the sweep cheap.
+    conditioning window at step k is the largest power of two s not
+    exceeding min(k, window), and V(t_k) equals :func:`correction_term`
+    on those last s increments.
+
+    Per window size the prediction weights, the ``Phi^T P`` factors and
+    ``P^{-1}`` collapse into one kernel ``Gamma_s^{-1} G_s``: ``Gamma_s``
+    is the s x s fGn Gram matrix and ``G_s[i] = H[s - i]`` with lag sums
+    ``H[l] = sum_j Phi(j)^T P gamma(j + l)`` taken once from one 1-D
+    autocovariance vector.  Each size then costs one matmul over the
+    sliding windows of the increments.  Cost: O(m window n^2) for the lag
+    sums over m horizon steps, O(window^3) for the solves and
+    O(N window n^2) for the sweep; no m x window array is formed.  The
+    result equals the per-step conditioning of the same windows within
+    rounding.
     """
     n_steps = path.n_steps
-    out = np.zeros((n_steps + 1, design.n))
+    n = design.n
+    out = np.zeros((n_steps + 1, n))
     if pred.method == "zero_mean" or pred.model.hurst == 0.5:
         return out
     if pred.model.kind not in ("fbm", "brownian"):
@@ -321,31 +363,38 @@ def gaussian_correction_series(
     if horizon is None:
         horizon = pred.horizon if pred.horizon is not None else default_horizon(design, dt)
     m = max(1, int(round(horizon / dt)))
-    hurst = float(pred.model.hurst)
+    sizes = [1 << i for i in range(min(pred.window, n_steps).bit_length())]
+    gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(pred.model.hurst))
 
-    # stack of Phi(s_j, t)^T P over the future grid
-    step_t = expm(design.A_cl.T * dt)
-    phi_p = np.empty((m, design.n, design.n))
+    # Phi(s_j, t)^T P over the future grid, filled by doubling
+    phi_p = np.empty((m, n, n))
     phi_p[0] = design.P
-    for j in range(1, m):
-        phi_p[j] = step_t @ phi_p[j - 1]
+    shift = expm(design.A_cl.T * dt)
+    filled = 1
+    while filled < m:
+        take = min(filled, m - filled)
+        phi_p[filled : filled + take] = shift @ phi_p[:take]
+        shift = shift @ shift
+        filled += take
+    # lag_sums[l - 1] = H[l] as a flat n x n block, l = 1..max size
+    phi_cols = np.ascontiguousarray(phi_p.reshape(m, n * n).T)
+    lag_sums = np.stack(
+        [np.correlate(gamma[1:], col, mode="valid") for col in phi_cols], axis=1
+    )
 
     inc = path.increments
     p_inv = np.linalg.inv(design.P)
-
-    sizes = []
-    s = 1
-    while s <= min(pred.window, n_steps):
-        sizes.append(s)
-        s *= 2
     for size in sizes:
-        weights = _fgn_prediction_matrix(hurst, dt, size, m)
-        kernel = np.einsum("jab,jw->wab", phi_p, weights)
-        last = size == sizes[-1]
-        hi = n_steps + 1 if last else min(2 * size, n_steps + 1)
-        for k in range(size, hi):
-            raw = np.einsum("wab,wb->a", kernel, inc[k - size : k])
-            out[k] = p_inv @ raw
+        gram = toeplitz(gamma[:size])
+        kernel = _solve_gram(gram, lag_sums[size - 1 :: -1]).reshape(size, n, n)
+        # rows (b, w) of the flattened window inc[k - size + w, b]
+        kmat = np.einsum("ac,wcb->bwa", p_inv, kernel).reshape(n * size, n)
+        windows = sliding_window_view(inc, size, axis=0)
+        rows = windows.shape[0] if size == sizes[-1] else size
+        chunk = max(1, _SWEEP_CHUNK // (n * size))
+        for r0 in range(0, rows, chunk):
+            r1 = min(rows, r0 + chunk)
+            out[size + r0 : size + r1] = windows[r0:r1].reshape(r1 - r0, n * size) @ kmat
     return out
 
 

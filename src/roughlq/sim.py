@@ -111,7 +111,6 @@ class SimConfig:
     x0: np.ndarray | None = None
     xhat0: np.ndarray | None = None
     seed: int = 0
-    replications: int = 1
     correction_horizon: float | None = None  # None: integrate to path end
     predictor_window: int = 256
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from roughlq.control import (
     CorrectionTerm,
@@ -18,6 +19,7 @@ from roughlq.control import (
 )
 from roughlq.lift import RoughPath, lift_piecewise_linear
 from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm
+from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 
 
@@ -146,6 +148,35 @@ def test_correction_horizon_insensitive_when_decayed():
     assert rel < 0.01
 
 
+def _sequential_horizon(design, dt):
+    # the plain scan: one 2-norm per sequential power of the step
+    step = expm(design.A_cl * dt)
+    power = np.eye(design.n)
+    k = 0
+    while True:
+        k += 1
+        power = power @ step
+        if np.linalg.norm(power, 2) < 1e-6:
+            return k, k * dt
+
+
+def pendulum_design():
+    pm = build_pendulum()
+    return solve_care(pm.A, pm.B, np.eye(4), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("make_design", [two_dim_design, pendulum_design])
+def test_default_horizon_equals_sequential_scan(make_design):
+    design = make_design()
+    dt = 0.01
+    k, expected = _sequential_horizon(design, dt)
+    assert default_horizon(design, dt) == expected
+    # the step budget is honoured exactly, across norm blocks too
+    assert default_horizon(design, dt, max_steps=k) == expected
+    with pytest.raises(PredictorError, match="decays too slowly"):
+        default_horizon(design, dt, max_steps=k - 1)
+
+
 # ---------------------------------------------------------------------------
 # pathwise (realised-driver) correction
 # ---------------------------------------------------------------------------
@@ -269,19 +300,43 @@ def test_pathwise_series_matches_single_calls():
     assert np.allclose(series_cap[10], single_cap.value, atol=1e-12)
 
 
+def _assert_series_matches_single_calls(design, model, grid, window, horizon, seed):
+    # the series conditions step k on the last 2^floor(log2 min(k, window))
+    # increments; a single-time op with that window sees the same ones
+    path = sample_fbm(model, grid, d=design.n, seed=seed)
+    pred = Predictor(model=model, method="gaussian", window=window)
+    series = gaussian_correction_series(design, pred, path, horizon=horizon)
+    assert np.max(np.abs(series[0])) == 0.0
+    for k in range(1, grid.size):
+        size = 1 << (min(k, window).bit_length() - 1)
+        single_pred = Predictor(model=model, method="gaussian", window=size)
+        hist = SamplePath(t=grid[: k + 1], values=path.values[: k + 1])
+        single = correction_term(design, single_pred, hist, t=grid[k], horizon=horizon)
+        np.testing.assert_allclose(series[k], single.value, rtol=1e-9, atol=1e-12)
+
+
 def test_gaussian_series_matches_single_calls_at_pow2_windows():
     design = two_dim_design()
-    model = NoiseModel.fbm(hurst=0.35)
     grid = make_grid(0.02, 1.0)
-    path = sample_fbm(model, grid, d=2, seed=6)
-    pred = Predictor(model=model, method="gaussian", window=8)
-    series = gaussian_correction_series(design, pred, path, horizon=0.4)
-    # at steps that are powers of two (<= window) the series conditions on
-    # exactly the same increments as the single-time op
-    for k in (4, 8, 16):
-        hist = SamplePath(t=grid[: k + 1], values=path.values[: k + 1])
-        single = correction_term(design, pred, hist, t=grid[k], horizon=0.4)
-        assert np.allclose(series[k], single.value, atol=1e-10)
+    _assert_series_matches_single_calls(
+        design, NoiseModel.fbm(hurst=0.35), grid, window=8, horizon=0.4, seed=6
+    )
+
+
+@pytest.mark.parametrize(
+    "dt, path_horizon, window, horizon, hurst",
+    [
+        (0.05, 1.2, 32, 1.0, 0.35),  # path of 24 steps, shorter than the window
+        (0.02, 2.0, 8, 0.08, 0.7),  # correction horizon of 4 steps, shorter than the window
+    ],
+)
+def test_gaussian_series_matches_single_calls_short_path_or_horizon(
+    dt, path_horizon, window, horizon, hurst
+):
+    _assert_series_matches_single_calls(
+        two_dim_design(), NoiseModel.fbm(hurst=hurst), make_grid(dt, path_horizon),
+        window=window, horizon=horizon, seed=4,
+    )
 
 
 def test_gaussian_series_zero_for_brownian():
