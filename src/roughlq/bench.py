@@ -53,9 +53,11 @@ __all__ = [
 
 ANGLE_EQUILIBRIUM_DEG = 180.0
 
-#: replications used to estimate observer moments, and the quantile at
-#: which heavy-tailed increments are clipped before the moments form
+#: replications used to estimate observer moments, the base seed of their
+#: streams, and the quantile at which heavy-tailed increments are clipped
+#: before the moments form
 MOMENT_REPLICATIONS = 120
+MOMENT_SEED = 10_000_019
 HEAVY_TAIL_QUANTILE = 0.999
 
 SCENARIOS = {
@@ -204,16 +206,27 @@ def _final_window(traj: Trajectory, grid_size: int):
     return slice(k0, traj.t.shape[0])
 
 
-def _observer_design_for(model, noise_v, noise_w, dt: float):
-    grid = make_grid(dt, max(0.5, 2000 * dt))
-    v_paths = [
-        sample_path(noise_v, grid, d=model.n, seed=10_000_019 + 2 * j)
-        for j in range(MOMENT_REPLICATIONS)
-    ]
-    w_paths = [
-        sample_path(noise_w, grid, d=model.p, seed=10_000_019 + 2 * j + 1)
-        for j in range(MOMENT_REPLICATIONS)
-    ]
+def _moment_grid(dt: float) -> np.ndarray:
+    """Grid the observer moments are estimated on: 2000 steps, at least 0.5 s."""
+    return make_grid(dt, max(0.5, 2000 * dt))
+
+
+def _observer_design_for(
+    model,
+    noise_v,
+    noise_w,
+    grid,
+    replications: int = MOMENT_REPLICATIONS,
+    seed: int = MOMENT_SEED,
+):
+    """Estimate the noise moments on ``grid`` and solve the observer.
+
+    Replication j draws its process noise from ``seed + 2j`` and its
+    measurement noise from ``seed + 2j + 1``; heavy-tailed process noise
+    is clipped at ``HEAVY_TAIL_QUANTILE``.  Returns ``(design, moments)``.
+    """
+    v_paths = [sample_path(noise_v, grid, d=model.n, seed=seed + 2 * j) for j in range(replications)]
+    w_paths = [sample_path(noise_w, grid, d=model.p, seed=seed + 2 * j + 1) for j in range(replications)]
     heavy = noise_v.kind == "stable" and noise_v.alpha < 2.0
     quantile = HEAVY_TAIL_QUANTILE if heavy else None
     moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=quantile)
@@ -261,7 +274,7 @@ def run_comparison(
 
     observer = None
     if "observer" in modes:
-        observer, _ = _observer_design_for(model, noise_v, noise_w, dt)
+        observer, _ = _observer_design_for(model, noise_v, noise_w, _moment_grid(dt))
 
     grid = make_grid(dt, horizon)
     out_path = None

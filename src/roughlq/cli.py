@@ -17,26 +17,21 @@ from .bench import (
     SCENARIOS,
     ExperimentReport,
     RunRecord,
+    _moment_grid,
+    _noise_from,
+    _observer_design_for,
+    _parse_floats,
+    build_state_space,
     emit_plot_data,
     run_comparison,
 )
 from .config import ConfigError, format_config, merge, parse_config
 from .lift import chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
-from .noise import (
-    NoiseError,
-    NoiseModel,
-    make_grid,
-    path_from_csv,
-    path_to_csv,
-    sample_path,
-)
-from .observer import estimate_second_moments, solve_observer_steady_state
-from .pendulum import build_pendulum
+from .noise import NoiseError, make_grid, path_from_csv, path_to_csv, sample_path
 from .riccati import RiccatiError, solve_care
 from .sim import (
     SimConfig,
     SimError,
-    StateSpaceModel,
     correction_to_csv,
     integrate,
     trajectory_to_csv,
@@ -49,22 +44,6 @@ EXIT_NUMERIC = 3
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(mat), fmt="%.17g", delimiter=",")
-
-
-def _noise_model_from_args(args, prefix="") -> NoiseModel:
-    kind = getattr(args, prefix + "kind")
-    if kind == "fbm":
-        return NoiseModel.fbm(hurst=getattr(args, prefix + "hurst"), sigma=getattr(args, prefix + "sigma"))
-    if kind == "brownian":
-        return NoiseModel.brownian(sigma=getattr(args, prefix + "sigma"))
-    if kind == "stable":
-        return NoiseModel.stable(
-            alpha=getattr(args, prefix + "alpha"),
-            beta=getattr(args, prefix + "beta"),
-            gamma=getattr(args, prefix + "gamma"),
-            delta=getattr(args, prefix + "delta"),
-        )
-    raise ConfigError(f"unknown noise kind {kind!r}")
 
 
 def _add_noise_args(parser, prefix="", default_kind="fbm"):
@@ -82,15 +61,6 @@ def _add_noise_args(parser, prefix="", default_kind="fbm"):
     add("delta", type=float, default=0.0)
 
 
-def _pendulum_state_space(q_diag, r) -> StateSpaceModel:
-    pm = build_pendulum()
-    return StateSpaceModel(A=pm.A, B=pm.B, C=pm.C, Q=np.diag(q_diag), R=[[r]])
-
-
-def _floats(text: str):
-    return [float(p) for p in text.split(",") if p.strip() != ""]
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,8 +72,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_care(args) -> int:
-    q_diag = _floats(args.q_diag)
-    model = _pendulum_state_space(q_diag, args.r)
+    model = build_state_space(_parse_floats(args.q_diag), args.r)
     design = solve_care(model.A, model.B, model.Q, model.R)
     print(f"care_residual = {design.care_residual:.17g}")
     print(f"closed_loop_abscissa = {np.max(np.linalg.eigvals(design.A_cl).real):.17g}")
@@ -117,7 +86,7 @@ def cmd_care(args) -> int:
 
 
 def cmd_noise_gen(args) -> int:
-    model = _noise_model_from_args(args)
+    model = _noise_from(vars(args))
     grid = make_grid(args.dt, args.horizon)
     path = sample_path(model, grid, d=args.dim, seed=args.seed)
     out = _out_dir(args)
@@ -130,7 +99,7 @@ def cmd_lift_check(args) -> int:
     if args.infile:
         path = path_from_csv(args.infile)
     else:
-        model = _noise_model_from_args(args)
+        model = _noise_from(vars(args))
         grid = make_grid(args.dt, args.horizon)
         path = sample_path(model, grid, d=args.dim, seed=args.seed)
     rough = lift_piecewise_linear(path)
@@ -154,16 +123,15 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_observer(args) -> int:
-    q_diag = _floats(args.q_diag)
-    model = _pendulum_state_space(q_diag, args.r)
-    noise_v = _noise_model_from_args(args)
-    noise_w = _noise_model_from_args(args, prefix="w_")
-    grid = make_grid(args.dt, args.moment_horizon)
-    v_paths = [sample_path(noise_v, grid, d=model.n, seed=args.seed + 2 * j) for j in range(args.replications)]
-    w_paths = [sample_path(noise_w, grid, d=model.p, seed=args.seed + 2 * j + 1) for j in range(args.replications)]
-    heavy = noise_v.kind == "stable" and noise_v.alpha < 2.0
-    moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=0.999 if heavy else None)
-    design = solve_observer_steady_state(model.A, model.C, moments)
+    model = build_state_space(_parse_floats(args.q_diag), args.r)
+    design, moments = _observer_design_for(
+        model,
+        _noise_from(vars(args)),
+        _noise_from(vars(args), prefix="w_"),
+        make_grid(args.dt, args.moment_horizon),
+        replications=args.replications,
+        seed=args.seed,
+    )
     print(f"replications = {args.replications}, dt = {args.dt:.17g}, samples = {moments.n_samples}")
     if moments.truncation is not None:
         print(f"truncation_level = {moments.truncation:.17g}")
@@ -184,11 +152,11 @@ def cmd_simulate(args) -> int:
     file_cfg = {}
     if args.config:
         file_cfg = parse_config(Path(args.config).read_text())
-    q_diag = _floats(file_cfg.get("model", {}).get("q_diag", args.q_diag))
+    q_diag = _parse_floats(file_cfg.get("model", {}).get("q_diag", args.q_diag))
     r = float(file_cfg.get("model", {}).get("r", args.r))
-    model = _pendulum_state_space(q_diag, r)
-    noise_v = _noise_model_from_args(args)
-    noise_w = _noise_model_from_args(args, prefix="w_")
+    model = build_state_space(q_diag, r)
+    noise_v = _noise_from(vars(args))
+    noise_w = _noise_from(vars(args), prefix="w_")
     sim_over = file_cfg.get("simulate", {})
     cfg = SimConfig(
         model=model,
@@ -200,7 +168,7 @@ def cmd_simulate(args) -> int:
         dt=float(sim_over.get("dt", args.dt)),
         horizon=float(sim_over.get("horizon", args.horizon)),
         saturation=float(sim_over.get("saturation", args.sat)),
-        x0=np.array(_floats(sim_over.get("x0", args.x0))),
+        x0=np.array(_parse_floats(sim_over.get("x0", args.x0))),
         seed=args.seed,
     )
     grid = cfg.grid()
@@ -208,12 +176,7 @@ def cmd_simulate(args) -> int:
     w = sample_path(noise_w, grid, d=model.p, seed=2 * args.seed + 1)
     observer = None
     if args.observer:
-        mom_grid = make_grid(cfg.dt, max(0.5, 2000 * cfg.dt))
-        v_paths = [sample_path(noise_v, mom_grid, d=model.n, seed=10_000_019 + 2 * j) for j in range(120)]
-        w_paths = [sample_path(noise_w, mom_grid, d=model.p, seed=10_000_019 + 2 * j + 1) for j in range(120)]
-        heavy = noise_v.kind == "stable" and noise_v.alpha < 2.0
-        moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=0.999 if heavy else None)
-        observer = solve_observer_steady_state(model.A, model.C, moments)
+        observer, _ = _observer_design_for(model, noise_v, noise_w, _moment_grid(cfg.dt))
     design = solve_care(model.A, model.B, model.Q, model.R)
     traj = integrate(cfg, v, w, design, observer=observer)
     out = _out_dir(args)

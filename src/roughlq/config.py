@@ -20,8 +20,6 @@ ALLOWED_KEYS = {
         "scenario",
         "controllers",
         "seeds",
-        "seed",
-        "workers",
         "observer",
     },
     "model": {

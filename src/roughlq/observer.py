@@ -1,13 +1,16 @@
 """Steady-state observer design under correlated rough noises.
 
 Second moments of the per-step noise increments, normalised by the step,
-feed a modified steady-state equation for the error second moment S and
-the gain
+give the process moment Sigma_v, the measurement moment Sigma_w and the
+cross moment R_vw.  The error second moment S solves the correlated-noise
+filter algebraic Riccati equation
 
-    L = (2 S C' + R_vw + R_wv') inv(Sigma_w) / 2.
+    A S + S A' + Sigma_v - (S C' + R_vw) inv(Sigma_w) (C S + R_vw') = 0,
 
-With zero cross-correlations this collapses to the classical
-filter algebraic Riccati equation and gain ``L = S C' inv(Sigma_w)``.
+and the gain is ``L = (S C' + R_vw) inv(Sigma_w)``.  The equation is the
+dual of a control Riccati equation with a cross term, so S comes from one
+Schur-method solve (``scipy.linalg.solve_continuous_are``).  With zero
+cross moment it is the classical filter equation, ``L = S C' inv(Sigma_w)``.
 
 The increment moments are grid-dependent quantities for long-memory
 noise (the per-step variance of an fBm increment scales like
@@ -20,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
-from .riccati import solve_lyapunov, spectral_abscissa
+from .riccati import spectral_abscissa
 
 __all__ = [
     "ObserverError",
@@ -40,7 +44,7 @@ MIN_REPLICATIONS = 100
 
 
 class ObserverError(ValueError):
-    """Raised for invalid moments or failed steady-state iteration."""
+    """Raised for invalid moments or a failed steady-state solve."""
 
 
 @dataclass(frozen=True)
@@ -50,13 +54,12 @@ class NoiseSecondMoments:
     sigma_v: np.ndarray
     sigma_w: np.ndarray
     r_vw: np.ndarray
-    r_wv: np.ndarray
     dt: float
     n_samples: int = 0
     truncation: float | None = None
 
     def __post_init__(self):
-        for name in ("sigma_v", "sigma_w", "r_vw", "r_wv"):
+        for name in ("sigma_v", "sigma_w", "r_vw"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
 
     @classmethod
@@ -68,7 +71,6 @@ class NoiseSecondMoments:
             sigma_v=sigma_v,
             sigma_w=sigma_w,
             r_vw=np.zeros((n, p)),
-            r_wv=np.zeros((p, n)),
             dt=dt,
         )
 
@@ -140,7 +142,6 @@ def estimate_second_moments(
         sigma_v=0.5 * (sigma_v + sigma_v.T),
         sigma_w=0.5 * (sigma_w + sigma_w.T),
         r_vw=r_vw,
-        r_wv=r_vw.T.copy(),
         dt=dt,
         n_samples=count,
         truncation=clip_level,
@@ -148,10 +149,10 @@ def estimate_second_moments(
 
 
 def observer_gain(s: np.ndarray, c: np.ndarray, moments: NoiseSecondMoments) -> np.ndarray:
-    """Gain ``L = (2 S C' + R_vw + R_wv') inv(Sigma_w) / 2``."""
+    """Gain ``L = (S C' + R_vw) inv(Sigma_w)``."""
     s = np.atleast_2d(np.asarray(s, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    numer = 0.5 * (2.0 * s @ c.T + moments.r_vw + moments.r_wv.T)
+    numer = s @ c.T + moments.r_vw
     try:
         return np.linalg.solve(moments.sigma_w, numer.T).T
     except np.linalg.LinAlgError as exc:
@@ -159,104 +160,36 @@ def observer_gain(s: np.ndarray, c: np.ndarray, moments: NoiseSecondMoments) -> 
 
 
 def modified_are_residual(s, a, c, moments: NoiseSecondMoments) -> float:
-    """Frobenius norm of the modified steady-state equation at S."""
+    """Frobenius norm of the correlated-noise filter Riccati equation at S."""
     s = np.atleast_2d(np.asarray(s, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    sw = moments.sigma_w
-    rvw, rwv = moments.r_vw, moments.r_wv
-    solve = np.linalg.solve
-    cs = c @ s
-    expr = (
-        a @ s
-        + s @ a.T
-        + moments.sigma_v
-        - s @ c.T @ solve(sw, cs)
-        - 0.25
-        * (
-            rvw @ solve(sw, rvw.T)
-            - rwv.T @ solve(sw, rvw.T)
-            + 3.0 * rvw @ solve(sw, rwv)
-            + rwv.T @ solve(sw, rwv)
-        )
-        - rvw @ solve(sw, cs)
-        - s @ c.T @ solve(sw, rwv)
-    )
+    cross = s @ c.T + moments.r_vw
+    expr = a @ s + s @ a.T + moments.sigma_v - cross @ np.linalg.solve(moments.sigma_w, cross.T)
     return float(np.linalg.norm(expr))
 
 
-def _covariance_rate(s, a, c, l_gain, moments: NoiseSecondMoments) -> np.ndarray:
-    a_err = a - l_gain @ c
-    return (
-        a_err @ s
-        + s @ a_err.T
-        + moments.sigma_v
-        + l_gain @ moments.sigma_w @ l_gain.T
-        - l_gain @ moments.r_wv
-        - moments.r_vw @ l_gain.T
-    )
+def solve_observer_steady_state(a, c, moments: NoiseSecondMoments) -> ObserverDesign:
+    """Stabilising S of the filter Riccati equation, and its gain.
 
-
-def solve_observer_steady_state(
-    a,
-    c,
-    moments: NoiseSecondMoments,
-    tol: float = 1e-13,
-    max_iter: int = 500_000,
-) -> ObserverDesign:
-    """Damped fixed-point iteration on the error-covariance flow.
-
-    Forward-Euler steps of ``dS = rate(S, L(S))`` with the gain
-    re-optimised every step and the damping adapted to the observed
-    residual; the cross-correlation terms break the symmetric Riccati
-    structure a direct solver would need.  Convergence is declared on
-    the modified-equation residual relative to ``1 + ||S||^2``.
+    One Schur-method solve of the dual control equation, with the cross
+    moment as its cross-weight; a solver failure (no stabilising
+    solution, singular Sigma_w) raises :class:`ObserverError`.  The
+    symmetrised S must be positive semidefinite, give Hurwitz error
+    dynamics and leave a residual below ``1e-8 (1 + ||S||^2)``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    n = a.shape[0]
-    if spectral_abscissa(a) < 0.0:
-        s = solve_lyapunov(a.T, moments.sigma_v)
-        s = 0.5 * (s + s.T)
-        if np.min(np.linalg.eigvalsh(s)) < 0.0:
-            s = np.eye(n)
-    else:
-        s = np.eye(n)
-
-    damp = 1.0
-    best_s, best_rel = s, np.inf
-    res = np.inf
-    for _ in range(max_iter):
-        l_gain = observer_gain(s, c, moments)
-        a_err = a - l_gain @ c
-        rate = _covariance_rate(s, a, c, l_gain, moments)
-        res = float(np.linalg.norm(rate))
-        scale = 1.0 + float(np.linalg.norm(s)) ** 2
-        if res < tol * scale:
-            break
-        if not np.isfinite(res) or np.linalg.norm(s) > 1e10:
-            # blown past the basin: restart from the best iterate, damped
-            s = best_s
-            damp *= 0.5
-            if damp < 1e-8:
-                raise ObserverError("steady-state iteration stalled")
-            continue
-        if res / scale < best_rel:
-            best_s, best_rel = s, res / scale
-        # forward-Euler stability bound for the covariance flow, whose
-        # local Jacobian spectrum is pairwise sums of A_err eigenvalues
-        eta = damp * 0.125 / max(1e-12, float(np.linalg.norm(a_err)))
-        s = s + eta * rate
-        s = 0.5 * (s + s.T)
-    else:
-        raise ObserverError(
-            f"no convergence in {max_iter} iterations; last residual {res:.3e}"
-        )
+    try:
+        s = solve_continuous_are(a.T, c.T, moments.sigma_v, moments.sigma_w, s=moments.r_vw)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ObserverError(f"filter Riccati solve failed: {exc}") from exc
+    s = 0.5 * (s + s.T)
 
     l_gain = observer_gain(s, c, moments)
     a_err = a - l_gain @ c
     residual = modified_are_residual(s, a, c, moments)
-    eig = np.linalg.eigvalsh(0.5 * (s + s.T))
+    eig = np.linalg.eigvalsh(s)
     if eig.min() < -1e-10 * max(1.0, eig.max()):
         raise ObserverError("steady-state moment is not positive semidefinite")
     if spectral_abscissa(a_err) >= 0.0:
@@ -273,11 +206,11 @@ def error_dynamics_step(a, l_gain, c, e, dv, dw, dt: float) -> np.ndarray:
 
 
 def gain_stationarity_check(s, l_gain, c, moments: NoiseSecondMoments) -> float:
-    """First-order condition ``||-2SC' + 2 L Sigma_w - R_vw - R_wv'||``."""
+    """First-order condition ``||-2SC' + 2 L Sigma_w - 2 R_vw||``."""
     s = np.atleast_2d(np.asarray(s, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     l_gain = np.atleast_2d(np.asarray(l_gain, dtype=float))
-    expr = -2.0 * s @ c.T + 2.0 * l_gain @ moments.sigma_w - moments.r_vw - moments.r_wv.T
+    expr = -2.0 * s @ c.T + 2.0 * l_gain @ moments.sigma_w - 2.0 * moments.r_vw
     return float(np.linalg.norm(expr))
 
 

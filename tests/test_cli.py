@@ -1,4 +1,5 @@
 import filecmp
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,12 @@ def test_config_unknown_key_rejected():
         parse_config("[nope]\ndt = 3\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("[simulate]\ndt = 1\ndt = 2\n")
+
+
+@pytest.mark.parametrize("key", ["seed", "workers"])
+def test_config_unread_run_keys_rejected(key):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"[run]\n{key} = 4\n")
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path):
@@ -191,6 +198,35 @@ def test_cli_observer_exports(tmp_path, capsys):
     assert (tmp_path / "L.csv").exists() and (tmp_path / "r_vw.csv").exists()
 
 
+def test_cli_observer_matches_compare_observer(tmp_path, monkeypatch):
+    # `observer` with the fbm035 noise, the compare moment seed, replication
+    # count and grid builds the very observer `compare` runs with
+    from roughlq import bench
+
+    designs = []
+    solve = bench.solve_observer_steady_state
+
+    def capture(*args, **kwargs):
+        designs.append(solve(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(bench, "solve_observer_steady_state", capture)
+    bench.run_comparison("fbm035", seeds=[], overrides={"run": {"observer": "observer"}})
+    assert len(designs) == 1
+    code = main(
+        [
+            "observer", "--kind", "fbm", "--hurst", "0.35", "--sigma", "100.0",
+            "--w-kind", "fbm", "--w-hurst", "0.35", "--w-sigma", "1.0",
+            "--seed", "10000019", "--replications", "120", "--moment-horizon", "2.0",
+            "--dt", "0.001", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert len(designs) == 2
+    s = np.loadtxt(tmp_path / "S.csv", delimiter=",")
+    assert np.array_equal(s, designs[0].S)
+
+
 def test_plot_data_empty_report(tmp_path):
     from roughlq.bench import ExperimentReport, emit_plot_data
     from roughlq.config import parse_config
@@ -241,8 +277,12 @@ def test_cli_compare_determinism_small(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # pytest's `pythonpath` setting does not reach a subprocess
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "roughlq.cli", "care"], capture_output=True, text=True
+        [sys.executable, "-m", "roughlq.cli", "care"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "care_residual" in proc.stdout
