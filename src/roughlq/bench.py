@@ -20,7 +20,7 @@ trajectory CSVs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,8 @@ __all__ = [
     "ExperimentReport",
     "scenario_config",
     "build_state_space",
+    "sim_template",
+    "noise_paths",
     "run_comparison",
     "emit_plot_data",
     "saturation_onset_duty",
@@ -59,6 +61,10 @@ ANGLE_EQUILIBRIUM_DEG = 180.0
 MOMENT_REPLICATIONS = 120
 MOMENT_SEED = 10_000_019
 HEAVY_TAIL_QUANTILE = 0.999
+
+#: run seed s draws its process noise from stream s and its measurement
+#: noise from stream ``MEASUREMENT_SEED_OFFSET + s``
+MEASUREMENT_SEED_OFFSET = 1_000_003
 
 SCENARIOS = {
     "fbm035": {
@@ -151,16 +157,18 @@ def _parse_seeds(text: str):
 
 
 def _noise_from(cfg: dict, prefix: str = "") -> NoiseModel:
+    """The noise of ``[noise]`` keys (or CLI noise flags) with ``prefix``;
+    an omitted key takes the default written here."""
     kind = cfg.get(prefix + "kind", "brownian")
     if kind == "fbm":
         return NoiseModel.fbm(
-            hurst=float(cfg[prefix + "hurst"]), sigma=float(cfg.get(prefix + "sigma", "1"))
+            hurst=float(cfg.get(prefix + "hurst", "0.35")), sigma=float(cfg.get(prefix + "sigma", "1"))
         )
     if kind == "brownian":
         return NoiseModel.brownian(sigma=float(cfg.get(prefix + "sigma", "1")))
     if kind == "stable":
         return NoiseModel.stable(
-            alpha=float(cfg[prefix + "alpha"]),
+            alpha=float(cfg.get(prefix + "alpha", "1.5")),
             beta=float(cfg.get(prefix + "beta", "0")),
             gamma=float(cfg.get(prefix + "gamma", "1")),
             delta=float(cfg.get(prefix + "delta", "0")),
@@ -174,12 +182,47 @@ def scenario_config(name: str, overrides: dict | None = None) -> dict:
     cfg = {s: dict(kv) for s, kv in SCENARIOS[name].items()}
     if overrides:
         cfg = merge(cfg, overrides)
+    if cfg["run"]["scenario"] != name:
+        raise ConfigError(f"[run] scenario = {cfg['run']['scenario']} contradicts scenario {name!r}")
     return cfg
 
 
 def build_state_space(q_diag, r) -> StateSpaceModel:
     pm = build_pendulum()
     return StateSpaceModel(A=pm.A, B=pm.B, C=pm.C, Q=np.diag(q_diag), R=[[float(r)]])
+
+
+def sim_template(cfg: dict) -> SimConfig:
+    """The run that every seed, controller and mode of ``cfg`` shares.
+
+    Reads the ``[model]``, ``[noise]`` and ``[simulate]`` sections; callers
+    derive each run with ``dataclasses.replace``.
+    """
+    sim_cfg = cfg["simulate"]
+    return SimConfig(
+        model=build_state_space(_parse_floats(cfg["model"]["q_diag"]), cfg["model"]["r"]),
+        noise_v=_noise_from(cfg["noise"]),
+        noise_w=_noise_from(cfg["noise"], prefix="w_"),
+        controller=sim_cfg.get("controller", "classical"),
+        predictor=sim_cfg.get("predictor", "pathwise"),
+        dt=float(sim_cfg["dt"]),
+        horizon=float(sim_cfg["horizon"]),
+        saturation=float(sim_cfg["saturation"]),
+        x0=np.array(_parse_floats(sim_cfg["x0"])),
+    )
+
+
+def noise_paths(run: SimConfig, seed: int):
+    """Process and measurement noise of run seed ``seed`` on the run's grid.
+
+    The process stream is the seed itself, so the runs of one seed are
+    matched across controllers and modes; measurement noise draws from
+    the disjoint stream ``MEASUREMENT_SEED_OFFSET + seed``.
+    """
+    grid = run.grid()
+    v = sample_path(run.noise_v, grid, d=run.model.n, seed=seed)
+    w = sample_path(run.noise_w, grid, d=run.model.p, seed=MEASUREMENT_SEED_OFFSET + seed)
+    return v, w
 
 
 def saturation_onset_duty(traj: Trajectory, saturation: float, onset_norm: float = 1e3) -> float:
@@ -260,23 +303,17 @@ def run_comparison(
         observer_setting
     ]
 
-    q_diag = _parse_floats(cfg["model"]["q_diag"])
-    model = build_state_space(q_diag, cfg["model"]["r"])
+    if "controller" in cfg["simulate"]:
+        raise ConfigError("compare reads [run] controllers; [simulate] controller is not read")
+    base = sim_template(cfg)
+    model = base.model
     design = solve_care(model.A, model.B, model.Q, model.R)
-    noise_v = _noise_from(cfg["noise"])
-    noise_w = _noise_from(cfg["noise"], prefix="w_")
-    sim_cfg = cfg["simulate"]
-    dt = float(sim_cfg["dt"])
-    horizon = float(sim_cfg["horizon"])
-    saturation = float(sim_cfg["saturation"])
-    x0 = np.array(_parse_floats(sim_cfg["x0"]))
-    predictor = sim_cfg.get("predictor", "pathwise")
 
     observer = None
     if "observer" in modes:
-        observer, _ = _observer_design_for(model, noise_v, noise_w, _moment_grid(dt))
+        observer, _ = _observer_design_for(model, base.noise_v, base.noise_w, _moment_grid(base.dt))
 
-    grid = make_grid(dt, horizon)
+    grid = base.grid()
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -285,26 +322,10 @@ def run_comparison(
 
     records = []
     for seed in seeds:
-        # the process-noise stream is indexed by the seed itself so runs
-        # are matched across controllers; measurement noise draws from a
-        # disjoint stream
-        v = sample_path(noise_v, grid, d=model.n, seed=seed)
-        w = sample_path(noise_w, grid, d=model.p, seed=1_000_003 + seed)
+        v, w = noise_paths(base, seed)
         for controller in controllers:
             for mode in modes:
-                run = SimConfig(
-                    model=model,
-                    noise_v=noise_v,
-                    noise_w=noise_w,
-                    controller=controller,
-                    predictor=predictor,
-                    observer_enabled=(mode == "observer"),
-                    dt=dt,
-                    horizon=horizon,
-                    saturation=saturation,
-                    x0=x0,
-                    seed=seed,
-                )
+                run = replace(base, controller=controller, observer_enabled=(mode == "observer"), seed=seed)
                 tag = f"{scenario}_{controller}_{mode}_seed{seed:03d}"
                 try:
                     traj = integrate(run, v, w, design, observer=observer)
@@ -348,10 +369,10 @@ def run_comparison(
                         seed=seed,
                         diverged=traj.diverged,
                         t_diverge=traj.t_diverge,
-                        mean_cost=float("inf") if traj.diverged else traj.final_cost / horizon,
+                        mean_cost=float("inf") if traj.diverged else traj.final_cost / base.horizon,
                         final_norm=final_norm,
                         final_angle_deg=final_angle,
-                        sat_duty=saturation_onset_duty(traj, saturation),
+                        sat_duty=saturation_onset_duty(traj, base.saturation),
                         max_u_raw=float(np.max(np.abs(traj.u_raw))),
                         trajectory_file=fname,
                     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +24,60 @@ from .bench import (
     _parse_floats,
     build_state_space,
     emit_plot_data,
+    noise_paths,
     run_comparison,
+    sim_template,
 )
-from .config import ConfigError, format_config, merge, parse_config
+from .config import ALLOWED_KEYS, ConfigError, format_config, merge, parse_config
+from .control import PredictorError
 from .lift import chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
 from .noise import NoiseError, make_grid, path_from_csv, path_to_csv, sample_path
+from .observer import ObserverError
 from .riccati import RiccatiError, solve_care
-from .sim import (
-    SimConfig,
-    SimError,
-    correction_to_csv,
-    integrate,
-    trajectory_to_csv,
-)
+from .sim import SimError, correction_to_csv, integrate, trajectory_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+#: what ``simulate`` runs where neither a flag nor the ``--config`` file
+#: sets a key (omitted noise keys take the ``bench._noise_from`` defaults)
+SIMULATE_BASE = {
+    "model": {"q_diag": "1,1,1,1", "r": "1"},
+    "noise": {"kind": "fbm", "w_kind": "brownian"},
+    "simulate": {"dt": "0.001", "horizon": "10", "saturation": "1000", "x0": "0,0,0,0",
+                 "controller": "classical", "predictor": "pathwise"},
+}
 
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(mat), fmt="%.17g", delimiter=",")
 
 
-def _add_noise_args(parser, prefix="", default_kind="fbm"):
+def _add_noise_args(parser, prefix="", default_kind=None):
+    """Noise flags; an omitted one takes the ``bench._noise_from`` default."""
     flag_prefix = "--" + prefix.replace("_", "-")
+    parser.add_argument(
+        flag_prefix + "kind", dest=prefix + "kind", default=default_kind, choices=["fbm", "brownian", "stable"]
+    )
+    for name in ("hurst", "sigma", "alpha", "beta", "gamma", "delta"):
+        parser.add_argument(flag_prefix + name, dest=prefix + name, type=float, default=argparse.SUPPRESS)
 
-    def add(base, **kw):
-        parser.add_argument(flag_prefix + base, dest=prefix + base, **kw)
 
-    add("kind", default=default_kind, choices=["fbm", "brownian", "stable"])
-    add("hurst", type=float, default=0.35)
-    add("sigma", type=float, default=1.0)
-    add("alpha", type=float, default=1.5)
-    add("beta", type=float, default=0.0)
-    add("gamma", type=float, default=1.0)
-    add("delta", type=float, default=0.0)
+def _overrides(args) -> dict:
+    """The ``--config`` file, overlaid by the flags given on the command line.
+
+    A flag that sets a config key has the key as its argparse dest and
+    defaults to None; ``--scenario`` is checked against ``[run] scenario``.
+    """
+    cfg = parse_config(Path(args.config).read_text()) if args.config else {}
+    given = {}
+    for section, keys in ALLOWED_KEYS.items():
+        for key in keys - {"scenario"}:
+            value = getattr(args, key, None)
+            if value is not None:
+                given.setdefault(section, {})[key] = str(value)
+    return merge(cfg, given)
 
 
 def _out_dir(args) -> Path:
@@ -149,36 +168,18 @@ def cmd_observer(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = {}
-    if args.config:
-        file_cfg = parse_config(Path(args.config).read_text())
-    q_diag = _parse_floats(file_cfg.get("model", {}).get("q_diag", args.q_diag))
-    r = float(file_cfg.get("model", {}).get("r", args.r))
-    model = build_state_space(q_diag, r)
-    noise_v = _noise_from(vars(args))
-    noise_w = _noise_from(vars(args), prefix="w_")
-    sim_over = file_cfg.get("simulate", {})
-    cfg = SimConfig(
-        model=model,
-        noise_v=noise_v,
-        noise_w=noise_w,
-        controller=sim_over.get("controller", args.controller),
-        predictor=sim_over.get("predictor", args.predictor),
-        observer_enabled=args.observer,
-        dt=float(sim_over.get("dt", args.dt)),
-        horizon=float(sim_over.get("horizon", args.horizon)),
-        saturation=float(sim_over.get("saturation", args.sat)),
-        x0=np.array(_parse_floats(sim_over.get("x0", args.x0))),
-        seed=args.seed,
-    )
-    grid = cfg.grid()
-    v = sample_path(noise_v, grid, d=model.n, seed=2 * args.seed)
-    w = sample_path(noise_w, grid, d=model.p, seed=2 * args.seed + 1)
+    overrides = _overrides(args)
+    if "run" in overrides:
+        raise ConfigError("simulate reads no [run] section; its seed is --seed")
+    cfg = merge(SIMULATE_BASE, overrides)
+    run = replace(sim_template(cfg), observer_enabled=args.observer_enabled, seed=args.seed)
+    model = run.model
+    v, w = noise_paths(run, args.seed)
     observer = None
-    if args.observer:
-        observer, _ = _observer_design_for(model, noise_v, noise_w, _moment_grid(cfg.dt))
+    if run.observer_enabled:
+        observer, _ = _observer_design_for(model, run.noise_v, run.noise_w, _moment_grid(run.dt))
     design = solve_care(model.A, model.B, model.Q, model.R)
-    traj = integrate(cfg, v, w, design, observer=observer)
+    traj = integrate(run, v, w, design, observer=observer)
     out = _out_dir(args)
     trajectory_to_csv(traj, str(out / "trajectory.csv"))
     if traj.v_correction is not None:
@@ -189,18 +190,8 @@ def cmd_simulate(args) -> int:
         "diverged": str(int(traj.diverged)),
         "t_diverge": "" if traj.t_diverge is None else f"{traj.t_diverge:.17g}",
     }
-    echo = {
-        "model": {"q_diag": ",".join(f"{v:.17g}" for v in q_diag), "r": f"{r:.17g}"},
-        "simulate": {
-            "controller": cfg.controller,
-            "predictor": cfg.predictor,
-            "dt": f"{cfg.dt:.17g}",
-            "horizon": f"{cfg.horizon:.17g}",
-            "saturation": f"{cfg.saturation:.17g}",
-        },
-    }
     lines = [f"{k} = {v}" for k, v in summary.items()]
-    lines += ["", "# config echo", format_config(echo)]
+    lines += ["", "# config echo", format_config(cfg)]
     (out / "summary.txt").write_text("\n".join(lines))
     print(f"diverged = {traj.diverged}; final_cost = {traj.final_cost:.6g}")
     if traj.diverged:
@@ -210,26 +201,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = parse_config(Path(args.config).read_text())
-    flag_over = {}
-    if args.q_diag is not None:
-        flag_over.setdefault("model", {})["q_diag"] = args.q_diag
-    if args.r is not None:
-        flag_over.setdefault("model", {})["r"] = str(args.r)
-    if args.seeds is not None:
-        flag_over.setdefault("run", {})["seeds"] = args.seeds
-    if args.controllers is not None:
-        flag_over.setdefault("run", {})["controllers"] = args.controllers
-    if args.observer is not None:
-        flag_over.setdefault("run", {})["observer"] = args.observer
-    if args.dt is not None:
-        flag_over.setdefault("simulate", {})["dt"] = f"{args.dt:.17g}"
-    if args.horizon is not None:
-        flag_over.setdefault("simulate", {})["horizon"] = f"{args.horizon:.17g}"
-    overrides = merge(overrides, flag_over)
-    report = run_comparison(args.scenario, overrides=overrides, out_dir=_out_dir(args))
+    report = run_comparison(args.scenario, overrides=_overrides(args), out_dir=_out_dir(args))
     for (controller, mode), agg in sorted(report.aggregates.items()):
         print(
             f"{controller:>9s}/{mode:<9s} divergence {agg['divergence_rate']:.2f}"
@@ -284,36 +256,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="roughlq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False, grid_defaults=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dt", type=float, default=1e-3 if grid_defaults else None)
-        p.add_argument("--horizon", type=float, default=10.0 if grid_defaults else None)
-        p.add_argument("--config", default=None, help="flat key-value config file")
+    def common(p, flags, out_required=False, grid_defaults=True):
+        """Add the shared flags named in ``flags`` plus ``--out``."""
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
+        if "dt" in flags:
+            p.add_argument("--dt", type=float, default=1e-3 if grid_defaults else None)
+        if "horizon" in flags:
+            p.add_argument("--horizon", type=float, default=10.0 if grid_defaults else None)
+        if "config" in flags:
+            p.add_argument("--config", default=None, help="flat key-value config file")
         p.add_argument("--out", default=None, required=out_required, help="output directory")
 
-    p = sub.add_parser("care", help="solve the pendulum Riccati design")
-    common(p)
+    # no flag abbreviations: each subcommand takes only the flags it reads,
+    # so `compare --seed` is an error, not `--seeds`
+    p = sub.add_parser("care", help="solve the pendulum Riccati design", allow_abbrev=False)
+    common(p, ())
     p.add_argument("--q-diag", default="1,1,1,1")
     p.add_argument("--r", type=float, default=1.0)
     p.set_defaults(func=cmd_care)
 
-    p = sub.add_parser("noise-gen", help="sample a noise path to CSV")
-    common(p, out_required=True)
-    _add_noise_args(p)
+    p = sub.add_parser("noise-gen", help="sample a noise path to CSV", allow_abbrev=False)
+    common(p, ("seed", "dt", "horizon"), out_required=True)
+    _add_noise_args(p, default_kind="fbm")
     p.add_argument("--dim", type=int, default=1)
     p.set_defaults(func=cmd_noise_gen)
 
-    p = sub.add_parser("lift-check", help="lift a path and verify its algebra")
-    common(p)
-    _add_noise_args(p)
+    p = sub.add_parser("lift-check", help="lift a path and verify its algebra", allow_abbrev=False)
+    common(p, ("seed", "dt", "horizon"))
+    _add_noise_args(p, default_kind="fbm")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--in", dest="infile", default=None, help="CSV path to lift")
     p.add_argument("--triples", type=int, default=200)
     p.set_defaults(func=cmd_lift_check)
 
-    p = sub.add_parser("observer", help="estimate moments and solve the observer design")
-    common(p)
-    _add_noise_args(p)
+    p = sub.add_parser("observer", help="estimate moments and solve the observer design", allow_abbrev=False)
+    common(p, ("seed", "dt"))
+    _add_noise_args(p, default_kind="fbm")
     _add_noise_args(p, prefix="w_", default_kind="fbm")
     p.add_argument("--q-diag", default="1,1,1,1")
     p.add_argument("--r", type=float, default=1.0)
@@ -321,21 +300,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moment-horizon", type=float, default=2.0)
     p.set_defaults(func=cmd_observer)
 
-    p = sub.add_parser("simulate", help="one closed-loop pendulum run")
-    common(p, out_required=True)
+    # simulate and compare flags default to None: a flag given on the command
+    # line overrides the --config file, which overrides the base
+    p = sub.add_parser("simulate", help="one closed-loop pendulum run", allow_abbrev=False)
+    common(p, ("seed", "dt", "horizon", "config"), out_required=True, grid_defaults=False)
     _add_noise_args(p)
-    _add_noise_args(p, prefix="w_", default_kind="brownian")
-    p.add_argument("--q-diag", default="1,1,1,1")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--controller", default="classical", choices=["classical", "glq"])
-    p.add_argument("--predictor", default="pathwise", choices=["pathwise", "gaussian", "zero_mean"])
-    p.add_argument("--observer", action="store_true")
-    p.add_argument("--sat", type=float, default=1000.0)
-    p.add_argument("--x0", default="0,0,0,0")
+    _add_noise_args(p, prefix="w_")
+    p.add_argument("--q-diag", default=None)
+    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--controller", default=None, choices=["classical", "glq"])
+    p.add_argument("--predictor", default=None, choices=["pathwise", "gaussian", "zero_mean"])
+    p.add_argument("--observer", dest="observer_enabled", action="store_true")
+    p.add_argument("--sat", dest="saturation", type=float, default=None)
+    p.add_argument("--x0", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="run a named comparison scenario")
-    common(p, out_required=True, grid_defaults=False)
+    p = sub.add_parser("compare", help="run a named comparison scenario", allow_abbrev=False)
+    common(p, ("dt", "horizon", "config"), out_required=True, grid_defaults=False)
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--seeds", default=None, help="e.g. 0:20 or 1,2,3")
     p.add_argument("--controllers", default=None)
@@ -344,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("plot-data", help="emit per-figure CSVs from a report")
-    common(p, out_required=True)
+    p = sub.add_parser("plot-data", help="emit per-figure CSVs from a report", allow_abbrev=False)
+    common(p, (), out_required=True)
     p.add_argument("--report", required=True, help="directory written by compare")
     p.set_defaults(func=cmd_plot_data)
 
@@ -361,10 +342,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, NoiseError, SimError) as exc:
+    except (ConfigError, NoiseError, SimError, PredictorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RiccatiError, np.linalg.LinAlgError) as exc:
+    except (RiccatiError, ObserverError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -47,12 +47,8 @@ ALLOWED_KEYS = {
         "horizon",
         "saturation",
         "x0",
-        "xhat0",
         "controller",
         "predictor",
-        "observer",
-        "correction_horizon",
-        "predictor_window",
     },
 }
 

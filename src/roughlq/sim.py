@@ -30,7 +30,7 @@ from .control import (
     pathwise_correction_series,
 )
 from .lift import lift_piecewise_linear
-from .noise import NoiseModel, SamplePath, make_grid, sample_path
+from .noise import NoiseModel, SamplePath, make_grid
 from .observer import ObserverDesign
 from .riccati import ControlDesign
 
@@ -111,8 +111,6 @@ class SimConfig:
     x0: np.ndarray | None = None
     xhat0: np.ndarray | None = None
     seed: int = 0
-    correction_horizon: float | None = None  # None: integrate to path end
-    predictor_window: int = 256
 
     def __post_init__(self):
         if self.controller not in ("classical", "glq"):
@@ -162,16 +160,12 @@ def _correction_series(config: SimConfig, design: ControlDesign, v_path: SampleP
         return None
     if config.predictor == "pathwise":
         driver = lift_piecewise_linear(v_path)
-        return pathwise_correction_series(design, driver, horizon=config.correction_horizon)
+        return pathwise_correction_series(design, driver)
     if config.predictor == "zero_mean":
         Predictor(model=config.noise_v, method="zero_mean")  # validity check
         return np.zeros((v_path.n_steps + 1, design.n))
-    pred = Predictor(
-        model=config.noise_v, method="gaussian", window=config.predictor_window
-    )
-    return gaussian_correction_series(
-        design, pred, v_path, horizon=config.correction_horizon
-    )
+    pred = Predictor(model=config.noise_v, method="gaussian")
+    return gaussian_correction_series(design, pred, v_path)
 
 
 def integrate(
@@ -344,16 +338,18 @@ def continuity_probe(
 def refinement_convergence(config: SimConfig, design: ControlDesign, levels=(1, 2, 4)):
     """Self-convergence under step halving with a shared noise realisation.
 
-    Samples the driver on the finest grid, aggregates its increments for
-    the coarser grids, and compares trajectories on common times.
-    Returns the list of successive sup-norm differences and the fitted
-    order ``log2(d[i] / d[i+1])`` averaged over pairs.
+    Samples the driver of ``config.seed`` on the finest grid, from the
+    streams :func:`roughlq.bench.noise_paths` draws, aggregates its
+    increments for the coarser grids, and compares trajectories on
+    common times.  Returns the list of successive sup-norm differences
+    and the fitted order ``log2(d[i] / d[i+1])`` averaged over pairs.
     """
+    from .bench import noise_paths  # bench builds on this module
+
     finest = max(levels)
     fine_cfg = replace(config, dt=config.dt / finest)
     fine_grid = fine_cfg.grid()
-    v_fine = sample_path(config.noise_v, fine_grid, d=config.model.n, seed=config.seed)
-    w_fine = sample_path(config.noise_w, fine_grid, d=config.model.p, seed=config.seed + 1)
+    v_fine, w_fine = noise_paths(fine_cfg, config.seed)
 
     trajs = {}
     for level in sorted(levels):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roughlq.bench import SCENARIOS, run_comparison, scenario_config
 from roughlq.cli import main
 from roughlq.config import ConfigError, format_config, parse_config
 
@@ -43,6 +44,62 @@ def test_config_unknown_key_rejected():
 def test_config_unread_run_keys_rejected(key):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(f"[run]\n{key} = 4\n")
+
+
+@pytest.mark.parametrize("key", ["xhat0", "observer", "correction_horizon", "predictor_window"])
+def test_config_unread_simulate_keys_rejected(key):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"[simulate]\n{key} = 4\n")
+
+
+def test_scenario_key_must_match_scenario():
+    assert scenario_config("fbm035", {"run": {"scenario": "fbm035"}})["run"]["scenario"] == "fbm035"
+    with pytest.raises(ConfigError, match="contradicts"):
+        scenario_config("fbm035", {"run": {"scenario": "stable15"}})
+
+
+def test_compare_rejects_simulate_controller():
+    with pytest.raises(ConfigError, match="controller"):
+        run_comparison("fbm035", seeds=[], overrides={"simulate": {"controller": "glq"}})
+
+
+def test_cli_simulate_rejects_run_section(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nseeds = 0:2\n")
+    assert main(["simulate", "--config", str(cfg), "--horizon", "0.5", "--out", str(tmp_path / "out")]) == 2
+    assert "[run]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["care", "--seed", "5", "--dt", "7", "--horizon", "3", "--config", "/nonexistent"],
+        ["plot-data", "--report", "r", "--out", "o", "--seed", "1"],
+        ["plot-data", "--report", "r", "--out", "o", "--config", "c.cfg"],
+        ["observer", "--horizon", "3"],
+        ["observer", "--config", "c.cfg"],
+        ["compare", "--scenario", "fbm035", "--out", "o", "--seed", "1"],
+        ["noise-gen", "--out", "o", "--config", "c.cfg"],
+        ["lift-check", "--config", "c.cfg"],
+    ],
+)
+def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--controller", "glq", "--predictor", "zero_mean", "--horizon", "0.1"], 2),
+        (["simulate", "--controller", "glq", "--predictor", "gaussian", "--kind", "stable", "--horizon", "0.1"], 2),
+        (["observer", "--replications", "50", "--moment-horizon", "0.1", "--dt", "0.01"], 3),
+    ],
+)
+def test_cli_package_errors_map_to_exit_codes(tmp_path, argv, code):
+    # a PredictorError is a config error, an ObserverError a numeric failure
+    assert main(argv + ["--out", str(tmp_path)]) == code
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path):
@@ -130,6 +187,40 @@ def test_cli_simulate_config_echo_round_trip(tmp_path):
     for section, kv in want.items():
         for key, value in kv.items():
             assert same(echo_cfg[section][key], value)
+
+
+def test_cli_simulate_noise_section_applies_and_flags_override_it(tmp_path):
+    base = ["simulate", "--seed", "1", "--horizon", "0.5"]
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text("[noise]\nkind = stable\nalpha = 1.1\ngamma = 500\n")
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    main(base + ["--config", str(cfg), "--out", str(tmp_path / "file")])
+    main(base + ["--config", str(cfg), "--kind", "fbm", "--out", str(tmp_path / "flag")])
+    default = (tmp_path / "default/trajectory.csv").read_bytes()
+    assert (tmp_path / "file/trajectory.csv").read_bytes() != default
+    assert "kind = stable" in (tmp_path / "file/summary.txt").read_text()
+    # --kind fbm wins over the file; alpha and gamma do not act on fBm
+    assert (tmp_path / "flag/trajectory.csv").read_bytes() == default
+
+
+@pytest.mark.parametrize("controller, mode", [("classical", "fullstate"), ("glq", "observer")])
+def test_cli_simulate_seed_reproduces_compare_seed(tmp_path, controller, mode):
+    cfg = tmp_path / "fbm035.cfg"
+    cfg.write_text(format_config({s: kv for s, kv in SCENARIOS["fbm035"].items() if s != "run"}))
+    grid = ["--horizon", "0.5"]
+    assert main(
+        ["compare", "--scenario", "fbm035", "--seeds", "3", "--controllers", controller,
+         "--observer", mode, "--out", str(tmp_path / "cmp")] + grid
+    ) == 0
+    observer = ["--observer"] if mode == "observer" else []
+    assert main(
+        ["simulate", "--config", str(cfg), "--seed", "3", "--controller", controller,
+         "--out", str(tmp_path / "sim")] + grid + observer
+    ) == 0
+    tag = tmp_path / f"cmp/trajectories/fbm035_{controller}_{mode}_seed003"
+    assert (tmp_path / "sim/trajectory.csv").read_bytes() == Path(f"{tag}.csv").read_bytes()
+    if controller == "glq":
+        assert (tmp_path / "sim/correction.csv").read_bytes() == Path(f"{tag}_correction.csv").read_bytes()
 
 
 def test_cli_compare_and_plot_data(tmp_path):
