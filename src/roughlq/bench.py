@@ -66,6 +66,9 @@ HEAVY_TAIL_QUANTILE = 0.999
 #: noise from stream ``MEASUREMENT_SEED_OFFSET + s``
 MEASUREMENT_SEED_OFFSET = 1_000_003
 
+#: the feedback modes each ``[run] observer`` setting runs
+_OBSERVER_MODES = {"both": ["fullstate", "observer"], "fullstate": ["fullstate"], "observer": ["observer"]}
+
 SCENARIOS = {
     "fbm035": {
         "run": {"scenario": "fbm035", "controllers": "classical,glq", "seeds": "0:20", "observer": "both"},
@@ -156,22 +159,34 @@ def _parse_seeds(text: str):
     return [int(part) for part in text.split(",")]
 
 
+def _read(kv: dict, section: str, key: str, parse=float, default=None):
+    """``parse`` of ``[section] key``; a value that does not parse is a
+    :class:`ConfigError` naming the section and the key."""
+    text = kv[key] if default is None else kv.get(key, default)
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {text!r} is not a number") from None
+
+
 def _noise_from(cfg: dict, prefix: str = "") -> NoiseModel:
     """The noise of ``[noise]`` keys (or CLI noise flags) with ``prefix``;
     an omitted key takes the default written here."""
     kind = cfg.get(prefix + "kind", "brownian")
+
+    def number(name, default):
+        return _read(cfg, "noise", prefix + name, default=default)
+
     if kind == "fbm":
-        return NoiseModel.fbm(
-            hurst=float(cfg.get(prefix + "hurst", "0.35")), sigma=float(cfg.get(prefix + "sigma", "1"))
-        )
+        return NoiseModel.fbm(hurst=number("hurst", "0.35"), sigma=number("sigma", "1"))
     if kind == "brownian":
-        return NoiseModel.brownian(sigma=float(cfg.get(prefix + "sigma", "1")))
+        return NoiseModel.brownian(sigma=number("sigma", "1"))
     if kind == "stable":
         return NoiseModel.stable(
-            alpha=float(cfg.get(prefix + "alpha", "1.5")),
-            beta=float(cfg.get(prefix + "beta", "0")),
-            gamma=float(cfg.get(prefix + "gamma", "1")),
-            delta=float(cfg.get(prefix + "delta", "0")),
+            alpha=number("alpha", "1.5"),
+            beta=number("beta", "0"),
+            gamma=number("gamma", "1"),
+            delta=number("delta", "0"),
         )
     raise ConfigError(f"unknown noise kind {kind!r}")
 
@@ -198,17 +213,19 @@ def sim_template(cfg: dict) -> SimConfig:
     Reads the ``[model]``, ``[noise]`` and ``[simulate]`` sections; callers
     derive each run with ``dataclasses.replace``.
     """
-    sim_cfg = cfg["simulate"]
+    sim_cfg, model_cfg = cfg["simulate"], cfg["model"]
     return SimConfig(
-        model=build_state_space(_parse_floats(cfg["model"]["q_diag"]), cfg["model"]["r"]),
+        model=build_state_space(
+            _read(model_cfg, "model", "q_diag", _parse_floats), _read(model_cfg, "model", "r")
+        ),
         noise_v=_noise_from(cfg["noise"]),
         noise_w=_noise_from(cfg["noise"], prefix="w_"),
         controller=sim_cfg.get("controller", "classical"),
         predictor=sim_cfg.get("predictor", "pathwise"),
-        dt=float(sim_cfg["dt"]),
-        horizon=float(sim_cfg["horizon"]),
-        saturation=float(sim_cfg["saturation"]),
-        x0=np.array(_parse_floats(sim_cfg["x0"])),
+        dt=_read(sim_cfg, "simulate", "dt"),
+        horizon=_read(sim_cfg, "simulate", "horizon"),
+        saturation=_read(sim_cfg, "simulate", "saturation"),
+        x0=np.array(_read(sim_cfg, "simulate", "x0", _parse_floats)),
     )
 
 
@@ -297,11 +314,11 @@ def run_comparison(
     if controllers is None:
         controllers = [c.strip() for c in run_cfg["controllers"].split(",")]
     if seeds is None:
-        seeds = _parse_seeds(run_cfg["seeds"])
+        seeds = _read(run_cfg, "run", "seeds", _parse_seeds)
     observer_setting = run_cfg.get("observer", "both")
-    modes = {"both": ["fullstate", "observer"], "fullstate": ["fullstate"], "observer": ["observer"]}[
-        observer_setting
-    ]
+    if observer_setting not in _OBSERVER_MODES:
+        raise ConfigError(f"[run] observer = {observer_setting!r}; expected one of {sorted(_OBSERVER_MODES)}")
+    modes = _OBSERVER_MODES[observer_setting]
 
     if "controller" in cfg["simulate"]:
         raise ConfigError("compare reads [run] controllers; [simulate] controller is not read")

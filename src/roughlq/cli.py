@@ -30,7 +30,7 @@ from .bench import (
 )
 from .config import ALLOWED_KEYS, ConfigError, format_config, merge, parse_config
 from .control import PredictorError
-from .lift import chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
+from .lift import LiftError, chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
 from .noise import NoiseError, make_grid, path_from_csv, path_to_csv, sample_path
 from .observer import ObserverError
 from .riccati import RiccatiError, solve_care
@@ -70,7 +70,10 @@ def _overrides(args) -> dict:
     A flag that sets a config key has the key as its argparse dest and
     defaults to None; ``--scenario`` is checked against ``[run] scenario``.
     """
-    cfg = parse_config(Path(args.config).read_text()) if args.config else {}
+    try:
+        cfg = parse_config(Path(args.config).read_text()) if args.config else {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config {args.config}: {exc.strerror or exc}") from None
     given = {}
     for section, keys in ALLOWED_KEYS.items():
         for key in keys - {"scenario"}:
@@ -132,7 +135,7 @@ def cmd_lift_check(args) -> int:
     try:
         est = holder_estimate(path)
         print(f"holder_estimate = {est:.4f}")
-    except Exception as exc:  # short or degenerate paths
+    except LiftError as exc:  # short or degenerate paths
         print(f"holder_estimate unavailable: {exc}")
     if args.out:
         out = _out_dir(args)

@@ -58,6 +58,9 @@ _HORIZON_BLOCK = 1024
 #: increments x window entries copied at once by the correction sweep
 _SWEEP_CHUNK = 1 << 20
 
+#: default_horizon results (default max_steps) by (A_cl shape, A_cl bytes, dt)
+_HORIZON_MEMO: dict = {}
+
 
 class PredictorError(ValueError):
     """Raised when a prediction mode is invalid for the noise model."""
@@ -152,6 +155,16 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
 
+def _memo_horizon(design: ControlDesign, dt: float) -> float:
+    """:func:`default_horizon`, scanned once per closed loop and ``dt`` in a
+    process, so the runs of one design share the scan."""
+    a_cl = np.asarray(design.A_cl, dtype=float)
+    key = (a_cl.shape, a_cl.tobytes(), float(dt))
+    if key not in _HORIZON_MEMO:
+        _HORIZON_MEMO[key] = default_horizon(design, dt)
+    return _HORIZON_MEMO[key]
+
+
 # ---------------------------------------------------------------------------
 # conditional means of future increments
 # ---------------------------------------------------------------------------
@@ -240,7 +253,7 @@ def correction_term(
         raise PredictorError("history must end at the evaluation time")
     horizon = horizon if horizon is not None else pred.horizon
     if horizon is None:
-        horizon = default_horizon(design, history.dt)
+        horizon = _memo_horizon(design, history.dt)
     dt = history.dt
     m = max(1, int(round(horizon / dt)))
     mu = predict_increments(pred, history, m)
@@ -361,7 +374,7 @@ def gaussian_correction_series(
         raise PredictorError("conditional means implemented for Gaussian models only")
     dt = path.dt
     if horizon is None:
-        horizon = pred.horizon if pred.horizon is not None else default_horizon(design, dt)
+        horizon = pred.horizon if pred.horizon is not None else _memo_horizon(design, dt)
     m = max(1, int(round(horizon / dt)))
     sizes = [1 << i for i in range(min(pred.window, n_steps).bit_length())]
     gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(pred.model.hurst))

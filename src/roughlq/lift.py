@@ -1,10 +1,12 @@
 """Level-2 rough-path lifts of sampled paths.
 
 A lifted path stores per-step increments and per-step second-order
-tensors; values over any grid interval are reconstructed through Chen's
-relation
+tensors; values over any grid interval follow from Chen's relation
 
-    XX[s, t] = XX[s, u] + XX[u, t] + X[s, u] (x) X[u, t].
+    XX[s, t] = XX[s, u] + XX[u, t] + X[s, u] (x) X[u, t],
+
+applied once to prefix sums from the start of the grid, so each
+interval costs O(d^2) whatever its length.
 
 Lifts built here interpolate the samples piecewise-linearly, so the
 per-step tensor is the iterated integral of the interpolant,
@@ -15,6 +17,7 @@ per-step tensor is the iterated integral of the interpolant,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +55,9 @@ class DegeneratePathError(LiftError):
 class RoughPath:
     """Grid, per-step increments ``dx`` (N, d) and tensors ``area`` (N, d, d).
 
-    Immutable after construction; reconstruction over wider intervals is
-    done on demand via Chen accumulation.
+    Immutable after construction.  Wider intervals are reconstructed from
+    the prefix sums ``x_k = X[t_0, t_k]`` and ``S_k = XX[t_0, t_k]``, built
+    once on the first query (O(N d^2)); each query then costs O(d^2).
     """
 
     t: np.ndarray
@@ -90,6 +94,17 @@ class RoughPath:
             raise OffGridError(f"time {time} is not on the lift grid")
         return k
 
+    @cached_property
+    def _prefix_sums(self):
+        """``(x, S)`` of shapes (N + 1, d) and (N + 1, d, d), from Chen:
+        ``x_{k+1} = x_k + dx_k`` and ``S_{k+1} = S_k + area_k + x_k (x) dx_k``."""
+        n, d = self.dx.shape
+        x = np.zeros((n + 1, d))
+        np.cumsum(self.dx, axis=0, out=x[1:])
+        s = np.zeros((n + 1, d, d))
+        np.cumsum(self.area + x[:-1, :, None] * self.dx[:, None, :], axis=0, out=s[1:])
+        return x, s
+
 
 def lift_piecewise_linear(path: SamplePath) -> RoughPath:
     """Lift a sampled path through its piecewise-linear interpolant.
@@ -103,20 +118,19 @@ def lift_piecewise_linear(path: SamplePath) -> RoughPath:
 
 
 def reconstruct(rp: RoughPath, s: float, t: float):
-    """Assemble ``(X[s,t], XX[s,t])`` by left-to-right Chen accumulation.
+    """``(X[s,t], XX[s,t])`` from the path's prefix sums, in O(d^2).
 
-    ``s`` and ``t`` must be grid times with ``s <= t``.
+    Chen's relation over ``[t_0, s, t]`` gives ``X[s,t] = x_j - x_i`` and
+    ``XX[s,t] = S_j - S_i - x_i (x) X[s,t]``.  ``s`` and ``t`` must be grid
+    times with ``s <= t``.
     """
     i = rp.index_of(s)
     j = rp.index_of(t)
     if i > j:
         raise LiftError("need s <= t")
-    x = np.zeros(rp.d)
-    xx = np.zeros((rp.d, rp.d))
-    for k in range(i, j):
-        xx += rp.area[k] + np.outer(x, rp.dx[k])
-        x += rp.dx[k]
-    return x, xx
+    x, xx = rp._prefix_sums
+    x_st = x[j] - x[i]
+    return x_st, xx[j] - xx[i] - np.outer(x[i], x_st)
 
 
 def chen_gap(xx_st, xx_su, xx_ut, x_su, x_ut) -> float:

@@ -119,6 +119,52 @@ def test_cli_unknown_config_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--horizon", "0.5"], ["compare", "--scenario", "fbm035", "--seeds", "0"]],
+    ids=["simulate", "compare"],
+)
+def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.cfg"
+    assert main(argv + ["--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "missing.cfg" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, where",
+    [
+        (["compare", "--scenario", "fbm035"], "[run]\nobserver = bogus\n", "[run] observer = 'bogus'"),
+        (["compare", "--scenario", "fbm035"], "[noise]\nhurst = abc\n", "[noise] hurst = 'abc'"),
+        (["simulate", "--horizon", "0.5"], "[noise]\nhurst = abc\n", "[noise] hurst = 'abc'"),
+    ],
+    ids=["compare-observer", "compare-hurst", "simulate-hurst"],
+)
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, argv, text, where):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where in err
+
+
+def test_cli_lift_check_short_path_has_no_holder_estimate(capsys):
+    # 10 steps: too short for the regularity estimate, which is reported
+    assert main(["lift-check", "--dt", "0.1", "--horizon", "1.0", "--triples", "5"]) == 0
+    assert "holder_estimate unavailable: need at least 64 steps" in capsys.readouterr().out
+
+
+def test_cli_lift_check_programming_error_propagates(monkeypatch):
+    import roughlq.cli
+
+    def broken(path):
+        raise TypeError("broken estimator")
+
+    monkeypatch.setattr(roughlq.cli, "holder_estimate", broken)
+    with pytest.raises(TypeError, match="broken estimator"):
+        main(["lift-check", "--dt", "0.01", "--horizon", "1.0", "--triples", "5"])
+
+
 def test_cli_care_writes_design(tmp_path, capsys):
     code = main(["care", "--out", str(tmp_path)])
     assert code == 0

@@ -339,6 +339,34 @@ def test_gaussian_series_matches_single_calls_short_path_or_horizon(
     )
 
 
+def test_gaussian_series_scans_default_horizon_once_per_design_and_dt(monkeypatch):
+    from roughlq import control
+
+    calls = []
+
+    def counted(design, dt, *args):
+        calls.append(dt)
+        return default_horizon(design, dt, *args)
+
+    monkeypatch.setattr(control, "_HORIZON_MEMO", {})
+    monkeypatch.setattr(control, "default_horizon", counted)
+    design = two_dim_design()
+    model = NoiseModel.fbm(hurst=0.35)
+    pred = Predictor(model=model, method="gaussian", window=8)
+    grid = make_grid(0.02, 1.0)
+    explicit = gaussian_correction_series(
+        design, pred, sample_fbm(model, grid, d=2, seed=0), horizon=default_horizon(design, 0.02)
+    )
+    for seed in (0, 1):
+        series = gaussian_correction_series(design, pred, sample_fbm(model, grid, d=2, seed=seed))
+        if seed == 0:
+            assert np.array_equal(series, explicit)
+    assert calls == [0.02]
+    # another step size is another scan
+    gaussian_correction_series(design, pred, sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=0))
+    assert calls == [0.02, 0.01]
+
+
 def test_gaussian_series_zero_for_brownian():
     design = two_dim_design()
     model = NoiseModel.brownian()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from roughlq.lift import (
     reconstruct,
     rough_integral_admissible,
 )
-from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm
+from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm, sample_path
 
 
 def _line_path(c, n=1, horizon=1.0):
@@ -82,6 +84,56 @@ def test_reconstruct_rejects_off_grid():
     rp = lift_piecewise_linear(_two_step_path([1.0], [2.0]))
     with pytest.raises(OffGridError):
         reconstruct(rp, 0.0, 1.5)
+
+
+def _chen_by_steps(rp, i, j):
+    """Oracle: left-to-right Chen accumulation over steps i..j-1."""
+    x = np.zeros(rp.d)
+    xx = np.zeros((rp.d, rp.d))
+    for k in range(i, j):
+        xx += rp.area[k] + np.outer(x, rp.dx[k])
+        x += rp.dx[k]
+    return x, xx
+
+
+@pytest.mark.parametrize(
+    "model, n_steps",
+    [(NoiseModel.fbm(hurst=0.35), 2000), (NoiseModel.stable(alpha=1.5), 10000)],
+    ids=["fbm-2000", "stable15-10000"],
+)
+def test_reconstruct_matches_sequential_chen(model, n_steps):
+    grid = make_grid(1.0 / n_steps, 1.0)
+    path = sample_path(model, grid, d=2, seed=3)
+    rp = lift_piecewise_linear(path)
+    # prefix sums lose digits to cancellation in proportion to |x|^2
+    levels = path.values - path.values[0]
+    tol = 1e-12 * max(1.0, float(np.max(np.sum(levels**2, axis=1))))
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(200):
+        i, j = np.sort(rng.integers(0, n_steps + 1, size=2))
+        x, xx = reconstruct(rp, grid[i], grid[j])
+        x_ref, xx_ref = _chen_by_steps(rp, i, j)
+        assert np.max(np.abs(x - x_ref)) <= tol
+        assert np.max(np.abs(xx - xx_ref)) <= tol
+
+
+def test_rough_paths_keep_their_own_prefix_sums():
+    a, b = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+    first = lift_piecewise_linear(_two_step_path(a, b))
+    second = lift_piecewise_linear(_two_step_path(2.0 * a, 2.0 * b))
+    x1, xx1 = reconstruct(first, 0.0, 2.0)
+    x2, xx2 = reconstruct(second, 0.0, 2.0)
+    assert np.allclose(x2, 2.0 * x1) and np.allclose(xx2, 4.0 * xx1)
+    # a copy built after the sums were taken computes its own
+    scaled = replace(first, dx=3.0 * first.dx, area=9.0 * first.area)
+    x3, xx3 = reconstruct(scaled, 0.0, 2.0)
+    assert np.allclose(x3, 3.0 * x1) and np.allclose(xx3, 9.0 * xx1)
+    # returned arrays are the caller's: writing to them leaves the path intact
+    x1 += 1.0
+    xx1 += 1.0
+    x, xx = reconstruct(first, 0.0, 2.0)
+    assert np.allclose(x, a + b)
+    assert np.allclose(xx, 0.5 * np.outer(a, a) + 0.5 * np.outer(b, b) + np.outer(a, b))
 
 
 # ---------------------------------------------------------------------------
