@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, format_config, merge
-from .noise import NoiseModel, make_grid, sample_path
+from .noise import NoiseModel, _write_table, make_grid, sample_path
 from .observer import estimate_second_moments, solve_observer_steady_state
 from .pendulum import build_pendulum
 from .riccati import solve_care
@@ -496,10 +496,10 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list:
             ]
         )
         state_file = f"{tag}_states.csv"
-        _save_figure_csv(dst / state_file, "t,cart_m,angle_deg,cart_rate,angle_rate_deg", states)
+        _write_table(dst / state_file, "t,cart_m,angle_deg,cart_rate,angle_rate_deg", states)
         control = np.column_stack([t, np.atleast_1d(data["u_raw"]), np.atleast_1d(data["u_sat"])])
         ctrl_file = f"{tag}_control.csv"
-        _save_figure_csv(dst / ctrl_file, "t,u_raw,u_sat", control)
+        _write_table(dst / ctrl_file, "t,u_raw,u_sat", control)
         manifest.append(state_file)
         manifest.append(ctrl_file)
 
@@ -509,12 +509,6 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list:
     lines.append(format_config(report.config))
     (dst / "manifest.csv").write_text("\n".join(lines))
     return rows
-
-
-def _save_figure_csv(path: Path, header: str, table: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def _sha256(path: Path) -> str:

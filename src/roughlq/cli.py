@@ -64,16 +64,21 @@ def _add_noise_args(parser, prefix="", default_kind=None):
         parser.add_argument(flag_prefix + name, dest=prefix + name, type=float, default=argparse.SUPPRESS)
 
 
+def _read_input(flag: str, path: Path, read):
+    """``read(path)``, with a file that cannot be read as a :class:`ConfigError`."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {flag} {path}: {exc.strerror or exc}") from None
+
+
 def _overrides(args) -> dict:
     """The ``--config`` file, overlaid by the flags given on the command line.
 
     A flag that sets a config key has the key as its argparse dest and
     defaults to None; ``--scenario`` is checked against ``[run] scenario``.
     """
-    try:
-        cfg = parse_config(Path(args.config).read_text()) if args.config else {}
-    except OSError as exc:
-        raise ConfigError(f"cannot read --config {args.config}: {exc.strerror or exc}") from None
+    cfg = parse_config(_read_input("--config", Path(args.config), Path.read_text)) if args.config else {}
     given = {}
     for section, keys in ALLOWED_KEYS.items():
         for key in keys - {"scenario"}:
@@ -119,7 +124,7 @@ def cmd_noise_gen(args) -> int:
 
 def cmd_lift_check(args) -> int:
     if args.infile:
-        path = path_from_csv(args.infile)
+        path = _read_input("--in", Path(args.infile), path_from_csv)
     else:
         model = _noise_from(vars(args))
         grid = make_grid(args.dt, args.horizon)
@@ -204,7 +209,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    report = run_comparison(args.scenario, overrides=_overrides(args), out_dir=_out_dir(args))
+    report = run_comparison(args.scenario, overrides=_overrides(args), out_dir=args.out)
     for (controller, mode), agg in sorted(report.aggregates.items()):
         print(
             f"{controller:>9s}/{mode:<9s} divergence {agg['divergence_rate']:.2f}"
@@ -245,7 +250,7 @@ def _load_report(report_dir: Path) -> ExperimentReport:
 
 
 def cmd_plot_data(args) -> int:
-    report = _load_report(Path(args.report))
+    report = _read_input("--report", Path(args.report), _load_report)
     rows = emit_plot_data(report, args.out)
     print(f"wrote {len(rows)} figure files + manifest under {args.out}")
     return EXIT_OK

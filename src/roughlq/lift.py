@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .noise import SamplePath
+from .noise import SamplePath, _write_table
 
 __all__ = [
     "LiftError",
@@ -208,21 +208,9 @@ def rough_integral_admissible(integrand_holder: float, driver_holder: float) -> 
 
 def lift_to_csv(rp: RoughPath, file) -> None:
     """Per-step triples ``k, dX..., XX...`` at full precision."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
-        d = rp.d
-        cols = ["k"]
-        cols += [f"dx{i + 1}" for i in range(d)]
-        cols += [f"xx{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        file.write(",".join(cols) + "\n")
-        for k in range(rp.n_steps):
-            row = [str(k)]
-            row += [f"{v:.17g}" for v in rp.dx[k]]
-            row += [f"{v:.17g}" for v in rp.area[k].ravel()]
-            file.write(",".join(row) + "\n")
-    finally:
-        if close:
-            file.close()
+    d = rp.d
+    cols = ["k"]
+    cols += [f"dx{i + 1}" for i in range(d)]
+    cols += [f"xx{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+    table = np.column_stack([np.arange(rp.n_steps), rp.dx, rp.area.reshape(rp.n_steps, d * d)])
+    _write_table(file, ",".join(cols), table)

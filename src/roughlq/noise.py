@@ -16,7 +16,8 @@ explicit everywhere and no global RNG state is touched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -409,21 +410,24 @@ def stable_char_fn(u: float, alpha: float, beta: float, gamma: float, delta: flo
 # CSV round trip
 # ---------------------------------------------------------------------------
 
+def _write_table(file, header: str, table: np.ndarray) -> None:
+    """Write a header line and ``%.17g`` comma-separated rows.
+
+    ``file`` is a path or an open text file; a path is opened and closed
+    here.  Every CSV the package exports goes through this writer.
+    """
+    if isinstance(file, (str, bytes, os.PathLike)):
+        with open(file, "w") as fh:
+            _write_table(fh, header, table)
+        return
+    file.write(header + "\n")
+    np.savetxt(file, table, fmt="%.17g", delimiter=",")
+
+
 def path_to_csv(path: SamplePath, file) -> None:
     """Write ``t,v1,...,vd`` rows at full double precision (17 digits)."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
-        header = "t," + ",".join(f"v{j + 1}" for j in range(path.d))
-        file.write(header + "\n")
-        for k in range(path.t.shape[0]):
-            row = [f"{path.t[k]:.17g}"] + [f"{x:.17g}" for x in path.values[k]]
-            file.write(",".join(row) + "\n")
-    finally:
-        if close:
-            file.close()
+    header = "t," + ",".join(f"v{j + 1}" for j in range(path.d))
+    _write_table(file, header, np.column_stack([path.t, path.values]))
 
 
 def path_from_csv(file) -> SamplePath:

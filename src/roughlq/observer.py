@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
+from .noise import SamplePath
 from .riccati import spectral_abscissa
 
 __all__ = [
@@ -85,17 +86,6 @@ class ObserverDesign:
     residual: float
 
 
-def _increment_stack(paths) -> np.ndarray:
-    if isinstance(paths, np.ndarray):
-        arr = paths
-        if arr.ndim == 2:
-            arr = arr[None]
-        inc = np.diff(arr, axis=1)
-    else:
-        inc = np.stack([p.increments for p in paths])
-    return inc
-
-
 def estimate_second_moments(
     v_paths,
     w_paths,
@@ -103,22 +93,22 @@ def estimate_second_moments(
 ) -> NoiseSecondMoments:
     """Sample second moments of jointly sampled (v, w) increments.
 
-    Accepts lists of :class:`SamplePath` or raw ``(reps, N+1, d)``
-    arrays; at least 100 replications are required.  When
-    ``truncate_quantile`` is set, increments are symmetrically clipped
-    at that quantile of their absolute values before the moments are
-    formed (heavy-tailed noise has no finite raw second moment; the
-    truncated surrogate is what the design consumes), and the clip level
-    is recorded.
+    Takes two sequences of :class:`SamplePath` (the paths carry the step
+    the moments are normalised by); at least 100 replications are
+    required.  When ``truncate_quantile`` is set, increments are
+    symmetrically clipped at that quantile of their absolute values
+    before the moments are formed (heavy-tailed noise has no finite raw
+    second moment; the truncated surrogate is what the design consumes),
+    and the clip level is recorded.
     """
-    dt = v_paths[0].dt if not isinstance(v_paths, np.ndarray) else None
-    inc_v = _increment_stack(v_paths)
-    inc_w = _increment_stack(w_paths)
-    if dt is None:
-        raise ObserverError("raw arrays need SamplePath input to carry dt")
-    reps = inc_v.shape[0]
+    if not all(isinstance(p, SamplePath) for p in (*v_paths, *w_paths)):
+        raise ObserverError("v and w paths must be SamplePath sequences, which carry dt")
+    reps = len(v_paths)
     if reps < MIN_REPLICATIONS:
         raise ObserverError(f"need at least {MIN_REPLICATIONS} replications, got {reps}")
+    dt = v_paths[0].dt
+    inc_v = np.stack([p.increments for p in v_paths])
+    inc_w = np.stack([p.increments for p in w_paths])
     if inc_w.shape[0] != reps or inc_w.shape[1] != inc_v.shape[1]:
         raise ObserverError("v and w replication shapes disagree")
 

@@ -30,7 +30,7 @@ from .control import (
     pathwise_correction_series,
 )
 from .lift import lift_piecewise_linear
-from .noise import NoiseModel, SamplePath, make_grid
+from .noise import NoiseModel, SamplePath, _write_table, make_grid
 from .observer import ObserverDesign
 from .riccati import ControlDesign
 
@@ -376,19 +376,6 @@ def refinement_convergence(config: SimConfig, design: ControlDesign, levels=(1, 
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
-
-def _write_table(file, header: str, table: np.ndarray) -> None:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
-        file.write(header + "\n")
-        np.savetxt(file, table, fmt="%.17g", delimiter=",")
-    finally:
-        if close:
-            file.close()
-
 
 def trajectory_to_csv(traj: Trajectory, file) -> None:
     """Columns ``t,x1..xn,xhat1..xhatn,u_raw,u_sat,cost`` at full precision."""

@@ -121,14 +121,20 @@ def test_cli_unknown_config_key_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["simulate", "--horizon", "0.5"], ["compare", "--scenario", "fbm035", "--seeds", "0"]],
-    ids=["simulate", "compare"],
+    [
+        ["simulate", "--horizon", "0.5", "--config", "MISSING", "--out", "OUT"],
+        ["compare", "--scenario", "fbm035", "--seeds", "0", "--config", "MISSING", "--out", "OUT"],
+        ["lift-check", "--in", "MISSING"],
+        ["plot-data", "--report", "MISSING", "--out", "OUT"],
+    ],
+    ids=["simulate", "compare", "lift-check", "plot-data"],
 )
 def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
-    missing = tmp_path / "missing.cfg"
-    assert main(argv + ["--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+    where = {"MISSING": str(tmp_path / "missing.cfg"), "OUT": str(tmp_path / "out")}
+    assert main([where.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "missing.cfg" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -146,6 +152,7 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, argv, text, where):
     assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
+    assert not (tmp_path / "out").exists()  # nothing is written before the config is checked
 
 
 def test_cli_lift_check_short_path_has_no_holder_estimate(capsys):

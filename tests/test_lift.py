@@ -293,3 +293,34 @@ def test_lift_csv_header():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "k,dx1,dx2,xx11,xx12,xx21,xx22"
     assert len(lines) == 3
+
+
+def test_path_and_lift_csv_golden_bytes():
+    import io
+
+    from roughlq.noise import path_to_csv
+
+    path = SamplePath(
+        t=np.array([0.0, 0.1, 0.2, 0.30000000000000004]),
+        values=np.array([[0.0, 0.0], [1 / 3, -2.5], [0.1 + 0.2, 1e-20], [-7.0, 12345.678]]),
+    )
+    buf = io.StringIO()
+    path_to_csv(path, buf)
+    assert buf.getvalue() == (
+        "t,v1,v2\n"
+        "0,0,0\n"
+        "0.10000000000000001,0.33333333333333331,-2.5\n"
+        "0.20000000000000001,0.30000000000000004,9.9999999999999995e-21\n"
+        "0.30000000000000004,-7,12345.678\n"
+    )
+    buf = io.StringIO()
+    lift_to_csv(lift_piecewise_linear(path), buf)
+    assert buf.getvalue() == (
+        "k,dx1,dx2,xx11,xx12,xx21,xx22\n"
+        "0,0.33333333333333331,-2.5,0.055555555555555552,-0.41666666666666663,"
+        "-0.41666666666666663,3.125\n"
+        "1,-0.03333333333333327,2.5,0.0005555555555555535,-0.041666666666666588,"
+        "-0.041666666666666588,3.125\n"
+        "2,-7.2999999999999998,12345.678,26.645,-45061.724699999999,"
+        "-45061.724699999999,76207882.639842004\n"
+    )

@@ -64,6 +64,15 @@ def test_insufficient_replications_error():
         estimate_second_moments(v, w)
 
 
+def test_raw_arrays_rejected():
+    grid = make_grid(0.01, 0.5)
+    v, w = _joint_paths(NoiseModel.brownian(), NoiseModel.brownian(), grid, reps=110, d=1)
+    raw_v, raw_w = (np.stack([p.values for p in paths]) for paths in (v, w))
+    for args in ((raw_v, raw_w), (v, raw_w)):
+        with pytest.raises(ObserverError, match="SamplePath"):
+            estimate_second_moments(*args)
+
+
 def test_truncation_is_recorded_and_tames_tails():
     from roughlq.noise import sample_stable
 

@@ -12,7 +12,6 @@ from roughlq.riccati import (
     solve_care,
     solve_lyapunov,
     spectral_abscissa,
-    stabilizing_gain,
 )
 
 
@@ -117,18 +116,32 @@ def test_indefinite_r_rejected():
 
 
 # ---------------------------------------------------------------------------
-# uniqueness probe
+# independent construction
 # ---------------------------------------------------------------------------
 
-def test_kleinman_unique_limit_from_two_starts():
+def hamiltonian_stable_subspace_solution(a, b, q, r):
+    """Independent oracle: P = U2 U1^{-1} from the eigenvectors U = [U1; U2]
+    of the Hamiltonian [[A, -B R^-1 B'], [-Q, -A']] whose eigenvalues lie
+    in the open left half-plane."""
+    n = a.shape[0]
+    h = np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]])
+    w, v = np.linalg.eig(h)
+    u = v[:, w.real < 0.0]
+    assert u.shape[1] == n
+    p = np.real(u[n:] @ np.linalg.inv(u[:n]))
+    return 0.5 * (p + p.T)
+
+
+@pytest.mark.parametrize(
+    "q_diag,r",
+    [((1, 1, 1, 1), 1.0), ((10, 100, 1, 1), 0.01), ((1, 1, 1, 1), 100.0), ((1e3, 1e3, 1, 1), 1e-3)],
+)
+def test_care_matches_hamiltonian_stable_subspace(q_diag, r):
     pm = build_pendulum()
-    q, r = np.eye(4), np.array([[1.0]])
-    k_a = stabilizing_gain(pm.A, pm.B)
-    k_b = stabilizing_gain(pm.A, pm.B, shift=40.0)
-    assert np.max(np.abs(k_a - k_b)) > 1e-6  # genuinely different starts
-    d_a = solve_care(pm.A, pm.B, q, r, k0=k_a)
-    d_b = solve_care(pm.A, pm.B, q, r, k0=k_b)
-    assert np.max(np.abs(d_a.P - d_b.P)) < 1e-8
+    q, rm = np.diag(np.asarray(q_diag, dtype=float)), np.array([[r]])
+    d = solve_care(pm.A, pm.B, q, rm)
+    oracle = hamiltonian_stable_subspace_solution(pm.A, pm.B, q, rm)
+    assert np.linalg.norm(d.P - oracle) < 1e-10 * np.linalg.norm(oracle)
 
 
 # ---------------------------------------------------------------------------
