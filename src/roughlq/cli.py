@@ -221,26 +221,31 @@ def cmd_compare(args) -> int:
 
 def _load_report(report_dir: Path) -> ExperimentReport:
     cfg = parse_config((report_dir / "config_echo.cfg").read_text())
-    rows = (report_dir / "runs.csv").read_text().splitlines()
+    runs = report_dir / "runs.csv"
     records = []
-    for line in rows[1:]:
+    for lineno, line in enumerate(runs.read_text().splitlines()[1:], start=2):
         parts = line.split(",")
-        records.append(
-            RunRecord(
-                scenario=parts[0],
-                controller=parts[1],
-                mode=parts[2],
-                seed=int(parts[3]),
-                diverged=bool(int(parts[4])),
-                t_diverge=None if parts[5] == "" else float(parts[5]),
-                mean_cost=float(parts[6]),
-                final_norm=float(parts[7]),
-                final_angle_deg=float(parts[8]),
-                sat_duty=float(parts[9]),
-                max_u_raw=float(parts[10]),
-                trajectory_file=parts[11],
+        try:
+            if len(parts) != 12:
+                raise ValueError(f"expected 12 fields, got {len(parts)}")
+            records.append(
+                RunRecord(
+                    scenario=parts[0],
+                    controller=parts[1],
+                    mode=parts[2],
+                    seed=int(parts[3]),
+                    diverged=bool(int(parts[4])),
+                    t_diverge=None if parts[5] == "" else float(parts[5]),
+                    mean_cost=float(parts[6]),
+                    final_norm=float(parts[7]),
+                    final_angle_deg=float(parts[8]),
+                    sat_duty=float(parts[9]),
+                    max_u_raw=float(parts[10]),
+                    trajectory_file=parts[11],
+                )
             )
-        )
+        except ValueError as exc:
+            raise ConfigError(f"{runs} line {lineno}: {exc}") from None
     return ExperimentReport(
         scenario=records[0].scenario if records else cfg["run"]["scenario"],
         records=records,

@@ -11,14 +11,21 @@ expressed in state units through the normalisation ``V = P^{-1} r``,
 which makes ``-K (x + V) = -R^{-1} B^T (P x + r)`` the exact
 completion-of-squares minimiser.
 
-Three evaluation modes are provided:
+A :class:`Predictor` replaces the future increments by their conditional
+mean given the past:
 
 * ``zero_mean`` - valid only for independent-increment, zero-mean noise
   (Brownian; symmetric centred stable with alpha > 1), where V = 0,
 * ``gaussian`` - exact Gaussian conditioning of future fBm increments on
-  a finite window of observed increments,
-* ``pathwise`` - the realised-path integral evaluated against a fixed
-  rough driver with compensated (level-2 aware) Riemann sums.
+  a finite window of observed increments (the causal optimum of Duncan &
+  Pasik-Duncan, SIAM J. Control Optim. 2013).  Every Gaussian entry point
+  reads one kernel: the lag sums ``H[l] = sum_j Phi(j)^T P gamma(j + l)``
+  of the fGn autocovariance ``gamma``, against the Toeplitz-Gram solve of
+  the history.
+
+:func:`pathwise_correction_series` instead evaluates the realised-path
+integral against a fixed rough driver (it reads the future), by one
+backward recursion with compensated (level-2 aware) Riemann sums.
 """
 
 from __future__ import annotations
@@ -79,23 +86,19 @@ def _zero_mean_valid(model: NoiseModel) -> bool:
 class Predictor:
     """Conditional-mean model for future noise increments.
 
-    ``window`` bounds how many trailing increments the Gaussian
-    conditioning sees; ``horizon`` is the truncation time of the future
-    integral (``None`` defers to the caller / path end).
+    ``method`` is ``"zero_mean"`` or ``"gaussian"``; ``window`` bounds how
+    many trailing increments the Gaussian conditioning sees.
     """
 
     model: NoiseModel
     method: str = "gaussian"
     window: int = 256
-    horizon: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("zero_mean", "gaussian", "pathwise"):
+        if self.method not in ("zero_mean", "gaussian"):
             raise PredictorError(f"unknown predictor method {self.method!r}")
         if self.window < 1:
             raise PredictorError("window must be positive")
-        if self.horizon is not None and self.horizon <= 0.0:
-            raise PredictorError("horizon must be positive")
         if self.method == "zero_mean" and not _zero_mean_valid(self.model):
             if self.model.kind == "stable" and self.model.alpha <= 1.0:
                 raise PredictorError(
@@ -166,27 +169,8 @@ def _memo_horizon(design: ControlDesign, dt: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# conditional means of future increments
+# Gaussian conditioning: one lag-sum kernel
 # ---------------------------------------------------------------------------
-
-def _fgn_prediction_matrix(
-    hurst: float, dt: float, n_hist: int, n_future: int
-) -> np.ndarray:
-    """Weights mapping observed increments to future conditional means.
-
-    Rows index future steps, columns index history increments ordered
-    oldest first.  Exact Gaussian conditioning on the stationary fGn
-    covariance; jitters the Gram matrix once if it is numerically
-    singular.
-    """
-    lag = np.abs(np.arange(n_hist)[:, None] - np.arange(n_hist)[None, :])
-    gram = fgn_autocovariance(lag, dt, hurst)
-    # future step k (k = 1..n_future) sits k + (n_hist - 1 - i) steps
-    # after history increment i
-    lead = np.arange(1, n_future + 1)[:, None] + (n_hist - 1 - np.arange(n_hist))[None, :]
-    cross = fgn_autocovariance(lead, dt, hurst)
-    return _solve_gram(gram, cross.T).T
-
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``gram^{-1} rhs``; jitters the Gram matrix once if it is singular."""
@@ -200,6 +184,51 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             raise PredictorError("history Gram matrix is singular") from exc
 
 
+def _independent(pred: Predictor) -> bool:
+    """Zero conditional mean: declared so, or Brownian (H = 1/2)."""
+    return pred.method == "zero_mean" or pred.model.hurst == 0.5
+
+
+def _history_weights(pred: Predictor, history: SamplePath, n_future: int):
+    """fGn autocovariance ``gamma`` at lags 0 .. n_future + s - 1, and the
+    conditioning weights ``a = Gamma_s^{-1} inc[-s:]`` of the last
+    s = min(window, N) increments, oldest first."""
+    inc = history.increments
+    size = min(pred.window, inc.shape[0])
+    gamma = fgn_autocovariance(np.arange(n_future + size), history.dt, float(pred.model.hurst))
+    return gamma, _solve_gram(toeplitz(gamma[:size]), inc[-size:])
+
+
+def _predicted_means(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``mu_k = sum_j gamma(k + j) a[s - 1 - j]`` for k = 1 .. len(gamma) - s,
+    one correlation per coordinate, shape (M, d)."""
+    return np.stack(
+        [np.correlate(gamma[1:], col[::-1], mode="valid") for col in weights.T], axis=1
+    )
+
+
+def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. len(gamma) - m,
+    row l - 1 holding H[l] as a flat n x n block.
+
+    ``Phi(j)^T P`` over the future grid is filled by doubling; each block
+    entry is then one correlation with ``gamma``.  Cost O(m n^3 + m s n^2)
+    for s lags; no m x s array is formed.
+    """
+    n = design.n
+    phi_p = np.empty((m, n, n))
+    phi_p[0] = design.P
+    shift = expm(design.A_cl.T * dt)
+    filled = 1
+    while filled < m:
+        take = min(filled, m - filled)
+        phi_p[filled : filled + take] = shift @ phi_p[:take]
+        shift = shift @ shift
+        filled += take
+    phi_cols = np.ascontiguousarray(phi_p.reshape(m, n * n).T)
+    return np.stack([np.correlate(gamma[1:], col, mode="valid") for col in phi_cols], axis=1)
+
+
 def predict_increments(pred: Predictor, history: SamplePath, n_future: int) -> np.ndarray:
     """Conditional means of the next ``n_future`` increments, shape (M, d).
 
@@ -207,31 +236,9 @@ def predict_increments(pred: Predictor, history: SamplePath, n_future: int) -> n
     """
     if n_future < 1:
         raise PredictorError("need at least one future step")
-    if pred.method == "pathwise":
-        raise PredictorError("pathwise mode uses the realised driver, not predictions")
-    d = history.d
-    if pred.method == "zero_mean" or pred.model.hurst == 0.5:
-        # independent increments: martingale-style zero conditional mean
-        return np.zeros((n_future, d))
-    if pred.model.kind not in ("fbm", "brownian"):
-        raise PredictorError("conditional means implemented for Gaussian models only")
-    inc = history.increments
-    n_hist = min(pred.window, inc.shape[0])
-    weights = _fgn_prediction_matrix(float(pred.model.hurst), history.dt, n_hist, n_future)
-    return weights @ inc[-n_hist:]
-
-
-# ---------------------------------------------------------------------------
-# correction terms
-# ---------------------------------------------------------------------------
-
-def _phi_weighted_sum(design: ControlDesign, contributions: np.ndarray, dt: float) -> np.ndarray:
-    """Backward-accumulated ``sum_j exp(A_cl^T j dt) c_j`` for c_j rows."""
-    step_t = expm(design.A_cl.T * dt)
-    acc = np.zeros(design.n)
-    for c in contributions[::-1]:
-        acc = c + step_t @ acc
-    return acc
+    if _independent(pred):
+        return np.zeros((n_future, history.d))
+    return _predicted_means(*_history_weights(pred, history, n_future))
 
 
 def correction_term(
@@ -243,102 +250,32 @@ def correction_term(
 ) -> CorrectionTerm:
     """Conditional-mean correction V(t) from the observed history.
 
-    Approximates the Phi^T P - weighted future-noise integral with the
-    predicted increments over ``horizon`` and converts to state units
-    with ``P^{-1}``.  The reported tail bound is
-    ``||Phi(t+T, t)|| * cond-weighted predicted mass``; corrections whose
-    bound exceeds 10% of their size carry ``truncated=True``.
+    With ``a = Gamma_s^{-1} inc[-s:]`` the conditioning weights of the
+    last s increments, ``V(t) = P^{-1} sum_i H[s - i] a_i`` over the lag
+    sums of the future integral truncated at ``horizon`` (default
+    :func:`default_horizon`).  The reported tail bound is
+    ``||Phi(t+T, t)|| * cond(P) * sum_k ||mu_k||`` over the predicted
+    increments; corrections whose bound exceeds 10% of their size carry
+    ``truncated=True``.
     """
     if abs(history.t[-1] - t) > 1e-9 * max(history.dt, 1.0):
         raise PredictorError("history must end at the evaluation time")
-    horizon = horizon if horizon is not None else pred.horizon
-    if horizon is None:
-        horizon = _memo_horizon(design, history.dt)
+    if _independent(pred):
+        return CorrectionTerm(t=t, value=np.zeros(design.n))
     dt = history.dt
+    if horizon is None:
+        horizon = _memo_horizon(design, dt)
     m = max(1, int(round(horizon / dt)))
-    mu = predict_increments(pred, history, m)
-    contributions = mu @ design.P.T
-    raw = _phi_weighted_sum(design, contributions, dt)
-    value = np.linalg.solve(design.P, raw)
+    gamma, weights = _history_weights(pred, history, m)
+    lag_sums = _lag_sums(design, gamma, m, dt).reshape(-1, design.n, design.n)
+    # history increment i sits s - i lags before the first future step
+    value = np.linalg.solve(design.P, np.einsum("iab,ib->a", lag_sums[::-1], weights))
     decay = float(np.linalg.norm(expm(design.A_cl * (m * dt)), 2))
-    mass = float(np.sum(np.linalg.norm(mu, axis=1)))
+    mass = float(np.sum(np.linalg.norm(_predicted_means(gamma, weights), axis=1)))
     cond = float(np.linalg.norm(design.P, 2) * np.linalg.norm(np.linalg.inv(design.P), 2))
     tail = decay * cond * mass
     vnorm = float(np.linalg.norm(value))
     return CorrectionTerm(t=t, value=value, tail_bound=tail, truncated=tail > 0.1 * max(vnorm, 1e-300))
-
-
-def _check_driver_admissible(driver: RoughPath) -> None:
-    if driver.holder is not None and not rough_integral_admissible(
-        INTEGRAND_HOLDER, float(driver.holder)
-    ):
-        raise PredictorError(
-            f"driver regularity {driver.holder} fails the (2+alpha)*beta > 1 "
-            f"admissibility condition"
-        )
-
-
-def pathwise_correction(
-    design: ControlDesign,
-    driver: RoughPath,
-    t: float,
-    horizon: float | None = None,
-    compensated: bool = True,
-) -> CorrectionTerm:
-    """Realised-path correction from a fixed rough driver.
-
-    Evaluates the future-noise integral over ``[t, t + horizon]`` with
-    compensated Riemann sums: the integrand's time derivative is
-    contracted against the lift's time-cross second-level block, which
-    for the piecewise-linear geometric lift equals ``dt/2 * dX`` per
-    step.  ``compensated=False`` drops the correction (plain left-point
-    sums; a falsifying comparator for tests).
-    """
-    _check_driver_admissible(driver)
-    k0 = driver.index_of(t)
-    dt = float(driver.t[1] - driver.t[0])
-    if horizon is None:
-        k1 = driver.n_steps
-    else:
-        k1 = min(driver.n_steps, k0 + max(1, int(round(horizon / dt))))
-    if k1 <= k0:
-        return CorrectionTerm(t=t, value=np.zeros(design.n))
-    dv = driver.dx[k0:k1]
-    weight = design.P
-    if compensated:
-        weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
-    raw = _phi_weighted_sum(design, dv @ weight.T, dt)
-    return CorrectionTerm(t=t, value=np.linalg.solve(design.P, raw))
-
-
-def pathwise_correction_series(
-    design: ControlDesign,
-    driver: RoughPath,
-    horizon: float | None = None,
-    compensated: bool = True,
-) -> np.ndarray:
-    """V(t_k) for every grid point of the driver, shape (N + 1, n).
-
-    One backward recursion over the whole grid; a finite horizon
-    subtracts the re-weighted tail, so the cost stays O(N).
-    """
-    _check_driver_admissible(driver)
-    n_steps = driver.n_steps
-    dt = float(driver.t[1] - driver.t[0])
-    step_t = expm(design.A_cl.T * dt)
-    weight = design.P
-    if compensated:
-        weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
-    contrib = driver.dx @ weight.T
-    raw = np.zeros((n_steps + 1, design.n))
-    for k in range(n_steps - 1, -1, -1):
-        raw[k] = contrib[k] + step_t @ raw[k + 1]
-    if horizon is not None:
-        w = max(1, int(round(horizon / dt)))
-        if w < n_steps:
-            shift = np.linalg.matrix_power(step_t, w)
-            raw[: n_steps + 1 - w] -= raw[w:] @ shift.T
-    return np.linalg.solve(design.P, raw.T).T
 
 
 def gaussian_correction_series(
@@ -349,51 +286,30 @@ def gaussian_correction_series(
 ) -> np.ndarray:
     """Conditional-mean V(t_k) along a sampled path, shape (N + 1, n).
 
-    Exact for H = 1/2 (identically zero).  For other Hurst indices the
-    conditioning window at step k is the largest power of two s not
-    exceeding min(k, window), and V(t_k) equals :func:`correction_term`
-    on those last s increments.
+    Identically zero for ``zero_mean`` and H = 1/2.  For other Hurst
+    indices the conditioning window at step k is the largest power of two
+    s not exceeding min(k, window), and V(t_k) equals
+    :func:`correction_term` on those last s increments.
 
-    Per window size the prediction weights, the ``Phi^T P`` factors and
-    ``P^{-1}`` collapse into one kernel ``Gamma_s^{-1} G_s``: ``Gamma_s``
-    is the s x s fGn Gram matrix and ``G_s[i] = H[s - i]`` with lag sums
-    ``H[l] = sum_j Phi(j)^T P gamma(j + l)`` taken once from one 1-D
-    autocovariance vector.  Each size then costs one matmul over the
-    sliding windows of the increments.  Cost: O(m window n^2) for the lag
-    sums over m horizon steps, O(window^3) for the solves and
-    O(N window n^2) for the sweep; no m x window array is formed.  The
-    result equals the per-step conditioning of the same windows within
-    rounding.
+    Both read the same lag sums ``H[l]``.  Per window size the
+    conditioning, the ``Phi^T P`` factors and ``P^{-1}`` collapse into one
+    kernel ``Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``, so each size
+    costs one Toeplitz solve and one matmul over the sliding windows of
+    the increments.  Cost: O(m window n^2) for the lag sums over m horizon
+    steps, O(window^3) for the solves and O(N window n^2) for the sweep.
     """
     n_steps = path.n_steps
     n = design.n
     out = np.zeros((n_steps + 1, n))
-    if pred.method == "zero_mean" or pred.model.hurst == 0.5:
+    if _independent(pred):
         return out
-    if pred.model.kind not in ("fbm", "brownian"):
-        raise PredictorError("conditional means implemented for Gaussian models only")
     dt = path.dt
     if horizon is None:
-        horizon = pred.horizon if pred.horizon is not None else _memo_horizon(design, dt)
+        horizon = _memo_horizon(design, dt)
     m = max(1, int(round(horizon / dt)))
     sizes = [1 << i for i in range(min(pred.window, n_steps).bit_length())]
     gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(pred.model.hurst))
-
-    # Phi(s_j, t)^T P over the future grid, filled by doubling
-    phi_p = np.empty((m, n, n))
-    phi_p[0] = design.P
-    shift = expm(design.A_cl.T * dt)
-    filled = 1
-    while filled < m:
-        take = min(filled, m - filled)
-        phi_p[filled : filled + take] = shift @ phi_p[:take]
-        shift = shift @ shift
-        filled += take
-    # lag_sums[l - 1] = H[l] as a flat n x n block, l = 1..max size
-    phi_cols = np.ascontiguousarray(phi_p.reshape(m, n * n).T)
-    lag_sums = np.stack(
-        [np.correlate(gamma[1:], col, mode="valid") for col in phi_cols], axis=1
-    )
+    lag_sums = _lag_sums(design, gamma, m, dt)
 
     inc = path.increments
     p_inv = np.linalg.inv(design.P)
@@ -409,6 +325,82 @@ def gaussian_correction_series(
             r1 = min(rows, r0 + chunk)
             out[size + r0 : size + r1] = windows[r0:r1].reshape(r1 - r0, n * size) @ kmat
     return out
+
+
+# ---------------------------------------------------------------------------
+# realised-path correction: one backward recursion
+# ---------------------------------------------------------------------------
+
+def _check_driver_admissible(driver: RoughPath) -> None:
+    if driver.holder is not None and not rough_integral_admissible(
+        INTEGRAND_HOLDER, float(driver.holder)
+    ):
+        raise PredictorError(
+            f"driver regularity {driver.holder} fails the (2+alpha)*beta > 1 "
+            f"admissibility condition"
+        )
+
+
+def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarray:
+    """``raw[k] = sum_{j>=k} exp(A_cl^T (j - k) dt) W dx[j]``, shape (len(dx) + 1, n).
+
+    One backward recursion ``raw[k] = W dx[k] + exp(A_cl^T dt) raw[k + 1]``
+    from ``raw[-1] = 0``.  The compensated weight ``W = P + dt/2 A_cl^T P``
+    contracts the integrand's time derivative against the lift's
+    time-cross second-level block, which for the piecewise-linear
+    geometric lift equals ``dt/2 * dX`` per step.
+    """
+    step_t = expm(design.A_cl.T * dt)
+    weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
+    contrib = dx @ weight.T
+    raw = np.zeros((dx.shape[0] + 1, design.n))
+    for k in range(dx.shape[0] - 1, -1, -1):
+        raw[k] = contrib[k] + step_t @ raw[k + 1]
+    return raw
+
+
+def pathwise_correction(
+    design: ControlDesign,
+    driver: RoughPath,
+    t: float,
+    horizon: float | None = None,
+) -> CorrectionTerm:
+    """Realised-path correction from a fixed rough driver.
+
+    Row 0 of the backward recursion of :func:`pathwise_correction_series`,
+    run over the increments in ``[t, t + horizon]`` (to the path end by
+    default).
+    """
+    _check_driver_admissible(driver)
+    k0 = driver.index_of(t)
+    dt = float(driver.t[1] - driver.t[0])
+    k1 = driver.n_steps
+    if horizon is not None:
+        k1 = min(k1, k0 + max(1, int(round(horizon / dt))))
+    raw = _pathwise_sums(design, driver.dx[k0:k1], dt)[0]
+    return CorrectionTerm(t=t, value=np.linalg.solve(design.P, raw))
+
+
+def pathwise_correction_series(
+    design: ControlDesign,
+    driver: RoughPath,
+    horizon: float | None = None,
+) -> np.ndarray:
+    """V(t_k) for every grid point of the driver, shape (N + 1, n).
+
+    One backward recursion over the whole grid; a finite horizon
+    subtracts the re-weighted tail, so the cost stays O(N).
+    """
+    _check_driver_admissible(driver)
+    n_steps = driver.n_steps
+    dt = float(driver.t[1] - driver.t[0])
+    raw = _pathwise_sums(design, driver.dx, dt)
+    if horizon is not None:
+        w = max(1, int(round(horizon / dt)))
+        if w < n_steps:
+            shift = np.linalg.matrix_power(expm(design.A_cl.T * dt), w)
+            raw[: n_steps + 1 - w] -= raw[w:] @ shift.T
+    return np.linalg.solve(design.P, raw.T).T
 
 
 # ---------------------------------------------------------------------------

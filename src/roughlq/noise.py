@@ -145,6 +145,8 @@ class SamplePath:
             raise NoiseError("grid and values lengths disagree")
         if t.shape[0] < 2:
             raise NoiseError("a path needs at least two grid points")
+        if not np.all(np.isfinite(t)):
+            raise NoiseError("grid must be finite")
         if abs(t[0]) > 1e-12:
             raise NoiseError("grid must start at t = 0")
         steps = np.diff(t)

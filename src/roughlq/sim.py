@@ -159,12 +159,8 @@ def _correction_series(config: SimConfig, design: ControlDesign, v_path: SampleP
     if config.controller != "glq":
         return None
     if config.predictor == "pathwise":
-        driver = lift_piecewise_linear(v_path)
-        return pathwise_correction_series(design, driver)
-    if config.predictor == "zero_mean":
-        Predictor(model=config.noise_v, method="zero_mean")  # validity check
-        return np.zeros((v_path.n_steps + 1, design.n))
-    pred = Predictor(model=config.noise_v, method="gaussian")
+        return pathwise_correction_series(design, lift_piecewise_linear(v_path))
+    pred = Predictor(model=config.noise_v, method=config.predictor)
     return gaussian_correction_series(design, pred, v_path)
 
 

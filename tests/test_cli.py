@@ -137,6 +137,43 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+_RUNS_HEADER = (
+    "scenario,controller,mode,seed,diverged,t_diverge,mean_cost,"
+    "final_norm,final_angle_deg,sat_duty,max_u_raw,trajectory_file\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, files, where",
+    [
+        (["lift-check", "--in", "BAD/f.csv"], {"f.csv": "t,v1\n0,0\nabc,1\n"}, "grid must be finite"),
+        (
+            ["plot-data", "--report", "BAD", "--out", "OUT"],
+            {"runs.csv": _RUNS_HEADER + "fbm035,glq\n"},
+            "runs.csv line 2: expected 12 fields, got 2",
+        ),
+        (
+            ["plot-data", "--report", "BAD", "--out", "OUT"],
+            {"runs.csv": _RUNS_HEADER + "fbm035,glq,fullstate,0,0,,1,1,1,1,1,a.csv\n"
+             + "fbm035,glq,fullstate,x,0,,1,1,1,1,1,b.csv\n"},
+            "runs.csv line 3:",
+        ),
+    ],
+    ids=["lift-check-nan-grid", "plot-data-short-row", "plot-data-non-numeric"],
+)
+def test_cli_malformed_input_file_exits_2(tmp_path, capsys, argv, files, where):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "config_echo.cfg").write_text("[run]\nscenario = fbm035\n")
+    for name, text in files.items():
+        (bad / name).write_text(text)
+    argv = [a.replace("BAD", str(bad)).replace("OUT", str(tmp_path / "out")) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, text, where",
     [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from roughlq.control import (
     predict_increments,
 )
 from roughlq.lift import RoughPath, lift_piecewise_linear
-from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm
+from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_fbm
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 
@@ -31,6 +32,36 @@ def two_dim_design():
     a = np.array([[0.0, 1.0], [-1.0, -1.5]])
     b = np.array([[0.0], [1.0]])
     return solve_care(a, b, np.eye(2), np.array([[1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# independent references: dense conditioning and explicit expm powers
+# ---------------------------------------------------------------------------
+
+def _riemann_sum(design, dx, dt, weight):
+    """``P^{-1} sum_j exp(A_cl^T j dt) weight dx_j`` with one expm per term."""
+    raw = np.zeros(design.n)
+    for j, inc in enumerate(dx):
+        raw += expm(design.A_cl.T * (j * dt)) @ weight @ inc
+    return np.linalg.solve(design.P, raw)
+
+
+def _compensated_sum(design, dx, dt):
+    return _riemann_sum(design, dx, dt, design.P + 0.5 * dt * design.A_cl.T @ design.P)
+
+
+def _dense_gaussian_correction(design, hurst, increments, dt, horizon):
+    """V from dense Gaussian conditioning of the next m increments on
+    ``increments`` (oldest first): Toeplitz Gram, cross-covariance solve,
+    then the Phi^T P - weighted sum of the predicted means."""
+    s = increments.shape[0]
+    m = max(1, int(round(horizon / dt)))
+    lags = np.arange(s)
+    gram = fgn_autocovariance(lags[:, None] - lags[None, :], dt, hurst)
+    # future step k = 1..m sits k + s - 1 - i steps after history increment i
+    lead = np.arange(1, m + 1)[:, None] + (s - 1 - lags)[None, :]
+    mu = fgn_autocovariance(lead, dt, hurst) @ np.linalg.solve(gram, increments)
+    return _riemann_sum(design, mu, dt, design.P)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +83,12 @@ def test_zero_mean_rejected_for_heavy_tail_without_mean():
 def test_gaussian_conditioning_rejected_for_stable():
     with pytest.raises(PredictorError):
         Predictor(model=NoiseModel.stable(alpha=1.5), method="gaussian")
+
+
+def test_pathwise_is_not_a_predictor_method():
+    # the realised-path correction reads the driver, not a predictor
+    with pytest.raises(PredictorError, match="unknown predictor method"):
+        Predictor(model=NoiseModel.fbm(hurst=0.35), method="pathwise")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +185,24 @@ def test_correction_horizon_insensitive_when_decayed():
     assert rel < 0.01
 
 
+def test_correction_term_memory_stays_linear_in_horizon():
+    # 20,000 horizon steps against a 256-increment window: one m x window
+    # float array alone would take 39 MiB
+    design = two_dim_design()
+    model = NoiseModel.fbm(hurst=0.35)
+    dt = 0.01
+    hist = sample_fbm(model, make_grid(dt, 3.0), d=2, seed=7)
+    pred = Predictor(model=model, method="gaussian", window=256)
+    tracemalloc.start()
+    try:
+        corr = correction_term(design, pred, hist, t=3.0, horizon=20_000 * dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(corr.value))
+    assert peak < 32 * 2**20
+
+
 def _sequential_horizon(design, dt):
     # the plain scan: one 2-norm per sequential power of the step
     step = expm(design.A_cl * dt)
@@ -211,25 +266,19 @@ def test_pathwise_smooth_driver_matches_quadrature():
 def test_pathwise_compensation_beats_plain_sums():
     design = two_dim_design()
     c = np.array([1.0, 0.5])
-    horizon = 4.0
-    errs = {}
-    from scipy.linalg import expm
+    dt, horizon = 5e-3, 4.0
 
-    def oracle():
-        def integrand(s, i):
-            return (expm(design.A_cl.T * s) @ design.P @ c)[i]
+    def integrand(s, i):
+        return (expm(design.A_cl.T * s) @ design.P @ c)[i]
 
-        raw = np.array([quad(integrand, 0.0, horizon, args=(i,), limit=400)[0] for i in range(2)])
-        return np.linalg.solve(design.P, raw)
-
-    target = oracle()
-    for compensated in (True, False):
-        grid = make_grid(5e-3, horizon)
-        path = SamplePath(t=grid, values=grid[:, None] * c[None, :], holder=1.0)
-        corr = pathwise_correction(
-            design, lift_piecewise_linear(path), t=0.0, horizon=horizon, compensated=compensated
-        )
-        errs[compensated] = np.max(np.abs(corr.value - target))
+    raw = np.array([quad(integrand, 0.0, horizon, args=(i,), limit=400)[0] for i in range(2)])
+    target = np.linalg.solve(design.P, raw)
+    grid = make_grid(dt, horizon)
+    path = SamplePath(t=grid, values=grid[:, None] * c[None, :], holder=1.0)
+    compensated = pathwise_correction(design, lift_piecewise_linear(path), t=0.0, horizon=horizon)
+    # plain left-point sums: weight P, no level-2 compensation
+    plain = _riemann_sum(design, path.increments, dt, design.P)
+    errs = {True: np.max(np.abs(compensated.value - target)), False: np.max(np.abs(plain - target))}
     assert errs[True] < 0.02 * errs[False]
 
 
@@ -286,33 +335,45 @@ def test_pathwise_rejects_inadmissible_driver():
 
 
 def test_pathwise_series_matches_single_calls():
+    # both package paths against compensated sums with explicit expm powers
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.4)
-    grid = make_grid(0.02, 1.0)
+    dt = 0.02
+    grid = make_grid(dt, 1.0)
     driver = lift_piecewise_linear(sample_fbm(model, grid, d=2, seed=2))
     series = pathwise_correction_series(design, driver)
     for k in (0, 7, 25, 50):
+        oracle = _compensated_sum(design, driver.dx[k:], dt)
         single = pathwise_correction(design, driver, t=grid[k])
-        assert np.allclose(series[k], single.value, atol=1e-12)
-    # horizon-capped variant
+        assert np.allclose(series[k], oracle, atol=1e-12)
+        assert np.allclose(single.value, oracle, atol=1e-12)
+    # horizon-capped variant: the 15 increments after t_10
+    oracle_cap = _compensated_sum(design, driver.dx[10:25], dt)
     series_cap = pathwise_correction_series(design, driver, horizon=0.3)
     single_cap = pathwise_correction(design, driver, t=grid[10], horizon=0.3)
-    assert np.allclose(series_cap[10], single_cap.value, atol=1e-12)
+    assert np.allclose(series_cap[10], oracle_cap, atol=1e-12)
+    assert np.allclose(single_cap.value, oracle_cap, atol=1e-12)
 
 
 def _assert_series_matches_single_calls(design, model, grid, window, horizon, seed):
     # the series conditions step k on the last 2^floor(log2 min(k, window))
-    # increments; a single-time op with that window sees the same ones
+    # increments; a single-time op with that window sees the same ones, and
+    # both must match dense conditioning of those increments
     path = sample_fbm(model, grid, d=design.n, seed=seed)
     pred = Predictor(model=model, method="gaussian", window=window)
     series = gaussian_correction_series(design, pred, path, horizon=horizon)
     assert np.max(np.abs(series[0])) == 0.0
+    dt = grid[1] - grid[0]
     for k in range(1, grid.size):
         size = 1 << (min(k, window).bit_length() - 1)
+        oracle = _dense_gaussian_correction(
+            design, model.hurst, path.increments[k - size : k], dt, horizon
+        )
         single_pred = Predictor(model=model, method="gaussian", window=size)
         hist = SamplePath(t=grid[: k + 1], values=path.values[: k + 1])
         single = correction_term(design, single_pred, hist, t=grid[k], horizon=horizon)
-        np.testing.assert_allclose(series[k], single.value, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(series[k], oracle, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(single.value, oracle, rtol=1e-9, atol=1e-12)
 
 
 def test_gaussian_series_matches_single_calls_at_pow2_windows():
