@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, format_config, merge
-from .noise import NoiseModel, _write_table, make_grid, sample_path
+from .noise import NoiseModel, _write_table, make_grid, sample_path, sample_paths
 from .observer import estimate_second_moments, solve_observer_steady_state
 from .pendulum import build_pendulum
 from .riccati import solve_care
@@ -285,8 +285,8 @@ def _observer_design_for(
     measurement noise from ``seed + 2j + 1``; heavy-tailed process noise
     is clipped at ``HEAVY_TAIL_QUANTILE``.  Returns ``(design, moments)``.
     """
-    v_paths = [sample_path(noise_v, grid, d=model.n, seed=seed + 2 * j) for j in range(replications)]
-    w_paths = [sample_path(noise_w, grid, d=model.p, seed=seed + 2 * j + 1) for j in range(replications)]
+    v_paths = sample_paths(noise_v, grid, model.n, [seed + 2 * j for j in range(replications)])
+    w_paths = sample_paths(noise_w, grid, model.p, [seed + 2 * j + 1 for j in range(replications)])
     heavy = noise_v.kind == "stable" and noise_v.alpha < 2.0
     quantile = HEAVY_TAIL_QUANTILE if heavy else None
     moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=quantile)

@@ -135,7 +135,8 @@ def cmd_lift_check(args) -> int:
     n = rough.n_steps
     for _ in range(args.triples):
         i, u, j = np.sort(rng.integers(0, n + 1, size=3))
-        worst = max(worst, chen_defect(rough, rough.t[i], rough.t[u], rough.t[j]))
+        # np.maximum keeps a NaN defect, where max() would drop it
+        worst = float(np.maximum(worst, chen_defect(rough, rough.t[i], rough.t[u], rough.t[j])))
     print(f"max_chen_defect = {worst:.3e} over {args.triples} random triples")
     try:
         est = holder_estimate(path)

@@ -32,6 +32,7 @@ __all__ = [
     "sample_fbm",
     "sample_stable",
     "sample_path",
+    "sample_paths",
     "empirical_char_fn",
     "stable_char_fn",
     "path_to_csv",
@@ -284,28 +285,42 @@ def sample_fbm(
     path), or ``"auto"`` which uses Cholesky up to 2048 steps and the
     circulant route beyond.  Identical inputs give identical bytes.
     """
+    return _sample_fbm_paths(model, grid, d, [seed], method)[0]
+
+
+def _sample_fbm_paths(model: NoiseModel, grid, d: int, seeds, method: str) -> list:
+    """One fBm path per seed, each from its own stream; on the Cholesky
+    route one product ``chol @ Z`` serves the normals of every seed."""
     if model.kind not in ("fbm", "brownian"):
         raise NoiseError(f"sample_fbm needs an fbm/brownian model, got {model.kind!r}")
     if d < 1:
         raise NoiseError("dimension must be at least 1")
+    if not seeds:
+        return []
     grid = np.asarray(grid, dtype=float)
     n = grid.shape[0] - 1
     dt = float(grid[1] - grid[0])
     if method == "auto":
         method = "cholesky" if n <= CHOLESKY_MAX_N else "circulant"
-    rng = np.random.Generator(np.random.PCG64(seed))
-    values = np.zeros((n + 1, d))
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     if method == "cholesky":
         chol = _fbm_cholesky(n, dt, float(model.hurst))
-        z = rng.standard_normal((n, d))
-        values[1:] = model.sigma * (chol @ z)
+        steps = chol @ np.hstack([rng.standard_normal((n, d)) for rng in rngs])
+        steps *= model.sigma
+        blocks = np.hsplit(steps, len(seeds))
     elif method == "circulant":
-        for j in range(d):
-            fgn = _sample_fgn_circulant(n, dt, float(model.hurst), rng)
-            values[1:, j] = model.sigma * np.cumsum(fgn)
+        blocks = [
+            np.column_stack(
+                [model.sigma * np.cumsum(_sample_fgn_circulant(n, dt, float(model.hurst), rng)) for _ in range(d)]
+            )
+            for rng in rngs
+        ]
     else:
         raise NoiseError(f"unknown fbm method {method!r}")
-    return SamplePath(t=grid, values=values, seed=seed, holder=model.holder)
+    return [
+        SamplePath(t=grid, values=np.vstack([np.zeros((1, d)), block]), seed=seed, holder=model.holder)
+        for seed, block in zip(seeds, blocks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +383,15 @@ def sample_stable(model: NoiseModel, grid: np.ndarray, d: int = 1, seed: int = 0
 
 def sample_path(model: NoiseModel, grid: np.ndarray, d: int = 1, seed: int = 0) -> SamplePath:
     """Dispatch to the sampler matching ``model.kind``."""
+    return sample_paths(model, grid, d, [seed])[0]
+
+
+def sample_paths(model: NoiseModel, grid: np.ndarray, d: int, seeds) -> list:
+    """``[sample_path(model, grid, d, s) for s in seeds]``, with one
+    covariance product for all seeds on the fBm Cholesky route."""
     if model.kind == "stable":
-        return sample_stable(model, grid, d=d, seed=seed)
-    return sample_fbm(model, grid, d=d, seed=seed)
+        return [sample_stable(model, grid, d=d, seed=seed) for seed in seeds]
+    return _sample_fbm_paths(model, grid, d, seeds, "auto")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +454,9 @@ def path_to_csv(path: SamplePath, file) -> None:
 
 
 def path_from_csv(file) -> SamplePath:
-    """Read a path written by :func:`path_to_csv`."""
-    data = np.genfromtxt(file, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
+    """Read a path written by :func:`path_to_csv`; every value must be a
+    finite number (an unreadable cell reads as NaN)."""
+    data = np.atleast_2d(np.genfromtxt(file, delimiter=",", skip_header=1))
+    if not np.all(np.isfinite(data[:, 1:])):
+        raise NoiseError("path values must be finite")
     return SamplePath(t=data[:, 0], values=data[:, 1:])

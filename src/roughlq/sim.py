@@ -1,21 +1,28 @@
 """Closed-loop pathwise integration with input saturation.
 
-The plant is advanced with first-order (Euler) steps,
+The plant and the observer advance with first-order (Euler) steps,
 
-    x[k+1] = x[k] + (A x[k] + B u[k]) dt + dv[k],
-
-which converges to the rough-differential-equation solution here because
-the noise enters additively: a constant diffusion coefficient makes the
-second-level driver terms multiply a vanishing derivative, so they drop
-from the step expansion (the refinement probe below checks the rate).
-
-The observer consumes integrated measurement increments
-``dy[k] = C x[k] dt + dw[k]`` and updates
-
+    x[k+1]    = x[k] + (A x[k] + B u[k]) dt + dv[k],
     xhat[k+1] = xhat[k] + (A xhat[k] + B u[k]) dt + L (dy[k] - C xhat[k] dt),
 
-whose estimation error follows e[k+1] = e[k] + (A - LC) e[k] dt + dv[k]
-- L dw[k], the error recursion the observer design optimises.
+on integrated measurements dy[k] = C x[k] dt + dw[k]; the estimation error
+follows e[k+1] = e[k] + (A - LC) e[k] dt + dv[k] - L dw[k], the recursion
+the observer design optimises.  Euler converges to the rough-differential-
+equation solution because the noise enters additively: a constant
+diffusion coefficient makes the second-level driver terms multiply a
+vanishing derivative (the refinement probe below checks the rate).
+
+With u_raw[k] = -K (xhat[k] + V[k]) the loop is affine in w = (z, u_raw),
+z = (x, xhat), or z = x without the observer (xhat is x):
+
+    w[k+1] = M clip(w[k]) + c[k],
+
+where ``clip`` bounds the u_raw coordinates by the saturation level.  An
+unsaturated step is one BLAS matrix-vector product plus add; a saturated
+one is the explicit step z[k+1] = F z[k] + G clip(u) + h[k].  c holds what
+does not depend on the state (dv, L dw and -K V), built once per run.
+Divergence is tested over blocks of rows, and the clipped inputs and the
+running cost are formed after the loop.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .control import (
     Predictor,
@@ -50,6 +58,9 @@ __all__ = [
 #: state-norm threshold beyond which a run is declared diverged, well
 #: before floating-point overflow can contaminate stored values
 DIVERGENCE_NORM = 1e12
+
+#: steps between two divergence tests; rows computed past a halt are dropped
+_BLOCK = 256
 
 
 class SimError(ValueError):
@@ -189,72 +200,61 @@ def integrate(
         if w_path.t.shape != grid.shape or w_path.d != model.p:
             raise SimError("w_path must live on the grid with output dimension")
 
-    n_steps = grid.shape[0] - 1
-    dt = config.dt
-    dv = v_path.increments
-    dw = w_path.increments if config.observer_enabled else None
-    v_corr = _correction_series(config, design, v_path)
+    n_steps, n, m, sat = grid.shape[0] - 1, model.n, model.m, config.saturation
+    dv, v_corr = v_path.increments, _correction_series(config, design, v_path)
 
-    a_dt = np.eye(model.n) + model.A * dt
-    b_dt = model.B * dt
-    c_dt = model.C * dt
-    l_gain = observer.L if observer is not None else None
-    q, r = model.Q, model.R
+    a_dt, b_dt = np.eye(n) + model.A * config.dt, model.B * config.dt
+    f, g, h, k_fb, z0 = a_dt, b_dt, dv, design.K, config.x0
+    if config.observer_enabled:
+        lc = observer.L @ model.C * config.dt
+        f = np.block([[a_dt, np.zeros((n, n))], [lc, a_dt - lc]])
+        g = np.vstack([b_dt, b_dt])
+        h = np.hstack([dv, w_path.increments @ observer.L.T])
+        k_fb = np.hstack([np.zeros((m, n)), design.K])
+        z0 = np.concatenate([config.x0, config.xhat0])
+    nz = z0.shape[0]
+    bias = np.zeros((n_steps + 1, m)) if v_corr is None else -v_corr @ design.K.T
+    # u_raw[k] = bias[k] - K_fb z[k], so M = [F G; -K_fb F  -K_fb G]
+    top = np.hstack([f, g])
+    m_step = np.asfortranarray(np.vstack([top, -k_fb @ top]))
+    c = np.hstack([h, bias[1:] - h @ k_fb.T])
+    hi = np.r_[np.full(nz, np.inf), np.full(m, sat)]  # clip bounds on w
+    lo = -hi
+    w = np.empty((n_steps + 1, nz + m))
+    w[0] = np.r_[z0, bias[0] - k_fb @ z0]
 
-    x = np.empty((n_steps + 1, model.n))
-    xhat = np.empty((n_steps + 1, model.n))
-    u_raw = np.zeros((n_steps + 1, model.m))
-    u_sat = np.zeros((n_steps + 1, model.m))
-    cost = np.zeros(n_steps + 1)
-    x[0] = config.x0
-    xhat[0] = config.xhat0 if config.observer_enabled else config.x0
+    halt = None
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past a halt may overflow
+        for k0 in range(0, n_steps, _BLOCK):
+            k1 = min(k0 + _BLOCK, n_steps)
+            wk = w[k0]
+            for k, ck in enumerate(c[k0:k1], k0 + 1):
+                if max(map(abs, wk[nz:].tolist())) > sat:
+                    wk = np.minimum(np.maximum(wk, lo), hi)
+                w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
+            # a non-finite state has a NaN or infinite norm and fails the test too
+            bad = np.flatnonzero(~(np.linalg.norm(w[k0 + 1 : k1 + 1, :n], axis=1) <= DIVERGENCE_NORM))
+            if bad.size:
+                halt = k0 + 1 + int(bad[0])
+                break
 
-    diverged = False
-    t_div = None
-    k_stop = n_steps
-    prev_rate = None
-    for k in range(n_steps + 1):
-        fb_state = xhat[k] if config.observer_enabled else x[k]
-        if v_corr is not None:
-            fb_state = fb_state + v_corr[k]
-        u = -design.K @ fb_state
-        u_raw[k] = u
-        u_sat[k] = np.clip(u, -config.saturation, config.saturation)
-
-        rate = float(x[k] @ q @ x[k] + u_sat[k] @ r @ u_sat[k])
-        if k > 0:
-            cost[k] = cost[k - 1] + 0.5 * dt * (prev_rate + rate)
-        prev_rate = rate
-
-        if k == n_steps:
-            break
-        x_next = a_dt @ x[k] + b_dt @ u_sat[k] + dv[k]
-        if config.observer_enabled:
-            dy = c_dt @ x[k] + dw[k]
-            xhat[k + 1] = a_dt @ xhat[k] + b_dt @ u_sat[k] + l_gain @ (dy - c_dt @ xhat[k])
-        else:
-            xhat[k + 1] = x_next
-        x[k + 1] = x_next
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-            diverged = True
-            t_div = grid[k + 1]
-            k_stop = k + 1
-            # the halt step carries the last accumulated cost
-            cost[k + 1] = cost[k]
-            break
-
-    end = k_stop + 1
+    end = n_steps if halt is None else halt
+    live = end if halt is not None else end + 1  # rows that carry a cost rate
+    w = w[: end + 1]
+    x = w[:, :n]
+    u_raw = w[:, nz:].copy()
+    u_raw[live:] = 0.0  # the halt row records no input
+    u_sat = np.clip(u_raw, -sat, sat)
+    rate = np.einsum("ki,ij,kj->k", x[:live], model.Q, x[:live])
+    rate += np.einsum("ki,ij,kj->k", u_sat[:live], model.R, u_sat[:live])
+    cost = np.zeros(end + 1)
+    cost[1:live] = np.cumsum(0.5 * config.dt * (rate[:-1] + rate[1:]))
+    cost[live:] = cost[live - 1]  # the halt row carries the last accumulated cost
     return Trajectory(
-        t=grid[:end],
-        x=x[:end],
-        xhat=xhat[:end],
-        u_raw=u_raw[:end],
-        u_sat=u_sat[:end],
-        cost_running=cost[:end],
-        diverged=diverged,
-        t_diverge=t_div,
-        v_correction=None if v_corr is None else v_corr[:end],
-        v_increments=dv,
+        t=grid[: end + 1], x=x, xhat=w[:, n:nz] if config.observer_enabled else x,
+        u_raw=u_raw, u_sat=u_sat, cost_running=cost,
+        diverged=halt is not None, t_diverge=None if halt is None else grid[halt],
+        v_correction=None if v_corr is None else v_corr[: end + 1], v_increments=dv,
     )
 
 

@@ -148,6 +148,11 @@ _RUNS_HEADER = (
     [
         (["lift-check", "--in", "BAD/f.csv"], {"f.csv": "t,v1\n0,0\nabc,1\n"}, "grid must be finite"),
         (
+            ["lift-check", "--in", "BAD/f.csv", "--triples", "50"],
+            {"f.csv": "t,v1\n0,0\n0.1,abc\n0.2,1\n"},
+            "path values must be finite",
+        ),
+        (
             ["plot-data", "--report", "BAD", "--out", "OUT"],
             {"runs.csv": _RUNS_HEADER + "fbm035,glq\n"},
             "runs.csv line 2: expected 12 fields, got 2",
@@ -159,7 +164,7 @@ _RUNS_HEADER = (
             "runs.csv line 3:",
         ),
     ],
-    ids=["lift-check-nan-grid", "plot-data-short-row", "plot-data-non-numeric"],
+    ids=["lift-check-nan-grid", "lift-check-nan-value", "plot-data-short-row", "plot-data-non-numeric"],
 )
 def test_cli_malformed_input_file_exits_2(tmp_path, capsys, argv, files, where):
     bad = tmp_path / "bad"
@@ -196,6 +201,21 @@ def test_cli_lift_check_short_path_has_no_holder_estimate(capsys):
     # 10 steps: too short for the regularity estimate, which is reported
     assert main(["lift-check", "--dt", "0.1", "--horizon", "1.0", "--triples", "5"]) == 0
     assert "holder_estimate unavailable: need at least 64 steps" in capsys.readouterr().out
+
+
+def test_cli_lift_check_reports_a_nan_defect(monkeypatch, capsys):
+    import roughlq.cli
+
+    real = roughlq.cli.chen_defect
+    calls = []
+
+    def one_nan(rough, s, u, t):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(rough, s, u, t)
+
+    monkeypatch.setattr(roughlq.cli, "chen_defect", one_nan)
+    assert main(["lift-check", "--dt", "0.01", "--horizon", "1.0", "--triples", "5"]) == 0
+    assert "max_chen_defect = nan over 5 random triples" in capsys.readouterr().out
 
 
 def test_cli_lift_check_programming_error_propagates(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from roughlq.noise import (
+    CHOLESKY_MAX_N,
     NoiseError,
     NoiseModel,
     SamplePath,
@@ -17,6 +18,7 @@ from roughlq.noise import (
     path_to_csv,
     sample_fbm,
     sample_path,
+    sample_paths,
     sample_stable,
     stable_char_fn,
 )
@@ -133,6 +135,29 @@ def test_fbm_determinism():
     assert a.values.tobytes() == b.values.tobytes()
     c = sample_fbm(model, grid, d=3, seed=43)
     assert a.values.tobytes() != c.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model, n_steps",
+    [
+        (NoiseModel.fbm(hurst=0.35, sigma=2.0), 200),
+        (NoiseModel.fbm(hurst=0.4), CHOLESKY_MAX_N + 8),
+        (NoiseModel.stable(alpha=1.5, beta=0.0, gamma=1.0, delta=0.0), 200),
+    ],
+    ids=["fbm-cholesky", "fbm-circulant", "stable"],
+)
+def test_sample_paths_is_sample_path_per_seed(model, n_steps):
+    # one stacked covariance product may round apart from the per-seed
+    # products only at the last digit; the streams must be the same
+    grid = make_grid(1e-3, n_steps * 1e-3)
+    seeds = [3, 11, 4]
+    batch = sample_paths(model, grid, 2, seeds)
+    assert len(batch) == len(seeds) and sample_paths(model, grid, 2, []) == []
+    for seed, path in zip(seeds, batch):
+        single = sample_path(model, grid, d=2, seed=seed)
+        assert path.seed == seed and path.holder == single.holder
+        scale = np.max(np.abs(single.values))
+        np.testing.assert_allclose(path.values, single.values, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_brownian_bit_identical_to_half_hurst_fbm():

@@ -11,6 +11,8 @@ from roughlq.observer import NoiseSecondMoments, solve_observer_steady_state
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 from roughlq.sim import (
+    _BLOCK,
+    DIVERGENCE_NORM,
     SimConfig,
     SimError,
     StateSpaceModel,
@@ -21,6 +23,7 @@ from roughlq.sim import (
     integrate,
     refinement_convergence,
     trajectory_to_csv,
+    _correction_series,
 )
 
 
@@ -299,6 +302,205 @@ def test_observer_requires_design():
 
 
 # ---------------------------------------------------------------------------
+# integrate against a step-by-step oracle
+# ---------------------------------------------------------------------------
+
+def _reference_integrate(cfg, v, w, design, observer=None, offset=None):
+    """The closed loop advanced one Euler step at a time, as written in the
+    sim module docstring: the oracle that ``integrate`` must reproduce.
+
+    ``offset`` (shape ``(N + 1, m)``) adds an open-loop input to the
+    feedback, u = -K (xhat + V) + offset, before saturation.
+    """
+    model = cfg.model
+    grid = cfg.grid()
+    n_steps = grid.size - 1
+    dv, dw = v.increments, w.increments
+    v_corr = _correction_series(cfg, design, v)
+    a_dt = np.eye(model.n) + model.A * cfg.dt
+    b_dt = model.B * cfg.dt
+    c_dt = model.C * cfg.dt
+    x = np.empty((n_steps + 1, model.n))
+    xhat = np.empty((n_steps + 1, model.n))
+    u_raw = np.zeros((n_steps + 1, model.m))
+    u_sat = np.zeros((n_steps + 1, model.m))
+    cost = np.zeros(n_steps + 1)
+    x[0] = cfg.x0
+    xhat[0] = cfg.xhat0 if cfg.observer_enabled else cfg.x0
+    halt, prev = None, None
+    for k in range(n_steps + 1):
+        fb = xhat[k] if cfg.observer_enabled else x[k]
+        if v_corr is not None:
+            fb = fb + v_corr[k]
+        u_raw[k] = -design.K @ fb + (0.0 if offset is None else offset[k])
+        u_sat[k] = np.clip(u_raw[k], -cfg.saturation, cfg.saturation)
+        rate = float(x[k] @ model.Q @ x[k] + u_sat[k] @ model.R @ u_sat[k])
+        if k > 0:
+            cost[k] = cost[k - 1] + 0.5 * cfg.dt * (prev + rate)
+        prev = rate
+        if k == n_steps:
+            break
+        x[k + 1] = a_dt @ x[k] + b_dt @ u_sat[k] + dv[k]
+        if cfg.observer_enabled:
+            innovation = c_dt @ x[k] + dw[k] - c_dt @ xhat[k]
+            xhat[k + 1] = a_dt @ xhat[k] + b_dt @ u_sat[k] + observer.L @ innovation
+        else:
+            xhat[k + 1] = x[k + 1]
+        if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > DIVERGENCE_NORM:
+            halt = k + 1
+            cost[halt] = cost[k]  # the halt row carries the last accumulated cost
+            break
+    end = n_steps + 1 if halt is None else halt + 1
+    return Trajectory(
+        t=grid[:end],
+        x=x[:end],
+        xhat=xhat[:end],
+        u_raw=u_raw[:end],
+        u_sat=u_sat[:end],
+        cost_running=cost[:end],
+        diverged=halt is not None,
+        t_diverge=None if halt is None else grid[halt],
+        v_correction=None if v_corr is None else v_corr[:end],
+        v_increments=dv,
+    )
+
+
+def _assert_same_run(traj, ref):
+    """Exact divergence flag, time and length; every array within 1e-12
+    of its own scale, max(1, max |finite entry|); NaN where the oracle has NaN."""
+    assert traj.diverged == ref.diverged
+    assert traj.t_diverge == ref.t_diverge
+    assert np.array_equal(traj.t, ref.t)
+    for name in ("x", "xhat", "u_raw", "u_sat", "cost_running", "v_correction"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        if want is None:
+            assert got is None
+            continue
+        finite = want[np.isfinite(want)]
+        scale = max(1.0, float(np.max(np.abs(finite)))) if finite.size else 1.0
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale, err_msg=name)
+
+
+def _observer_for(model):
+    mom = NoiseSecondMoments.uncorrelated(0.04 * np.eye(model.n), 0.04 * np.eye(model.p), dt=1e-3)
+    return solve_observer_steady_state(model.A, model.C, mom)
+
+
+@pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
+@pytest.mark.parametrize("controller", ["classical", "glq"])
+def test_integrate_matches_reference_loop(controller, observer_enabled):
+    model = pendulum_model()
+    design = pendulum_design(model)
+    noise_v = NoiseModel.fbm(hurst=0.35, sigma=2.0)
+    cfg = SimConfig(
+        model=model,
+        noise_v=noise_v,
+        noise_w=NoiseModel.brownian(sigma=0.2),
+        controller=controller,
+        observer_enabled=observer_enabled,
+        dt=1e-3,
+        horizon=1.5,
+        saturation=20.0,
+        x0=np.array([0.0, 0.3, 0.0, 0.0]),
+        xhat0=np.array([0.0, 0.2, 0.0, 0.0]),
+    )
+    grid = cfg.grid()
+    v = sample_fbm(noise_v, grid, d=4, seed=3)
+    w = sample_fbm(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=4)
+    observer = _observer_for(model) if observer_enabled else None
+    traj = integrate(cfg, v, w, design, observer=observer)
+    ref = _reference_integrate(cfg, v, w, design, observer=observer)
+    _assert_same_run(traj, ref)
+    # the run takes both kinds of step: railed and free
+    railed = np.abs(ref.u_raw).max(axis=1) > cfg.saturation
+    assert 0 < railed.sum() < railed.size
+
+
+def test_integrate_matches_reference_with_one_input_railed():
+    pm = build_pendulum()
+    b = np.column_stack([pm.B, [0.0, 0.0, 0.0, 1.0]])
+    model = StateSpaceModel(A=pm.A, B=b, C=pm.C, Q=np.eye(4), R=np.diag([1.0, 100.0]))
+    design = pendulum_design(model)
+    noise_v = NoiseModel.fbm(hurst=0.35, sigma=0.1)
+    cfg = SimConfig(
+        model=model,
+        noise_v=noise_v,
+        noise_w=NoiseModel.brownian(),
+        controller="glq",
+        dt=1e-3,
+        horizon=1.0,
+        saturation=10.0,
+        x0=np.array([0.0, 0.3, 0.0, 0.0]),
+    )
+    grid = cfg.grid()
+    v = sample_fbm(noise_v, grid, d=4, seed=8)
+    w = zero_paths(grid, 4, 4)[1]
+    traj = integrate(cfg, v, w, design)
+    ref = _reference_integrate(cfg, v, w, design)
+    _assert_same_run(traj, ref)
+    railed = np.abs(ref.u_raw) > cfg.saturation
+    # the first input rails on some steps while the second stays inside the bound
+    assert 0 < railed[:, 0].sum() < railed.shape[0] and not railed[:, 1].any()
+
+
+@pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
+def test_integrate_matches_reference_when_saturation_diverges(observer_enabled):
+    model = pendulum_model()
+    design = pendulum_design(model)
+    cfg = SimConfig(
+        model=model,
+        noise_v=NoiseModel.brownian(),
+        noise_w=NoiseModel.brownian(),
+        observer_enabled=observer_enabled,
+        dt=1e-3,
+        horizon=10.0,
+        saturation=1e-9,  # effectively uncontrolled: the upright mode escapes
+        x0=np.array([0.0, 1.0, 0.0, 0.0]),
+    )
+    v, w = zero_paths(cfg.grid(), 4, 4)
+    observer = _observer_for(model) if observer_enabled else None
+    traj = integrate(cfg, v, w, design, observer=observer)
+    ref = _reference_integrate(cfg, v, w, design, observer=observer)
+    assert ref.diverged
+    _assert_same_run(traj, ref)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [_BLOCK, _BLOCK + 45, 1000],
+    ids=["block-boundary", "inside-a-block", "last-step"],
+)
+@pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
+def test_nan_increment_halts_at_its_step(row, observer_enabled):
+    model = pendulum_model()
+    design = pendulum_design(model)
+    noise = NoiseModel.brownian(sigma=0.1)
+    cfg = SimConfig(
+        model=model,
+        noise_v=noise,
+        noise_w=noise,
+        observer_enabled=observer_enabled,
+        dt=1e-3,
+        horizon=1.0,
+    )
+    grid = cfg.grid()
+    v = sample_fbm(noise, grid, d=4, seed=5)
+    w = sample_fbm(noise, grid, d=4, seed=6)
+    values = v.values.copy()
+    values[row, 2] = np.nan  # dv[row - 1] is NaN in one coordinate
+    v = SamplePath(t=grid, values=values)
+    observer = _observer_for(model) if observer_enabled else None
+    traj = integrate(cfg, v, w, design, observer=observer)
+    ref = _reference_integrate(cfg, v, w, design, observer=observer)
+    assert traj.diverged and traj.t_diverge == grid[row]
+    assert traj.x.shape[0] == row + 1
+    assert np.isnan(traj.x[-1, 2]) and np.all(np.isfinite(traj.x[:-1]))
+    assert np.all(traj.u_raw[-1] == 0.0) and np.all(traj.u_sat[-1] == 0.0)
+    assert traj.cost_running[-1] == traj.cost_running[-2]
+    _assert_same_run(traj, ref)
+
+
+# ---------------------------------------------------------------------------
 # completion of squares on the full loop
 # ---------------------------------------------------------------------------
 
@@ -338,50 +540,12 @@ def test_completion_identity_on_pendulum():
         window = (grid > 0.2) & (grid < active - 0.2)
         freq = rng.uniform(0.5, 3.0)
         delta[window, 0] = 0.05 * np.sin(2 * np.pi * freq * grid[window])
-        pert = _integrate_with_offset(cfg, v, w, design, delta)
+        pert = _reference_integrate(cfg, v, w, design, offset=delta)
         assert np.linalg.norm(pert.x[-1]) < 1e-3
         lhs, rhs = completion_of_squares_gap(pert, opt, design, model.Q, model.R)
         assert rhs > 0.0
         assert 0.95 < lhs / rhs < 1.05
         assert lhs > -1e-9  # nonnegativity of the excess cost
-
-
-def _integrate_with_offset(cfg, v, w, design, offset):
-    """Closed loop with u = -K(x+V) + offset(t); mirrors integrate()."""
-    from roughlq.control import pathwise_correction_series
-    from roughlq.lift import lift_piecewise_linear
-
-    model = cfg.model
-    grid = cfg.grid()
-    dv = v.increments
-    v_corr = pathwise_correction_series(design, lift_piecewise_linear(v))
-    a_dt = np.eye(model.n) + model.A * cfg.dt
-    b_dt = model.B * cfg.dt
-    n_steps = grid.size - 1
-    x = np.empty((n_steps + 1, model.n))
-    u_raw = np.zeros((n_steps + 1, model.m))
-    cost = np.zeros(n_steps + 1)
-    x[0] = cfg.x0
-    prev = None
-    for k in range(n_steps + 1):
-        u = -design.K @ (x[k] + v_corr[k]) + offset[k]
-        u_raw[k] = u
-        rate = float(x[k] @ model.Q @ x[k] + u @ model.R @ u)
-        if k > 0:
-            cost[k] = cost[k - 1] + 0.5 * cfg.dt * (prev + rate)
-        prev = rate
-        if k < n_steps:
-            x[k + 1] = a_dt @ x[k] + b_dt @ u + dv[k]
-    return Trajectory(
-        t=grid,
-        x=x,
-        xhat=x,
-        u_raw=u_raw,
-        u_sat=u_raw.copy(),
-        cost_running=cost,
-        v_correction=v_corr,
-        v_increments=dv,
-    )
 
 
 def test_completion_gap_rejects_mismatched_drivers():
