@@ -20,12 +20,12 @@ trajectory CSVs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, format_config, merge
+from .config import ConfigError, format_config, merge, parse_config
 from .noise import NoiseModel, _write_table, make_grid, sample_path, sample_paths
 from .observer import estimate_second_moments, solve_observer_steady_state
 from .pendulum import build_pendulum
@@ -40,6 +40,7 @@ from .sim import (
 )
 
 __all__ = [
+    "BASE_CONFIG",
     "SCENARIOS",
     "RunRecord",
     "ExperimentReport",
@@ -48,6 +49,7 @@ __all__ = [
     "sim_template",
     "noise_paths",
     "run_comparison",
+    "load_report",
     "emit_plot_data",
     "saturation_onset_duty",
     "ANGLE_EQUILIBRIUM_DEG",
@@ -69,10 +71,22 @@ MEASUREMENT_SEED_OFFSET = 1_000_003
 #: the feedback modes each ``[run] observer`` setting runs
 _OBSERVER_MODES = {"both": ["fullstate", "observer"], "fullstate": ["fullstate"], "observer": ["observer"]}
 
+#: what every run uses where neither its scenario, the ``--config`` file
+#: nor a flag sets a key
+BASE_CONFIG = {
+    "model": {"q_diag": "1,1,1,1", "r": "1"},
+    "simulate": {
+        "dt": "0.001",
+        "horizon": "10.0",
+        "saturation": "1000.0",
+        "x0": "0,0,0,0",
+        "predictor": "pathwise",
+    },
+}
+
 SCENARIOS = {
-    "fbm035": {
+    "fbm035": merge(BASE_CONFIG, {
         "run": {"scenario": "fbm035", "controllers": "classical,glq", "seeds": "0:20", "observer": "both"},
-        "model": {"q_diag": "1,1,1,1", "r": "1"},
         "noise": {
             "kind": "fbm",
             "hurst": "0.35",
@@ -81,17 +95,9 @@ SCENARIOS = {
             "w_hurst": "0.35",
             "w_sigma": "1.0",
         },
-        "simulate": {
-            "dt": "0.001",
-            "horizon": "10.0",
-            "saturation": "1000.0",
-            "x0": "0,0,0,0",
-            "predictor": "pathwise",
-        },
-    },
-    "stable15": {
+    }),
+    "stable15": merge(BASE_CONFIG, {
         "run": {"scenario": "stable15", "controllers": "classical,glq", "seeds": "0:20", "observer": "both"},
-        "model": {"q_diag": "1,1,1,1", "r": "1"},
         "noise": {
             "kind": "stable",
             "alpha": "1.5",
@@ -104,20 +110,14 @@ SCENARIOS = {
             "w_gamma": "1.0",
             "w_delta": "0",
         },
-        "simulate": {
-            "dt": "0.001",
-            "horizon": "10.0",
-            "saturation": "1000.0",
-            "x0": "0,0,0,0",
-            "predictor": "pathwise",
-        },
-    },
+    }),
 }
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Per-(controller, mode, seed) outcome row."""
+    """Per-(controller, mode, seed) outcome row; its fields, in order, are
+    the columns of ``runs.csv``."""
 
     scenario: str
     controller: str
@@ -348,22 +348,8 @@ def run_comparison(
                     traj = integrate(run, v, w, design, observer=observer)
                 except (np.linalg.LinAlgError, ArithmeticError):
                     # a numeric failure counts as that run's divergence
-                    records.append(
-                        RunRecord(
-                            scenario=scenario,
-                            controller=controller,
-                            mode=mode,
-                            seed=seed,
-                            diverged=True,
-                            t_diverge=0.0,
-                            mean_cost=float("inf"),
-                            final_norm=float("inf"),
-                            final_angle_deg=float("inf"),
-                            sat_duty=1.0,
-                            max_u_raw=float("inf"),
-                            trajectory_file="",
-                        )
-                    )
+                    inf = float("inf")
+                    records.append(RunRecord(scenario, controller, mode, seed, True, 0.0, inf, inf, inf, 1.0, inf, ""))
                     continue
                 window = _final_window(traj, grid.shape[0])
                 if traj.diverged or window is None:
@@ -425,32 +411,49 @@ def _aggregate(report: ExperimentReport, controllers, modes) -> dict:
     return out
 
 
+#: how a ``runs.csv`` cell is written and read, by the type of its
+#: :class:`RunRecord` field
+_CELL = {
+    "str": (str, str),
+    "int": (str, int),
+    "bool": (lambda v: str(int(v)), lambda text: bool(int(text))),
+    "float": (lambda v: f"{v:.17g}", float),
+    "float | None": (lambda v: "" if v is None else f"{v:.17g}", lambda text: float(text) if text else None),
+}
+
+
 def _write_runs_csv(report: ExperimentReport, path: Path) -> None:
-    cols = (
-        "scenario,controller,mode,seed,diverged,t_diverge,mean_cost,"
-        "final_norm,final_angle_deg,sat_duty,max_u_raw,trajectory_file"
-    )
-    lines = [cols]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario,
-                    r.controller,
-                    r.mode,
-                    str(r.seed),
-                    str(int(r.diverged)),
-                    "" if r.t_diverge is None else f"{r.t_diverge:.17g}",
-                    f"{r.mean_cost:.17g}",
-                    f"{r.final_norm:.17g}",
-                    f"{r.final_angle_deg:.17g}",
-                    f"{r.sat_duty:.17g}",
-                    f"{r.max_u_raw:.17g}",
-                    r.trajectory_file,
-                ]
-            )
-        )
+    columns = fields(RunRecord)
+    lines = [",".join(f.name for f in columns)]
+    lines += [",".join(_CELL[f.type][0](getattr(r, f.name)) for f in columns) for r in report.records]
     path.write_text("\n".join(lines) + "\n")
+
+
+def load_report(report_dir) -> ExperimentReport:
+    """Read back the report :func:`run_comparison` wrote under ``report_dir``.
+
+    A ``runs.csv`` row that does not parse is a :class:`ConfigError` naming
+    its line; the aggregates are not recomputed.
+    """
+    report_dir = Path(report_dir)
+    cfg = parse_config((report_dir / "config_echo.cfg").read_text())
+    runs = report_dir / "runs.csv"
+    columns = fields(RunRecord)
+    records = []
+    for lineno, line in enumerate(runs.read_text().splitlines()[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(cells)}")
+            records.append(RunRecord(*(_CELL[f.type][1](cell) for f, cell in zip(columns, cells))))
+        except ValueError as exc:
+            raise ConfigError(f"{runs} line {lineno}: {exc}") from None
+    return ExperimentReport(
+        scenario=records[0].scenario if records else cfg["run"]["scenario"],
+        records=records,
+        config=cfg,
+        out_dir=str(report_dir),
+    )
 
 
 def _write_summary(report: ExperimentReport, path: Path) -> None:
@@ -503,15 +506,9 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list:
         manifest.append(state_file)
         manifest.append(ctrl_file)
 
-    rows = [(name, _sha256(dst / name)) for name in manifest]
+    rows = [(name, hashlib.sha256((dst / name).read_bytes()).hexdigest()) for name in manifest]
     lines = ["file,sha256"] + [f"{name},{digest}" for name, digest in rows]
     lines.append("# generating config")
     lines.append(format_config(report.config))
     (dst / "manifest.csv").write_text("\n".join(lines))
     return rows
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()

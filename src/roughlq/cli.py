@@ -15,15 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    BASE_CONFIG,
+    MOMENT_REPLICATIONS,
     SCENARIOS,
-    ExperimentReport,
-    RunRecord,
     _moment_grid,
     _noise_from,
     _observer_design_for,
     _parse_floats,
     build_state_space,
     emit_plot_data,
+    load_report,
     noise_paths,
     run_comparison,
     sim_template,
@@ -32,7 +33,7 @@ from .config import ALLOWED_KEYS, ConfigError, format_config, merge, parse_confi
 from .control import PredictorError
 from .lift import LiftError, chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
 from .noise import NoiseError, make_grid, path_from_csv, path_to_csv, sample_path
-from .observer import ObserverError
+from .observer import MIN_REPLICATIONS, ObserverError
 from .riccati import RiccatiError, solve_care
 from .sim import SimError, correction_to_csv, integrate, trajectory_to_csv
 
@@ -42,12 +43,9 @@ EXIT_NUMERIC = 3
 
 #: what ``simulate`` runs where neither a flag nor the ``--config`` file
 #: sets a key (omitted noise keys take the ``bench._noise_from`` defaults)
-SIMULATE_BASE = {
-    "model": {"q_diag": "1,1,1,1", "r": "1"},
-    "noise": {"kind": "fbm", "w_kind": "brownian"},
-    "simulate": {"dt": "0.001", "horizon": "10", "saturation": "1000", "x0": "0,0,0,0",
-                 "controller": "classical", "predictor": "pathwise"},
-}
+SIMULATE_BASE = merge(
+    BASE_CONFIG, {"noise": {"kind": "fbm", "w_kind": "brownian"}, "simulate": {"controller": "classical"}}
+)
 
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
@@ -151,6 +149,8 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_observer(args) -> int:
+    if args.replications < MIN_REPLICATIONS:
+        raise ConfigError(f"--replications must be at least {MIN_REPLICATIONS}, got {args.replications}")
     model = build_state_space(_parse_floats(args.q_diag), args.r)
     design, moments = _observer_design_for(
         model,
@@ -220,43 +220,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _load_report(report_dir: Path) -> ExperimentReport:
-    cfg = parse_config((report_dir / "config_echo.cfg").read_text())
-    runs = report_dir / "runs.csv"
-    records = []
-    for lineno, line in enumerate(runs.read_text().splitlines()[1:], start=2):
-        parts = line.split(",")
-        try:
-            if len(parts) != 12:
-                raise ValueError(f"expected 12 fields, got {len(parts)}")
-            records.append(
-                RunRecord(
-                    scenario=parts[0],
-                    controller=parts[1],
-                    mode=parts[2],
-                    seed=int(parts[3]),
-                    diverged=bool(int(parts[4])),
-                    t_diverge=None if parts[5] == "" else float(parts[5]),
-                    mean_cost=float(parts[6]),
-                    final_norm=float(parts[7]),
-                    final_angle_deg=float(parts[8]),
-                    sat_duty=float(parts[9]),
-                    max_u_raw=float(parts[10]),
-                    trajectory_file=parts[11],
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{runs} line {lineno}: {exc}") from None
-    return ExperimentReport(
-        scenario=records[0].scenario if records else cfg["run"]["scenario"],
-        records=records,
-        config=cfg,
-        out_dir=str(report_dir),
-    )
-
-
 def cmd_plot_data(args) -> int:
-    report = _read_input("--report", Path(args.report), _load_report)
+    report = _read_input("--report", Path(args.report), load_report)
     rows = emit_plot_data(report, args.out)
     print(f"wrote {len(rows)} figure files + manifest under {args.out}")
     return EXIT_OK
@@ -270,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="roughlq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, flags, out_required=False, grid_defaults=True):
-        """Add the shared flags named in ``flags`` plus ``--out``."""
+    def common(p, flags, out_required=False, grid=BASE_CONFIG["simulate"]):
+        """Add the shared flags named in ``flags`` plus ``--out``; grid flags default from ``grid``."""
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=0)
         if "dt" in flags:
-            p.add_argument("--dt", type=float, default=1e-3 if grid_defaults else None)
+            p.add_argument("--dt", type=float, default=grid.get("dt"))
         if "horizon" in flags:
-            p.add_argument("--horizon", type=float, default=10.0 if grid_defaults else None)
+            p.add_argument("--horizon", type=float, default=grid.get("horizon"))
         if "config" in flags:
             p.add_argument("--config", default=None, help="flat key-value config file")
         p.add_argument("--out", default=None, required=out_required, help="output directory")
@@ -286,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     # so `compare --seed` is an error, not `--seeds`
     p = sub.add_parser("care", help="solve the pendulum Riccati design", allow_abbrev=False)
     common(p, ())
-    p.add_argument("--q-diag", default="1,1,1,1")
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--q-diag", default=BASE_CONFIG["model"]["q_diag"])
+    p.add_argument("--r", type=float, default=BASE_CONFIG["model"]["r"])
     p.set_defaults(func=cmd_care)
 
     p = sub.add_parser("noise-gen", help="sample a noise path to CSV", allow_abbrev=False)
@@ -308,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("seed", "dt"))
     _add_noise_args(p, default_kind="fbm")
     _add_noise_args(p, prefix="w_", default_kind="fbm")
-    p.add_argument("--q-diag", default="1,1,1,1")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--replications", type=int, default=120)
+    p.add_argument("--q-diag", default=BASE_CONFIG["model"]["q_diag"])
+    p.add_argument("--r", type=float, default=BASE_CONFIG["model"]["r"])
+    p.add_argument("--replications", type=int, default=MOMENT_REPLICATIONS)
     p.add_argument("--moment-horizon", type=float, default=2.0)
     p.set_defaults(func=cmd_observer)
 
     # simulate and compare flags default to None: a flag given on the command
     # line overrides the --config file, which overrides the base
     p = sub.add_parser("simulate", help="one closed-loop pendulum run", allow_abbrev=False)
-    common(p, ("seed", "dt", "horizon", "config"), out_required=True, grid_defaults=False)
+    common(p, ("seed", "dt", "horizon", "config"), out_required=True, grid={})
     _add_noise_args(p)
     _add_noise_args(p, prefix="w_")
     p.add_argument("--q-diag", default=None)
@@ -330,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="run a named comparison scenario", allow_abbrev=False)
-    common(p, ("dt", "horizon", "config"), out_required=True, grid_defaults=False)
+    common(p, ("dt", "horizon", "config"), out_required=True, grid={})
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--seeds", default=None, help="e.g. 0:20 or 1,2,3")
     p.add_argument("--controllers", default=None)

@@ -80,10 +80,10 @@ class NoiseModel:
                     f"fbm hurst must exceed {MIN_HURST:.4f} for a level-2 "
                     f"lift to suffice, got {self.hurst}"
                 )
-            if self.sigma <= 0.0:
+            if not self.sigma > 0.0:
                 raise NoiseError("fbm sigma must be positive")
         elif self.kind == "brownian":
-            if self.sigma <= 0.0:
+            if not self.sigma > 0.0:
                 raise NoiseError("brownian sigma must be positive")
             object.__setattr__(self, "hurst", 0.5)
         else:
@@ -91,8 +91,10 @@ class NoiseModel:
                 raise NoiseError("stable requires alpha in (0, 2]")
             if not (-1.0 <= self.beta <= 1.0):
                 raise NoiseError("stable beta must lie in [-1, 1]")
-            if self.gamma <= 0.0:
+            if not self.gamma > 0.0:
                 raise NoiseError("stable gamma must be positive")
+            if not math.isfinite(self.delta):
+                raise NoiseError("stable delta must be finite")
 
     @classmethod
     def fbm(cls, hurst: float, sigma: float = 1.0) -> "NoiseModel":
@@ -437,7 +439,9 @@ def _write_table(file, header: str, table: np.ndarray) -> None:
     """Write a header line and ``%.17g`` comma-separated rows.
 
     ``file`` is a path or an open text file; a path is opened and closed
-    here.  Every CSV the package exports goes through this writer.
+    here.  Every headed CSV the package exports goes through this writer;
+    the CLI's matrix files (``P.csv``, ``S.csv`` and the like) are headerless
+    and written by ``cli._write_matrix``.
     """
     if isinstance(file, (str, bytes, os.PathLike)):
         with open(file, "w") as fh:

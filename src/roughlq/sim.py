@@ -128,12 +128,17 @@ class SimConfig:
             raise SimError(f"unknown controller {self.controller!r}")
         if self.predictor not in ("pathwise", "gaussian", "zero_mean"):
             raise SimError(f"unknown predictor {self.predictor!r}")
+        if not np.isfinite([self.dt, self.horizon]).all():
+            raise SimError(f"dt and horizon must be finite, got {self.dt} and {self.horizon}")
         if self.dt <= 0.0 or self.horizon < 10.0 * self.dt:
             raise SimError("need dt > 0 and horizon >= 10 dt")
-        if self.saturation <= 0.0:
+        if not self.saturation > 0.0:  # inf means no saturation
             raise SimError("saturation must be positive")
-        x0 = np.zeros(self.model.n) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        xh = np.zeros(self.model.n) if self.xhat0 is None else np.asarray(self.xhat0, dtype=float)
+        n = self.model.n
+        x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
+        xh = np.zeros(n) if self.xhat0 is None else np.asarray(self.xhat0, dtype=float)
+        if x0.shape != (n,) or xh.shape != (n,):
+            raise SimError(f"x0 and xhat0 must have shape ({n},), got {x0.shape} and {xh.shape}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xhat0", xh)
 
@@ -258,16 +263,11 @@ def integrate(
     )
 
 
-def average_cost(traj: Trajectory, q=None, r=None) -> float:
+def average_cost(traj: Trajectory) -> float:
     """Time-averaged quadratic cost; infinite for diverged runs."""
     if traj.diverged:
         return float("inf")
-    horizon = float(traj.t[-1])
-    if q is None:
-        return traj.final_cost / horizon
-    integrand = np.einsum("ki,ij,kj->k", traj.x, np.atleast_2d(q), traj.x)
-    integrand += np.einsum("ki,ij,kj->k", traj.u_sat, np.atleast_2d(r), traj.u_sat)
-    return float(np.trapezoid(integrand, traj.t)) / horizon
+    return traj.final_cost / float(traj.t[-1])
 
 
 # ---------------------------------------------------------------------------

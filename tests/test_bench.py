@@ -30,3 +30,20 @@ def test_numeric_failure_in_a_run_is_booked_as_divergence(monkeypatch, exc):
     assert record.diverged
     assert record.t_diverge == 0.0
     assert record.mean_cost == float("inf")
+
+
+def test_runs_csv_round_trips_through_load_report(monkeypatch, tmp_path):
+    # seed 1 fails numerically and is booked as the failure row
+    real = bench.integrate
+
+    def fail_seed_1(run, *args, **kwargs):
+        if run.seed == 1:
+            raise FloatingPointError("overflow")
+        return real(run, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "integrate", fail_seed_1)
+    report = bench.run_comparison("fbm035", seeds=[0, 1], overrides=SMALL, out_dir=tmp_path)
+    failed = [r for r in report.records if r.seed == 1]
+    assert failed and all(r.t_diverge == 0.0 and r.mean_cost == float("inf") for r in failed)
+    # dataclass equality compares the records field for field
+    assert bench.load_report(tmp_path).records == report.records

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roughlq import bench
 from roughlq.bench import SCENARIOS, run_comparison, scenario_config
 from roughlq.cli import main
 from roughlq.config import ConfigError, format_config, parse_config
+from roughlq.observer import ObserverError
 
 
 def test_config_parser_round_trip():
@@ -94,11 +96,25 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
     [
         (["simulate", "--controller", "glq", "--predictor", "zero_mean", "--horizon", "0.1"], 2),
         (["simulate", "--controller", "glq", "--predictor", "gaussian", "--kind", "stable", "--horizon", "0.1"], 2),
-        (["observer", "--replications", "50", "--moment-horizon", "0.1", "--dt", "0.01"], 3),
+        (["observer", "--replications", "100", "--moment-horizon", "0.1", "--dt", "0.01"], 3),
+        (["observer", "--replications", "50", "--moment-horizon", "0.1", "--dt", "0.01"], 2),
+        (["simulate", "--horizon", "0.1", "--sat", "nan"], 2),
+        (["simulate", "--dt", "nan"], 2),
+        (["simulate", "--horizon", "inf"], 2),
+        (["simulate", "--horizon", "0.1", "--x0", "0,0"], 2),
+        (["simulate", "--horizon", "0.1", "--sigma", "nan"], 2),
+        (["simulate", "--horizon", "0.1", "--kind", "stable", "--gamma", "nan"], 2),
+        (["simulate", "--horizon", "0.1", "--kind", "stable", "--delta", "inf"], 2),
     ],
 )
-def test_cli_package_errors_map_to_exit_codes(tmp_path, argv, code):
-    # a PredictorError is a config error, an ObserverError a numeric failure
+def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
+    # a PredictorError, a SimError, a NoiseError and too few observer
+    # replications are config errors; an ObserverError from the observer
+    # solve, made to fail here, is a numeric failure
+    def failing_solve(*args, **kwargs):
+        raise ObserverError("no stabilising solution")
+
+    monkeypatch.setattr(bench, "solve_observer_steady_state", failing_solve)
     assert main(argv + ["--out", str(tmp_path)]) == code
 
 

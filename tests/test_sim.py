@@ -187,7 +187,6 @@ def test_average_cost_constant_state():
         cost_running=np.linspace(0.0, 2.0, 21),
     )
     assert average_cost(traj) == pytest.approx(1.0, abs=1e-12)
-    assert average_cost(traj, q=np.eye(2), r=np.eye(1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_cost_ergodic_under_doubled_horizon():
