@@ -155,7 +155,10 @@ def _parse_seeds(text: str):
     text = text.strip()
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
+        seeds = list(range(int(lo), int(hi)))
+        if not seeds:
+            raise ConfigError(f"[run] seeds = {text!r} is an empty range")
+        return seeds
     return [int(part) for part in text.split(",")]
 
 
@@ -165,6 +168,8 @@ def _read(kv: dict, section: str, key: str, parse=float, default=None):
     text = kv[key] if default is None else kv.get(key, default)
     try:
         return parse(text)
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {text!r} is not a number") from None
 

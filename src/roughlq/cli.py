@@ -121,6 +121,8 @@ def cmd_noise_gen(args) -> int:
 
 
 def cmd_lift_check(args) -> int:
+    if args.triples < 0:
+        raise ConfigError(f"--triples must be at least 0, got {args.triples}")
     if args.infile:
         path = _read_input("--in", Path(args.infile), path_from_csv)
     else:

@@ -125,18 +125,43 @@ class CorrectionTerm:
     truncated: bool = False
 
 
+def _powers(step: np.ndarray, count: int) -> np.ndarray:
+    """``step^0 .. step^(count - 1)``, shape (count, n, n), filled by
+    doubling: each pass multiplies the powers filled so far by the next
+    power of two of ``step``, so there are O(log count) numpy calls."""
+    n = step.shape[0]
+    out = np.empty((count, n, n))
+    out[0] = np.eye(n)
+    shift = step
+    filled = 1
+    while filled < count:
+        take = min(filled, count - filled)
+        np.matmul(shift, out[:take], out=out[filled : filled + take])
+        shift = shift @ shift
+        filled += take
+    return out
+
+
 def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000) -> float:
     """Shortest horizon with ``||exp(A_cl T)||_2 < 1e-6``.
 
     Hurwitz decay makes the discarded tail of the future-noise integral
     negligible beyond this point.
 
-    The powers are the plain sequential ``power @ step`` products, so the
-    returned step count is identical to a scan that takes the 2-norm of
-    every power.  Their norms are evaluated per block of powers: since
-    ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the Frobenius norm decides
-    every power outside ``[1e-6, sqrt(n) 1e-6]`` and an SVD runs only on
-    the few inside.  Cost: O(m n^3) for m horizon steps.
+    The powers of ``step = exp(A_cl dt)`` come in blocks of B = 1,024
+    (``_HORIZON_BLOCK``), each one batched product ``head @ base`` with
+    ``base = step^0 .. step^(B-1)`` built once and ``head = step^(start+1)``
+    advanced by ``step^B``.  Since ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``,
+    the Frobenius norm decides every power outside ``[1e-6, sqrt(n) 1e-6]``;
+    the few inside go to one batched SVD per block.  The first crossing
+    wins, and ``max_steps`` is honoured exactly.
+
+    The block products round differently from sequential ``power @ step``
+    products, so the step count equals that of a sequential scan unless
+    some power's norm lies within that rounding of 1e-6.  Cost for m
+    horizon steps: O((m/1024) n^3 + m n^2) in sequential head products and
+    norms; the batched block products add O(m n^3) flops in m/1024 numpy
+    calls.
     """
     tol = 1e-6
     n = design.n
@@ -144,17 +169,19 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     surely_below = tol * (1.0 - 1e-12)
     maybe_below = np.sqrt(n) * tol * (1.0 + 1e-12)
     step = expm(design.A_cl * dt)
-    power = np.eye(n)
-    block = np.empty((_HORIZON_BLOCK, n, n))
+    base = _powers(step, _HORIZON_BLOCK)
+    stride = base[-1] @ step
+    head = step
     for start in range(0, max_steps, _HORIZON_BLOCK):
-        count = min(_HORIZON_BLOCK, max_steps - start)
-        for i in range(count):
-            power = power @ step
-            block[i] = power
-        fro = np.sqrt(np.einsum("kij,kij->k", block[:count], block[:count]))
-        for i in np.flatnonzero(fro < maybe_below):
-            if fro[i] < surely_below or np.linalg.norm(block[i], 2) < tol:
-                return (start + int(i) + 1) * dt
+        block = head @ base[: min(_HORIZON_BLOCK, max_steps - start)]
+        fro = np.sqrt(np.einsum("kij,kij->k", block, block))
+        below = fro < surely_below
+        ambiguous = np.flatnonzero(~below & (fro < maybe_below))
+        if ambiguous.size:
+            below[ambiguous] = np.linalg.svd(block[ambiguous], compute_uv=False)[:, 0] < tol
+        if below.any():
+            return (start + int(np.argmax(below)) + 1) * dt
+        head = head @ stride
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
 
@@ -208,25 +235,29 @@ def _predicted_means(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. len(gamma) - m,
+    """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. L = len(gamma) - m,
     row l - 1 holding H[l] as a flat n x n block.
 
-    ``Phi(j)^T P`` over the future grid is filled by doubling; each block
-    entry is then one correlation with ``gamma``.  Cost O(m n^3 + m s n^2)
-    for s lags; no m x s array is formed.
+    With ``E^T = exp(A_cl^T dt)`` and ``Phi(j)^T P = (E^T)^j P``, the top lag
+    is one contraction ``H[L] = (sum_j gamma(j + L) (E^T)^j) P`` over the
+    doubled powers, and every lower lag follows from one backward step
+
+        H[l] = E^T H[l + 1] + P gamma(l) - Phi(m)^T P gamma(m + l).
+
+    The multiplier ``E^T`` is stable, so rounding does not grow along the
+    lags.  Cost O(m n^3 + window n^3) for a window of L lags; no m x L
+    array is formed.
     """
     n = design.n
-    phi_p = np.empty((m, n, n))
-    phi_p[0] = design.P
+    lags = gamma.shape[0] - m
     shift = expm(design.A_cl.T * dt)
-    filled = 1
-    while filled < m:
-        take = min(filled, m - filled)
-        phi_p[filled : filled + take] = shift @ phi_p[:take]
-        shift = shift @ shift
-        filled += take
-    phi_cols = np.ascontiguousarray(phi_p.reshape(m, n * n).T)
-    return np.stack([np.correlate(gamma[1:], col, mode="valid") for col in phi_cols], axis=1)
+    powers = _powers(shift, m)
+    out = np.empty((lags, n, n))
+    out[-1] = np.tensordot(gamma[lags:], powers, axes=1) @ design.P
+    far = shift @ powers[-1] @ design.P
+    for lag in range(lags - 1, 0, -1):
+        out[lag - 1] = shift @ out[lag] + design.P * gamma[lag] - far * gamma[m + lag]
+    return out.reshape(lags, n * n)
 
 
 def predict_increments(pred: Predictor, history: SamplePath, n_future: int) -> np.ndarray:
@@ -295,8 +326,9 @@ def gaussian_correction_series(
     conditioning, the ``Phi^T P`` factors and ``P^{-1}`` collapse into one
     kernel ``Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``, so each size
     costs one Toeplitz solve and one matmul over the sliding windows of
-    the increments.  Cost: O(m window n^2) for the lag sums over m horizon
-    steps, O(window^3) for the solves and O(N window n^2) for the sweep.
+    the increments.  Cost: O(m n^3 + window n^3) for the lag sums over m
+    horizon steps, O(window^3) for the solves and O(N window n^2) for the
+    sweep.
     """
     n_steps = path.n_steps
     n = design.n

@@ -183,8 +183,8 @@ class SamplePath:
 
 def make_grid(dt: float, horizon: float) -> np.ndarray:
     """Uniform grid 0, dt, 2*dt, ... covering [0, horizon]."""
-    if dt <= 0.0 or horizon <= 0.0:
-        raise NoiseError("dt and horizon must be positive")
+    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
+        raise NoiseError(f"dt and horizon must be finite and positive, got {dt} and {horizon}")
     n = int(round(horizon / dt))
     if n < 1:
         raise NoiseError("horizon shorter than one step")

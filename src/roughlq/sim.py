@@ -91,6 +91,8 @@ class StateSpaceModel:
         if r.shape[0] != r.shape[1] or r.shape[0] != b.shape[1]:
             raise SimError("R must be m x m")
         for name, mat in (("A", a), ("B", b), ("C", c), ("Q", q), ("R", r)):
+            if not np.isfinite(mat).all():
+                raise SimError(f"{name} must be finite")
             object.__setattr__(self, name, mat)
 
     @property
@@ -139,6 +141,8 @@ class SimConfig:
         xh = np.zeros(n) if self.xhat0 is None else np.asarray(self.xhat0, dtype=float)
         if x0.shape != (n,) or xh.shape != (n,):
             raise SimError(f"x0 and xhat0 must have shape ({n},), got {x0.shape} and {xh.shape}")
+        if not (np.isfinite(x0).all() and np.isfinite(xh).all()):
+            raise SimError(f"x0 and xhat0 must be finite, got {x0} and {xh}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xhat0", xh)
 

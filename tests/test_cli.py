@@ -105,12 +105,21 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         (["simulate", "--horizon", "0.1", "--sigma", "nan"], 2),
         (["simulate", "--horizon", "0.1", "--kind", "stable", "--gamma", "nan"], 2),
         (["simulate", "--horizon", "0.1", "--kind", "stable", "--delta", "inf"], 2),
+        (["noise-gen", "--dt", "nan"], 2),
+        (["observer", "--dt", "nan"], 2),
+        (["lift-check", "--horizon", "inf"], 2),
+        (["care", "--r", "nan"], 2),
+        (["simulate", "--horizon", "0.1", "--x0", "nan,0,0,0"], 2),
+        (["lift-check", "--triples", "-5"], 2),
+        (["compare", "--scenario", "fbm035", "--seeds", "5:2"], 2),
     ],
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
-    # a PredictorError, a SimError, a NoiseError and too few observer
-    # replications are config errors; an ObserverError from the observer
-    # solve, made to fail here, is a numeric failure
+    # a PredictorError, a SimError, a NoiseError, too few observer
+    # replications, a non-finite grid, plant weight or initial state, a
+    # negative triple count and an empty seed range are config errors; an
+    # ObserverError from the observer solve, made to fail here, is a
+    # numeric failure
     def failing_solve(*args, **kwargs):
         raise ObserverError("no stabilising solution")
 
@@ -211,6 +220,14 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, argv, text, where):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
     assert not (tmp_path / "out").exists()  # nothing is written before the config is checked
+
+
+def test_zero_work_calls_stay_legal(capsys):
+    # no triples and no seeds are empty runs, not config errors
+    assert main(["lift-check", "--dt", "0.1", "--horizon", "1.0", "--triples", "0"]) == 0
+    assert "over 0 random triples" in capsys.readouterr().out
+    report = run_comparison("fbm035", controllers=["glq"], seeds=[], overrides={"run": {"observer": "fullstate"}})
+    assert report.records == []
 
 
 def test_cli_lift_check_short_path_has_no_holder_estimate(capsys):

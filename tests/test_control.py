@@ -18,6 +18,7 @@ from roughlq.control import (
     pathwise_correction_series,
     predict_increments,
 )
+from roughlq.control import _lag_sums
 from roughlq.lift import RoughPath, lift_piecewise_linear
 from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_fbm
 from roughlq.pendulum import build_pendulum
@@ -204,14 +205,20 @@ def test_correction_term_memory_stays_linear_in_horizon():
 
 
 def _sequential_horizon(design, dt):
-    # the plain scan: one 2-norm per sequential power of the step
+    # the plain scan over sequential powers of the step; the Frobenius norm
+    # decides a power outside [1e-6, sqrt(n) 1e-6], and every power it
+    # cannot decide takes one 2-norm
+    tol = 1e-6
     step = expm(design.A_cl * dt)
     power = np.eye(design.n)
     k = 0
     while True:
         k += 1
         power = power @ step
-        if np.linalg.norm(power, 2) < 1e-6:
+        fro = np.linalg.norm(power)
+        if fro >= math.sqrt(design.n) * tol * (1.0 + 1e-12):
+            continue
+        if fro < tol * (1.0 - 1e-12) or np.linalg.norm(power, 2) < tol:
             return k, k * dt
 
 
@@ -220,16 +227,76 @@ def pendulum_design():
     return solve_care(pm.A, pm.B, np.eye(4), np.array([[1.0]]))
 
 
-@pytest.mark.parametrize("make_design", [two_dim_design, pendulum_design])
-def test_default_horizon_equals_sequential_scan(make_design):
-    design = make_design()
-    dt = 0.01
+def _assert_horizon_scan(design, dt):
     k, expected = _sequential_horizon(design, dt)
     assert default_horizon(design, dt) == expected
     # the step budget is honoured exactly, across norm blocks too
     assert default_horizon(design, dt, max_steps=k) == expected
     with pytest.raises(PredictorError, match="decays too slowly"):
         default_horizon(design, dt, max_steps=k - 1)
+    return k
+
+
+@pytest.mark.parametrize(
+    "make_design, dt, steps",
+    [
+        pytest.param(two_dim_design, 0.01, None, id="two_dim_design"),
+        pytest.param(pendulum_design, 0.01, None, id="pendulum_design"),
+        # the fbm035 design on its own grid, as the causal benchmark scans it
+        pytest.param(pendulum_design, 0.001, 95_536, id="pendulum_design-dt0.001"),
+    ],
+)
+def test_default_horizon_equals_sequential_scan(make_design, dt, steps):
+    k = _assert_horizon_scan(make_design(), dt)
+    assert steps in (None, k)
+
+
+@pytest.mark.parametrize("k", [1024, 1025])
+def test_default_horizon_crossing_on_block_boundary(k):
+    # a scalar loop with rate c crosses 1e-6 at step ln(1e6) / (c dt), put
+    # half a step before k: the last power of the first block of 1,024, or
+    # the first power of the second
+    dt = 0.01
+    rate = math.log(1e6) / ((k - 0.5) * dt)
+    assert _assert_horizon_scan(scalar_design(q=rate**2), dt) == k
+
+
+def _correlated_lag_sums(design, gamma, m, dt):
+    # H[l] = sum_{j<m} Phi(j)^T P gamma(j + l), one correlation with gamma
+    # per entry of Phi(j)^T P, rows l = 1 .. len(gamma) - m
+    n = design.n
+    phi_p = np.empty((m, n, n))
+    phi_p[0] = design.P
+    shift = expm(design.A_cl.T * dt)
+    filled = 1
+    while filled < m:
+        take = min(filled, m - filled)
+        phi_p[filled : filled + take] = shift @ phi_p[:take]
+        shift = shift @ shift
+        filled += take
+    phi_cols = np.ascontiguousarray(phi_p.reshape(m, n * n).T)
+    return np.stack([np.correlate(gamma[1:], col, mode="valid") for col in phi_cols], axis=1)
+
+
+@pytest.mark.parametrize(
+    "make_design, dt, hurst, window",
+    [
+        (pendulum_design, 0.001, 0.35, 256),
+        (pendulum_design, 0.001, 0.7, 256),
+        (pendulum_design, 0.01, 0.35, 256),
+        (pendulum_design, 0.01, 0.7, 256),
+        (two_dim_design, 0.02, 0.35, 8),
+    ],
+)
+def test_lag_sums_match_correlations(make_design, dt, hurst, window):
+    design = make_design()
+    m = int(round(default_horizon(design, dt) / dt))
+    gamma = fgn_autocovariance(np.arange(m + window), dt, hurst)
+    oracle = _correlated_lag_sums(design, gamma, m, dt)
+    got = _lag_sums(design, gamma, m, dt)
+    assert got.shape == oracle.shape == (window, design.n**2)
+    scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+    assert np.all(np.abs(got - oracle) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
