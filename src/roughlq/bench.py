@@ -320,6 +320,10 @@ def run_comparison(
         controllers = [c.strip() for c in run_cfg["controllers"].split(",")]
     if seeds is None:
         seeds = _read(run_cfg, "run", "seeds", _parse_seeds)
+    # a repeated seed would be counted twice and overwrite its own files
+    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} is listed more than once")
     observer_setting = run_cfg.get("observer", "both")
     if observer_setting not in _OBSERVER_MODES:
         raise ConfigError(f"[run] observer = {observer_setting!r}; expected one of {sorted(_OBSERVER_MODES)}")

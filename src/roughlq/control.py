@@ -200,15 +200,12 @@ def _memo_horizon(design: ControlDesign, dt: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``gram^{-1} rhs``; jitters the Gram matrix once if it is singular."""
+    """``gram^{-1} rhs``.  The fGn covariance is positive definite for
+    every H in (0, 1), so a singular Gram matrix is a :class:`PredictorError`."""
     try:
         return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.max(np.diag(gram)))
-        try:
-            return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise PredictorError("history Gram matrix is singular") from exc
+    except np.linalg.LinAlgError as exc:
+        raise PredictorError("history Gram matrix is singular") from exc
 
 
 def _independent(pred: Predictor) -> bool:
@@ -376,18 +373,23 @@ def _check_driver_admissible(driver: RoughPath) -> None:
 def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarray:
     """``raw[k] = sum_{j>=k} exp(A_cl^T (j - k) dt) W dx[j]``, shape (len(dx) + 1, n).
 
-    One backward recursion ``raw[k] = W dx[k] + exp(A_cl^T dt) raw[k + 1]``
-    from ``raw[-1] = 0``.  The compensated weight ``W = P + dt/2 A_cl^T P``
-    contracts the integrand's time derivative against the lift's
-    time-cross second-level block, which for the piecewise-linear
-    geometric lift equals ``dt/2 * dX`` per step.
+    The backward recursion ``raw[k] = W dx[k] + E raw[k + 1]`` from
+    ``raw[-1] = 0``, with ``E = exp(A_cl^T dt)``, run as a doubling scan:
+    after the pass with stride s every row holds the sum over its next 2s
+    increments, so there are O(log N) numpy calls.  The compensated weight
+    ``W = P + dt/2 A_cl^T P`` contracts the integrand's time derivative
+    against the lift's time-cross second-level block, which for the
+    piecewise-linear geometric lift equals ``dt/2 * dX`` per step.
     """
-    step_t = expm(design.A_cl.T * dt)
+    shift = expm(design.A_cl.T * dt)
     weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
-    contrib = dx @ weight.T
     raw = np.zeros((dx.shape[0] + 1, design.n))
-    for k in range(dx.shape[0] - 1, -1, -1):
-        raw[k] = contrib[k] + step_t @ raw[k + 1]
+    raw[:-1] = dx @ weight.T
+    stride = 1
+    while stride < dx.shape[0]:
+        raw[:-stride] += raw[stride:] @ shift.T
+        shift = shift @ shift
+        stride *= 2
     return raw
 
 

@@ -3,8 +3,10 @@
 Three process families are supported:
 
 * fractional Brownian motion (fBm) with Hurst index ``hurst`` and scale
-  ``sigma``; exact sampling via Cholesky factorisation of the grid
-  covariance, with a circulant-embedding fast path for long grids,
+  ``sigma``; exact sampling as cumulative sums of fractional Gaussian
+  noise (fGn) drawn through the Cholesky factor of its Toeplitz
+  covariance, built by the Schur algorithm in O(n^2), with a
+  circulant-embedding fast path for long grids,
 * symmetric/skewed alpha-stable Levy walks sampled step-by-step with the
   Chambers-Mallows-Stuck transform,
 * Brownian motion, which is byte-identical to fBm with ``hurst = 0.5``.
@@ -212,35 +214,68 @@ def fgn_autocovariance(lags, dt: float, hurst: float) -> np.ndarray:
     """Autocovariance of unit-scale fBm increments at integer lags.
 
     ``cov(B(t+dt) - B(t), B(t+(k+1)dt) - B(t+k dt))`` for each lag k.
+
+    The second difference ``(k+1)^2H - 2 k^2H + (k-1)^2H`` keeps only a
+    k^-2 share of its terms, so formed directly it loses about k^2 units
+    of rounding (8e-8 relative at lag 10^4).  From lag 8 on it is summed as
+    its binomial series ``2 k^2H sum_m C(2H, 2m) k^-2m`` instead, which is
+    accurate to rounding and exactly zero at H = 1/2.
     """
     k = np.abs(np.asarray(lags, dtype=float))
     h2 = 2.0 * hurst
-    return 0.5 * dt**h2 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k**h2)
+    # C(2H, 2m) for m = 1 .. 11: from lag 8 on the terms shrink by at least
+    # 1/64 each, so 11 reach rounding; the series runs at every lag (lags
+    # below 8 clamped to 8) and the direct form overwrites those lags
+    coef = [0.5 * h2 * (h2 - 1.0)]
+    for m in range(2, 12):
+        coef.append(coef[-1] * (h2 - 2 * m + 2) * (h2 - 2 * m + 1) / ((2 * m - 1) * (2 * m)))
+    inv2 = np.maximum(k, 8.0, out=np.empty_like(k))
+    inv2 **= -2.0
+    out = np.full_like(k, coef[-1])
+    for c in reversed(coef[:-1]):
+        out *= inv2
+        out += c
+    out *= inv2
+    out *= np.power(k, h2, out=inv2)
+    near = k < 8.0
+    kn = k[near]
+    out[near] = 0.5 * ((kn + 1.0) ** h2 + np.abs(kn - 1.0) ** h2 - 2.0 * kn**h2)
+    return dt**h2 * out
 
 
 @lru_cache(maxsize=4)
-def _fbm_cholesky(n: int, dt: float, hurst: float) -> np.ndarray:
-    """Lower Cholesky factor of the grid covariance of standard fBm.
+def _fgn_cholesky(n: int, dt: float, hurst: float) -> np.ndarray:
+    """Lower Cholesky factor of the n x n Toeplitz covariance of unit-scale fGn.
 
-    Covers grid points dt, 2*dt, ..., n*dt (t = 0 carries no mass).  Adds
-    a diagonal jitter of 1e-12 * max(diag) and retries once if the plain
-    factorisation fails.
+    Schur algorithm, O(n^2), on the generators ``u = r / sqrt(r[0])`` and
+    ``v = u`` with ``v[0] = 0`` of the autocovariance ``r``: each step takes
+    ``u`` as the next row of the upper factor, shifts it one place against
+    ``v`` and zeroes ``v[0]`` by one hyperbolic rotation in mixed form, as
+    stable as Cholesky here (Bojanczyk, Brent, de Hoog & Sweet 1995).  A
+    reflection coefficient of modulus >= 1 (not positive definite) raises
+    :class:`NoiseError`.  ``cumsum(factor, axis=0)`` factors the covariance
+    of the fBm values at dt, ..., n*dt.
     """
-    times = dt * np.arange(1, n + 1)
-    h2 = 2.0 * hurst
-    p = times**h2
-    gram = 0.5 * (p[:, None] + p[None, :] - np.abs(times[:, None] - times[None, :]) ** h2)
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.max(np.diag(gram)))
-        try:
-            return np.linalg.cholesky(gram + jitter * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise NoiseError(
-                f"fBm covariance not positive definite after jitter "
-                f"{jitter:.3e} (n={n}, hurst={hurst})"
-            ) from exc
+    r = fgn_autocovariance(np.arange(n), dt, hurst)
+    upper = np.zeros((n, n))
+    upper[0] = r / math.sqrt(r[0])
+    v = upper[0].copy()
+    v[0] = 0.0
+    for k in range(1, n):
+        # the shifted u is the previous row less its last entry; the
+        # rotation writes the new u straight into row k
+        u, v = upper[k - 1, k - 1 : -1], v[1:]
+        rho = v[0] / u[0]
+        if not abs(rho) < 1.0:
+            raise NoiseError(f"fGn covariance not positive definite at step {k} (n={n}, hurst={hurst})")
+        scale = math.sqrt((1.0 - rho) * (1.0 + rho))
+        row = upper[k, k:]
+        np.multiply(v, -rho, out=row)
+        row += u
+        row /= scale
+        v *= scale
+        v -= rho * row
+    return upper.T
 
 
 @lru_cache(maxsize=4)
@@ -282,17 +317,19 @@ def sample_fbm(
 ) -> SamplePath:
     """Sample d independent fBm coordinates on ``grid``.
 
-    ``method`` selects the generator: ``"cholesky"`` (exact grid
-    covariance, the reference), ``"circulant"`` (exact Davies-Harte fast
-    path), or ``"auto"`` which uses Cholesky up to 2048 steps and the
-    circulant route beyond.  Identical inputs give identical bytes.
+    ``method`` selects the generator: ``"cholesky"`` (cumulative sums of
+    the Schur-algorithm Cholesky factor of the fGn Toeplitz covariance
+    times standard normals, the reference), ``"circulant"`` (exact
+    Davies-Harte fast path), or ``"auto"`` which uses Cholesky up to 2048
+    steps and the circulant route beyond.  Identical inputs give identical
+    bytes.
     """
     return _sample_fbm_paths(model, grid, d, [seed], method)[0]
 
 
 def _sample_fbm_paths(model: NoiseModel, grid, d: int, seeds, method: str) -> list:
     """One fBm path per seed, each from its own stream; on the Cholesky
-    route one product ``chol @ Z`` serves the normals of every seed."""
+    route one product ``cumsum(chol @ Z)`` serves the normals of every seed."""
     if model.kind not in ("fbm", "brownian"):
         raise NoiseError(f"sample_fbm needs an fbm/brownian model, got {model.kind!r}")
     if d < 1:
@@ -306,10 +343,10 @@ def _sample_fbm_paths(model: NoiseModel, grid, d: int, seeds, method: str) -> li
         method = "cholesky" if n <= CHOLESKY_MAX_N else "circulant"
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     if method == "cholesky":
-        chol = _fbm_cholesky(n, dt, float(model.hurst))
-        steps = chol @ np.hstack([rng.standard_normal((n, d)) for rng in rngs])
-        steps *= model.sigma
-        blocks = np.hsplit(steps, len(seeds))
+        chol = _fgn_cholesky(n, dt, float(model.hurst))
+        values = np.cumsum(chol @ np.hstack([rng.standard_normal((n, d)) for rng in rngs]), axis=0)
+        values *= model.sigma
+        blocks = np.hsplit(values, len(seeds))
     elif method == "circulant":
         blocks = [
             np.column_stack(

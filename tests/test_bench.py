@@ -47,3 +47,10 @@ def test_runs_csv_round_trips_through_load_report(monkeypatch, tmp_path):
     assert failed and all(r.t_diverge == 0.0 and r.mean_cost == float("inf") for r in failed)
     # dataclass equality compares the records field for field
     assert bench.load_report(tmp_path).records == report.records
+
+
+def test_repeated_seed_is_a_config_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(bench.ConfigError, match="seed 1 is listed more than once"):
+        bench.run_comparison("fbm035", seeds=[1, 1], out_dir=out)
+    assert not out.exists()

@@ -112,14 +112,15 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         (["simulate", "--horizon", "0.1", "--x0", "nan,0,0,0"], 2),
         (["lift-check", "--triples", "-5"], 2),
         (["compare", "--scenario", "fbm035", "--seeds", "5:2"], 2),
+        pytest.param(["compare", "--scenario", "fbm035", "--seeds", "0,0"], 2, id="compare-repeated-seed"),
     ],
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
     # a PredictorError, a SimError, a NoiseError, too few observer
     # replications, a non-finite grid, plant weight or initial state, a
-    # negative triple count and an empty seed range are config errors; an
-    # ObserverError from the observer solve, made to fail here, is a
-    # numeric failure
+    # negative triple count, an empty seed range and a repeated seed are
+    # config errors; an ObserverError from the observer solve, made to fail
+    # here, is a numeric failure
     def failing_solve(*args, **kwargs):
         raise ObserverError("no stabilising solution")
 

@@ -18,7 +18,7 @@ from roughlq.control import (
     pathwise_correction_series,
     predict_increments,
 )
-from roughlq.control import _lag_sums
+from roughlq.control import _lag_sums, _pathwise_sums
 from roughlq.lift import RoughPath, lift_piecewise_linear
 from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_fbm
 from roughlq.pendulum import build_pendulum
@@ -420,6 +420,48 @@ def test_pathwise_series_matches_single_calls():
     single_cap = pathwise_correction(design, driver, t=grid[10], horizon=0.3)
     assert np.allclose(series_cap[10], oracle_cap, atol=1e-12)
     assert np.allclose(single_cap.value, oracle_cap, atol=1e-12)
+
+
+def _loop_pathwise_sums(design, dx, dt):
+    # the per-step backward recursion raw[k] = W dx[k] + E raw[k + 1]
+    step_t = expm(design.A_cl.T * dt)
+    weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
+    contrib = dx @ weight.T
+    raw = np.zeros((dx.shape[0] + 1, design.n))
+    for k in range(dx.shape[0] - 1, -1, -1):
+        raw[k] = contrib[k] + step_t @ raw[k + 1]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "make_design, model, dt, n_steps",
+    [
+        # the fbm035 design and noise on the benchmark grid
+        pytest.param(pendulum_design, NoiseModel.fbm(hurst=0.35, sigma=100.0), 1e-3, 10_000, id="fbm035"),
+        # a single step, and lengths on either side of a power of two
+        pytest.param(two_dim_design, NoiseModel.fbm(hurst=0.4), 0.01, 1, id="two_dim-1"),
+        pytest.param(two_dim_design, NoiseModel.fbm(hurst=0.4), 0.01, 255, id="two_dim-255"),
+        pytest.param(two_dim_design, NoiseModel.fbm(hurst=0.4), 0.01, 257, id="two_dim-257"),
+    ],
+)
+def test_pathwise_scan_matches_loop(make_design, model, dt, n_steps):
+    design = make_design()
+    path = sample_fbm(model, make_grid(dt, n_steps * dt), d=design.n, seed=4)
+    oracle = _loop_pathwise_sums(design, path.increments, dt)
+    scale = np.max(np.abs(oracle))
+    np.testing.assert_allclose(_pathwise_sums(design, path.increments, dt), oracle, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_pathwise_series_horizon_matches_loop():
+    # a horizon of w steps keeps only dx[k : k + w], also where that runs
+    # past the path end
+    design = two_dim_design()
+    dt, w = 0.01, 20
+    path = sample_fbm(NoiseModel.fbm(hurst=0.4), make_grid(dt, 257 * dt), d=2, seed=4)
+    series = pathwise_correction_series(design, lift_piecewise_linear(path), horizon=w * dt)
+    truncated = np.array([_loop_pathwise_sums(design, path.increments[k : k + w], dt)[0] for k in range(258)])
+    expected = np.linalg.solve(design.P, truncated.T).T
+    np.testing.assert_allclose(series, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def _assert_series_matches_single_calls(design, model, grid, window, horizon, seed):

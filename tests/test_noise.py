@@ -22,6 +22,7 @@ from roughlq.noise import (
     sample_stable,
     stable_char_fn,
 )
+from roughlq.noise import _fgn_cholesky
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,57 @@ def test_sample_paths_is_sample_path_per_seed(model, n_steps):
         assert path.seed == seed and path.holder == single.holder
         scale = np.max(np.abs(single.values))
         np.testing.assert_allclose(path.values, single.values, rtol=0.0, atol=1e-13 * scale)
+
+
+def _values_gram(n, dt, hurst):
+    # covariance of standard fBm at dt, 2*dt, ..., n*dt
+    times = dt * np.arange(1, n + 1)
+    h2 = 2.0 * hurst
+    p = times**h2
+    return 0.5 * (p[:, None] + p[None, :] - np.abs(times[:, None] - times[None, :]) ** h2)
+
+
+def _dense_values_cholesky(n, dt, hurst):
+    # the oracle: LAPACK Cholesky of the dense covariance of the values
+    return np.linalg.cholesky(_values_gram(n, dt, hurst))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 2048])
+@pytest.mark.parametrize("hurst", [0.1, 0.35, 0.5, 0.7, 0.95])
+def test_fgn_cholesky_cumsum_factors_values_gram(hurst, n):
+    # the values are cumulative sums of the increments, so the cumulative
+    # sum of the fGn factor is a lower factor of the values' covariance
+    dt = 1e-3
+    factor = np.cumsum(_fgn_cholesky.__wrapped__(n, dt, hurst), axis=0)
+    gram = _values_gram(n, dt, hurst)
+    assert np.all(np.triu(factor, 1) == 0.0) and np.all(np.diag(factor) > 0.0)
+    assert np.max(np.abs(factor @ factor.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+def test_fgn_cholesky_brownian_is_scaled_cumsum():
+    dt, n = 1e-3, 2048
+    factor = np.cumsum(_fgn_cholesky.__wrapped__(n, dt, 0.5), axis=0)
+    expected = math.sqrt(dt) * np.tril(np.ones((n, n)))
+    np.testing.assert_allclose(factor, expected, rtol=0.0, atol=1e-15 * math.sqrt(dt))
+
+
+def test_fgn_cholesky_rejects_singular_covariance():
+    # H = 1 makes every increment the same variable: a rank-one covariance
+    with pytest.raises(NoiseError, match="not positive definite"):
+        _fgn_cholesky.__wrapped__(4, 1.0, 1.0)
+
+
+def test_cholesky_route_matches_dense_oracle():
+    # the lift-check grid: 2,000 steps of 2-d fBm at H = 0.35
+    model = NoiseModel.fbm(hurst=0.35)
+    grid = make_grid(1e-3, 2.0)
+    n, d, seeds = grid.size - 1, 2, [0, 3]
+    oracle = _dense_values_cholesky(n, 1e-3, 0.35)
+    for seed, path in zip(seeds, sample_paths(model, grid, d, seeds)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        values = oracle @ rng.standard_normal((n, d))
+        scale = np.max(np.abs(values))
+        np.testing.assert_allclose(path.values[1:], values, rtol=0.0, atol=1e-10 * scale)
 
 
 def test_brownian_bit_identical_to_half_hurst_fbm():
