@@ -20,7 +20,6 @@ from .lift import (
     chen_defect,
     holder_estimate,
     lift_piecewise_linear,
-    p_variation,
     reconstruct,
     rough_integral_admissible,
 )
@@ -28,28 +27,21 @@ from .riccati import (
     ControlDesign,
     RiccatiError,
     care_residual,
-    fundamental_solution,
     solve_care,
     spectral_abscissa,
 )
 from .pendulum import PendulumModel, build_pendulum
 from .control import (
-    CorrectionTerm,
     Predictor,
     PredictorError,
     completion_of_squares_gap,
-    correction_term,
     default_horizon,
-    glq_control_law,
-    pathwise_correction,
     pathwise_cost,
-    predict_increments,
 )
 from .observer import (
     NoiseSecondMoments,
     ObserverDesign,
     ObserverError,
-    error_dynamics_step,
     estimate_second_moments,
     gain_stationarity_check,
     observer_gain,
@@ -63,7 +55,6 @@ from .sim import (
     average_cost,
     continuity_probe,
     integrate,
-    refinement_convergence,
 )
 from .bench import SCENARIOS, ExperimentReport, emit_plot_data, run_comparison
 

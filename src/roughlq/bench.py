@@ -320,10 +320,13 @@ def run_comparison(
         controllers = [c.strip() for c in run_cfg["controllers"].split(",")]
     if seeds is None:
         seeds = _read(run_cfg, "run", "seeds", _parse_seeds)
-    # a repeated seed would be counted twice and overwrite its own files
-    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
-    if repeated:
-        raise ConfigError(f"seed {repeated[0]} is listed more than once")
+    # a repeated seed or controller would be counted twice and overwrite its own files
+    for kind, items in (("seed", seeds), ("controller", controllers)):
+        repeated = [item for i, item in enumerate(items) if item in items[:i]]
+        if repeated:
+            raise ConfigError(f"{kind} {repeated[0]} is listed more than once")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     observer_setting = run_cfg.get("observer", "both")
     if observer_setting not in _OBSERVER_MODES:
         raise ConfigError(f"[run] observer = {observer_setting!r}; expected one of {sorted(_OBSERVER_MODES)}")
@@ -332,6 +335,8 @@ def run_comparison(
     if "controller" in cfg["simulate"]:
         raise ConfigError("compare reads [run] controllers; [simulate] controller is not read")
     base = sim_template(cfg)
+    # SimConfig rejects an unknown controller before anything is written
+    by_controller = {controller: replace(base, controller=controller) for controller in controllers}
     model = base.model
     design = solve_care(model.A, model.B, model.Q, model.R)
 
@@ -351,7 +356,7 @@ def run_comparison(
         v, w = noise_paths(base, seed)
         for controller in controllers:
             for mode in modes:
-                run = replace(base, controller=controller, observer_enabled=(mode == "observer"), seed=seed)
+                run = replace(by_controller[controller], observer_enabled=(mode == "observer"), seed=seed)
                 tag = f"{scenario}_{controller}_{mode}_seed{seed:03d}"
                 try:
                     traj = integrate(run, v, w, design, observer=observer)

@@ -62,6 +62,13 @@ def _add_noise_args(parser, prefix="", default_kind=None):
         parser.add_argument(flag_prefix + name, dest=prefix + name, type=float, default=argparse.SUPPRESS)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's seed streams take non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read_input(flag: str, path: Path, read):
     """``read(path)``, with a file that cannot be read as a :class:`ConfigError`."""
     try:
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, flags, out_required=False, grid=BASE_CONFIG["simulate"]):
         """Add the shared flags named in ``flags`` plus ``--out``; grid flags default from ``grid``."""
         if "seed" in flags:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if "dt" in flags:
             p.add_argument("--dt", type=float, default=grid.get("dt"))
         if "horizon" in flags:

@@ -18,14 +18,14 @@ mean given the past:
   (Brownian; symmetric centred stable with alpha > 1), where V = 0,
 * ``gaussian`` - exact Gaussian conditioning of future fBm increments on
   a finite window of observed increments (the causal optimum of Duncan &
-  Pasik-Duncan, SIAM J. Control Optim. 2013).  Every Gaussian entry point
-  reads one kernel: the lag sums ``H[l] = sum_j Phi(j)^T P gamma(j + l)``
-  of the fGn autocovariance ``gamma``, against the Toeplitz-Gram solve of
-  the history.
+  Pasik-Duncan, SIAM J. Control Optim. 2013).
 
-:func:`pathwise_correction_series` instead evaluates the realised-path
-integral against a fixed rough driver (it reads the future), by one
-backward recursion with compensated (level-2 aware) Riemann sums.
+V is read only as a series along a path, one entry point per mode:
+:func:`gaussian_correction_series` conditions on the past through the lag
+sums ``H[l] = sum_j Phi(j)^T P gamma(j + l)`` of the fGn autocovariance
+``gamma``, and :func:`pathwise_correction_series` evaluates the
+realised-path integral against a fixed rough driver (it reads the future)
+by one backward recursion with compensated (level-2 aware) Riemann sums.
 """
 
 from __future__ import annotations
@@ -43,14 +43,9 @@ from .riccati import ControlDesign
 __all__ = [
     "PredictorError",
     "Predictor",
-    "CorrectionTerm",
     "default_horizon",
-    "predict_increments",
-    "correction_term",
-    "pathwise_correction",
     "pathwise_correction_series",
     "gaussian_correction_series",
-    "glq_control_law",
     "pathwise_cost",
     "completion_of_squares_gap",
 ]
@@ -109,20 +104,6 @@ class Predictor:
             )
         if self.method == "gaussian" and self.model.kind == "stable":
             raise PredictorError("gaussian conditioning needs a Gaussian model")
-
-
-@dataclass(frozen=True)
-class CorrectionTerm:
-    """Correction vector at one time, with a truncation diagnostic.
-
-    ``tail_bound`` estimates the discarded tail of the future integral;
-    ``truncated`` flags tails above 10% of the correction's size.
-    """
-
-    t: float
-    value: np.ndarray
-    tail_bound: float = 0.0
-    truncated: bool = False
 
 
 def _powers(step: np.ndarray, count: int) -> np.ndarray:
@@ -213,24 +194,6 @@ def _independent(pred: Predictor) -> bool:
     return pred.method == "zero_mean" or pred.model.hurst == 0.5
 
 
-def _history_weights(pred: Predictor, history: SamplePath, n_future: int):
-    """fGn autocovariance ``gamma`` at lags 0 .. n_future + s - 1, and the
-    conditioning weights ``a = Gamma_s^{-1} inc[-s:]`` of the last
-    s = min(window, N) increments, oldest first."""
-    inc = history.increments
-    size = min(pred.window, inc.shape[0])
-    gamma = fgn_autocovariance(np.arange(n_future + size), history.dt, float(pred.model.hurst))
-    return gamma, _solve_gram(toeplitz(gamma[:size]), inc[-size:])
-
-
-def _predicted_means(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``mu_k = sum_j gamma(k + j) a[s - 1 - j]`` for k = 1 .. len(gamma) - s,
-    one correlation per coordinate, shape (M, d)."""
-    return np.stack(
-        [np.correlate(gamma[1:], col[::-1], mode="valid") for col in weights.T], axis=1
-    )
-
-
 def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np.ndarray:
     """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. L = len(gamma) - m,
     row l - 1 holding H[l] as a flat n x n block.
@@ -257,55 +220,6 @@ def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np
     return out.reshape(lags, n * n)
 
 
-def predict_increments(pred: Predictor, history: SamplePath, n_future: int) -> np.ndarray:
-    """Conditional means of the next ``n_future`` increments, shape (M, d).
-
-    The future grid continues the history grid with the same spacing.
-    """
-    if n_future < 1:
-        raise PredictorError("need at least one future step")
-    if _independent(pred):
-        return np.zeros((n_future, history.d))
-    return _predicted_means(*_history_weights(pred, history, n_future))
-
-
-def correction_term(
-    design: ControlDesign,
-    pred: Predictor,
-    history: SamplePath,
-    t: float,
-    horizon: float | None = None,
-) -> CorrectionTerm:
-    """Conditional-mean correction V(t) from the observed history.
-
-    With ``a = Gamma_s^{-1} inc[-s:]`` the conditioning weights of the
-    last s increments, ``V(t) = P^{-1} sum_i H[s - i] a_i`` over the lag
-    sums of the future integral truncated at ``horizon`` (default
-    :func:`default_horizon`).  The reported tail bound is
-    ``||Phi(t+T, t)|| * cond(P) * sum_k ||mu_k||`` over the predicted
-    increments; corrections whose bound exceeds 10% of their size carry
-    ``truncated=True``.
-    """
-    if abs(history.t[-1] - t) > 1e-9 * max(history.dt, 1.0):
-        raise PredictorError("history must end at the evaluation time")
-    if _independent(pred):
-        return CorrectionTerm(t=t, value=np.zeros(design.n))
-    dt = history.dt
-    if horizon is None:
-        horizon = _memo_horizon(design, dt)
-    m = max(1, int(round(horizon / dt)))
-    gamma, weights = _history_weights(pred, history, m)
-    lag_sums = _lag_sums(design, gamma, m, dt).reshape(-1, design.n, design.n)
-    # history increment i sits s - i lags before the first future step
-    value = np.linalg.solve(design.P, np.einsum("iab,ib->a", lag_sums[::-1], weights))
-    decay = float(np.linalg.norm(expm(design.A_cl * (m * dt)), 2))
-    mass = float(np.sum(np.linalg.norm(_predicted_means(gamma, weights), axis=1)))
-    cond = float(np.linalg.norm(design.P, 2) * np.linalg.norm(np.linalg.inv(design.P), 2))
-    tail = decay * cond * mass
-    vnorm = float(np.linalg.norm(value))
-    return CorrectionTerm(t=t, value=value, tail_bound=tail, truncated=tail > 0.1 * max(vnorm, 1e-300))
-
-
 def gaussian_correction_series(
     design: ControlDesign,
     pred: Predictor,
@@ -316,16 +230,16 @@ def gaussian_correction_series(
 
     Identically zero for ``zero_mean`` and H = 1/2.  For other Hurst
     indices the conditioning window at step k is the largest power of two
-    s not exceeding min(k, window), and V(t_k) equals
-    :func:`correction_term` on those last s increments.
+    s not exceeding min(k, window), and V(t_k) is ``P^{-1}`` times the
+    ``Phi^T P``-weighted sum of the conditional means of the next m
+    increments (m horizon steps, default :func:`default_horizon`) given
+    those last s increments.
 
-    Both read the same lag sums ``H[l]``.  Per window size the
-    conditioning, the ``Phi^T P`` factors and ``P^{-1}`` collapse into one
-    kernel ``Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``, so each size
-    costs one Toeplitz solve and one matmul over the sliding windows of
-    the increments.  Cost: O(m n^3 + window n^3) for the lag sums over m
-    horizon steps, O(window^3) for the solves and O(N window n^2) for the
-    sweep.
+    Per window size the conditioning, the lag sums ``H[l]`` and ``P^{-1}``
+    collapse into one kernel ``Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``,
+    so each size costs one Toeplitz solve and one matmul over the sliding
+    windows of the increments.  Cost: O(m n^3 + window n^3) for the lag
+    sums, O(window^3) for the solves and O(N window n^2) for the sweep.
     """
     n_steps = path.n_steps
     n = design.n
@@ -360,16 +274,6 @@ def gaussian_correction_series(
 # realised-path correction: one backward recursion
 # ---------------------------------------------------------------------------
 
-def _check_driver_admissible(driver: RoughPath) -> None:
-    if driver.holder is not None and not rough_integral_admissible(
-        INTEGRAND_HOLDER, float(driver.holder)
-    ):
-        raise PredictorError(
-            f"driver regularity {driver.holder} fails the (2+alpha)*beta > 1 "
-            f"admissibility condition"
-        )
-
-
 def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarray:
     """``raw[k] = sum_{j>=k} exp(A_cl^T (j - k) dt) W dx[j]``, shape (len(dx) + 1, n).
 
@@ -393,28 +297,6 @@ def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarr
     return raw
 
 
-def pathwise_correction(
-    design: ControlDesign,
-    driver: RoughPath,
-    t: float,
-    horizon: float | None = None,
-) -> CorrectionTerm:
-    """Realised-path correction from a fixed rough driver.
-
-    Row 0 of the backward recursion of :func:`pathwise_correction_series`,
-    run over the increments in ``[t, t + horizon]`` (to the path end by
-    default).
-    """
-    _check_driver_admissible(driver)
-    k0 = driver.index_of(t)
-    dt = float(driver.t[1] - driver.t[0])
-    k1 = driver.n_steps
-    if horizon is not None:
-        k1 = min(k1, k0 + max(1, int(round(horizon / dt))))
-    raw = _pathwise_sums(design, driver.dx[k0:k1], dt)[0]
-    return CorrectionTerm(t=t, value=np.linalg.solve(design.P, raw))
-
-
 def pathwise_correction_series(
     design: ControlDesign,
     driver: RoughPath,
@@ -425,7 +307,13 @@ def pathwise_correction_series(
     One backward recursion over the whole grid; a finite horizon
     subtracts the re-weighted tail, so the cost stays O(N).
     """
-    _check_driver_admissible(driver)
+    if driver.holder is not None and not rough_integral_admissible(
+        INTEGRAND_HOLDER, float(driver.holder)
+    ):
+        raise PredictorError(
+            f"driver regularity {driver.holder} fails the (2+alpha)*beta > 1 "
+            f"admissibility condition"
+        )
     n_steps = driver.n_steps
     dt = float(driver.t[1] - driver.t[0])
     raw = _pathwise_sums(design, driver.dx, dt)
@@ -438,17 +326,8 @@ def pathwise_correction_series(
 
 
 # ---------------------------------------------------------------------------
-# control law and pathwise cost
+# pathwise cost
 # ---------------------------------------------------------------------------
-
-def glq_control_law(design: ControlDesign, state: np.ndarray, correction=None) -> np.ndarray:
-    """Feedback ``u = -K (x + V)``; with V absent or zero this is LQR."""
-    x = np.asarray(state, dtype=float)
-    if correction is not None:
-        v = correction.value if isinstance(correction, CorrectionTerm) else np.asarray(correction)
-        x = x + v
-    return -design.K @ x
-
 
 def pathwise_cost(traj, q: np.ndarray, r: np.ndarray, horizon: float | None = None) -> float:
     """Trapezoidal integral of x'Qx + u'Ru along one trajectory."""

@@ -33,7 +33,6 @@ __all__ = [
     "chen_gap",
     "chen_defect",
     "holder_estimate",
-    "p_variation",
     "rough_integral_admissible",
     "lift_to_csv",
 ]
@@ -177,24 +176,6 @@ def holder_estimate(path: SamplePath, max_lag: int | None = None) -> float:
         lag *= 2
     slope = np.polyfit(np.log(lags), np.log(peaks), 1)[0]
     return float(slope)
-
-
-def p_variation(path: SamplePath, p: float) -> float:
-    """p-variation over the sampled grid, by dynamic programming.
-
-    ``sup (sum |x(t_{i+1}) - x(t_i)|^p)^(1/p)`` over all partitions drawn
-    from the grid.  The sampled grid stands in for all partitions, so the
-    value is a lower bound for the continuous-time supremum.
-    """
-    if p < 1.0:
-        raise LiftError("p-variation needs p >= 1")
-    values = path.values
-    n = values.shape[0]
-    best = np.zeros(n)
-    for j in range(1, n):
-        seg = np.linalg.norm(values[j] - values[:j], axis=1) ** p
-        best[j] = np.max(best[:j] + seg)
-    return float(best[-1] ** (1.0 / p))
 
 
 def rough_integral_admissible(integrand_holder: float, driver_holder: float) -> bool:

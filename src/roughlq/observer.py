@@ -36,7 +36,6 @@ __all__ = [
     "observer_gain",
     "modified_are_residual",
     "solve_observer_steady_state",
-    "error_dynamics_step",
     "gain_stationarity_check",
     "simulate_error_process",
 ]
@@ -187,12 +186,6 @@ def solve_observer_steady_state(a, c, moments: NoiseSecondMoments) -> ObserverDe
     if residual >= 1e-8 * (1.0 + float(np.linalg.norm(s)) ** 2):
         raise ObserverError(f"modified steady-state residual too large: {residual:.3e}")
     return ObserverDesign(S=s, L=l_gain, A_err=a_err, residual=residual)
-
-
-def error_dynamics_step(a, l_gain, c, e, dv, dw, dt: float) -> np.ndarray:
-    """One Euler step of ``de = (A - LC) e dt + dv - L dw``."""
-    a_err = np.atleast_2d(a) - np.atleast_2d(l_gain) @ np.atleast_2d(c)
-    return e + a_err @ e * dt + dv - np.atleast_2d(l_gain) @ dw
 
 
 def gain_stationarity_check(s, l_gain, c, moments: NoiseSecondMoments) -> float:

@@ -1,4 +1,4 @@
-"""Continuous algebraic Riccati equation and the closed-loop flow.
+"""Continuous algebraic Riccati equation for the feedback design.
 
 The stabilising solution P comes from one Schur-method solve
 (``scipy.linalg.solve_continuous_are``, Arnold & Laub 1984), refined by
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 __all__ = [
     "RiccatiError",
@@ -22,7 +22,6 @@ __all__ = [
     "solve_lyapunov",
     "solve_care",
     "care_residual",
-    "fundamental_solution",
 ]
 
 
@@ -109,13 +108,3 @@ def solve_care(a, b, q, r) -> ControlDesign:
     if residual >= 1e-9 * (1.0 + np.linalg.norm(p) ** 2):
         raise RiccatiError(f"CARE residual too large: {residual:.3e}")
     return ControlDesign(P=p, K=gain, A_cl=a_cl, care_residual=residual)
-
-
-def fundamental_solution(a_cl: np.ndarray, s: float, t: float) -> np.ndarray:
-    """Closed-loop transition matrix ``Phi(s, t) = exp(A_cl (s - t))``.
-
-    Solves ``d Phi / ds = A_cl Phi`` with ``Phi(t, t) = I``; the matrix
-    exponential uses scaling-and-squaring with the degree-13 rational
-    approximant.
-    """
-    return expm(np.asarray(a_cl, dtype=float) * (s - t))

@@ -10,7 +10,7 @@ follows e[k+1] = e[k] + (A - LC) e[k] dt + dv[k] - L dw[k], the recursion
 the observer design optimises.  Euler converges to the rough-differential-
 equation solution because the noise enters additively: a constant
 diffusion coefficient makes the second-level driver terms multiply a
-vanishing derivative (the refinement probe below checks the rate).
+vanishing derivative (a step-halving self-convergence test checks the rate).
 
 With u_raw[k] = -K (xhat[k] + V[k]) the loop is affine in w = (z, u_raw),
 z = (x, xhat), or z = x without the observer (xhat is x):
@@ -27,7 +27,7 @@ running cost are formed after the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemv
@@ -50,7 +50,6 @@ __all__ = [
     "integrate",
     "average_cost",
     "continuity_probe",
-    "refinement_convergence",
     "trajectory_to_csv",
     "correction_to_csv",
 ]
@@ -333,44 +332,6 @@ def continuity_probe(
         size = eta * holder_size(bump, grid, float(exponent))
         out.append((size, deviation))
     return out
-
-
-def refinement_convergence(config: SimConfig, design: ControlDesign, levels=(1, 2, 4)):
-    """Self-convergence under step halving with a shared noise realisation.
-
-    Samples the driver of ``config.seed`` on the finest grid, from the
-    streams :func:`roughlq.bench.noise_paths` draws, aggregates its
-    increments for the coarser grids, and compares trajectories on
-    common times.  Returns the list of successive sup-norm differences
-    and the fitted order ``log2(d[i] / d[i+1])`` averaged over pairs.
-    """
-    from .bench import noise_paths  # bench builds on this module
-
-    finest = max(levels)
-    fine_cfg = replace(config, dt=config.dt / finest)
-    fine_grid = fine_cfg.grid()
-    v_fine, w_fine = noise_paths(fine_cfg, config.seed)
-
-    trajs = {}
-    for level in sorted(levels):
-        stride = finest // level
-        idx = np.arange(0, fine_grid.shape[0], stride)
-        grid = fine_grid[idx]
-        v = SamplePath(t=grid, values=v_fine.values[idx], holder=v_fine.holder)
-        w = SamplePath(t=grid, values=w_fine.values[idx], holder=w_fine.holder)
-        cfg = replace(config, dt=config.dt / level)
-        trajs[level] = (integrate(cfg, v, w, design), stride)
-
-    diffs = []
-    lv = sorted(levels)
-    for a, b in zip(lv[:-1], lv[1:]):
-        ta, _ = trajs[a]
-        tb, _ = trajs[b]
-        ratio = b // a
-        k = min(ta.x.shape[0], (tb.x.shape[0] - 1) // ratio + 1)
-        diffs.append(float(np.max(np.abs(ta.x[:k] - tb.x[: (k - 1) * ratio + 1 : ratio]))))
-    orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
-    return {"diffs": diffs, "order": float(np.mean(orders)) if orders else float("nan")}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from roughlq import bench
+from roughlq.sim import SimError
 
 #: one classical full-state run of 100 steps
 SMALL = {"run": {"observer": "fullstate"}, "simulate": {"horizon": "0.1"}}
@@ -53,4 +54,26 @@ def test_repeated_seed_is_a_config_error(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(bench.ConfigError, match="seed 1 is listed more than once"):
         bench.run_comparison("fbm035", seeds=[1, 1], out_dir=out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        pytest.param({"seeds": [-1]}, bench.ConfigError, "seeds must be non-negative, got -1", id="negative-seed"),
+        pytest.param(
+            {"seeds": [0], "controllers": ["glq", "glq"]},
+            bench.ConfigError,
+            "controller glq is listed more than once",
+            id="repeated-controller",
+        ),
+        pytest.param(
+            {"seeds": [0], "controllers": ["bogus"]}, SimError, "unknown controller 'bogus'", id="unknown-controller"
+        ),
+    ],
+)
+def test_run_list_is_checked_before_out_is_created(tmp_path, kwargs, error, message):
+    out = tmp_path / "out"
+    with pytest.raises(error, match=message):
+        bench.run_comparison("fbm035", out_dir=out, **kwargs)
     assert not out.exists()

@@ -113,19 +113,37 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         (["lift-check", "--triples", "-5"], 2),
         (["compare", "--scenario", "fbm035", "--seeds", "5:2"], 2),
         pytest.param(["compare", "--scenario", "fbm035", "--seeds", "0,0"], 2, id="compare-repeated-seed"),
+        pytest.param(["compare", "--scenario", "fbm035", "--seeds", "-1"], 2, id="compare-negative-seed"),
+        pytest.param(["compare", "--scenario", "fbm035", "--seeds=-3:-1"], 2, id="compare-negative-seed-range"),
+        pytest.param(
+            ["compare", "--scenario", "fbm035", "--seeds", "0", "--controllers", "glq,glq"],
+            2,
+            id="compare-repeated-controller",
+        ),
+        pytest.param(["compare", "--scenario", "fbm035", "--controllers", "bogus"], 2, id="compare-unknown-controller"),
+        pytest.param(["compare", "--scenario", "fbm035", "--controllers", "glq,"], 2, id="compare-empty-controller"),
+        pytest.param(["simulate", "--seed", "-1"], 2, id="simulate-negative-seed"),
+        pytest.param(["noise-gen", "--seed", "-1"], 2, id="noise-gen-negative-seed"),
+        pytest.param(["lift-check", "--seed", "-1"], 2, id="lift-check-negative-seed"),
+        pytest.param(["observer", "--seed", "-1"], 2, id="observer-negative-seed"),
     ],
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
     # a PredictorError, a SimError, a NoiseError, too few observer
     # replications, a non-finite grid, plant weight or initial state, a
-    # negative triple count, an empty seed range and a repeated seed are
-    # config errors; an ObserverError from the observer solve, made to fail
-    # here, is a numeric failure
+    # negative triple count, an empty seed range, a repeated or negative
+    # seed and a repeated or unknown controller are config errors; an
+    # ObserverError from the observer solve, made to fail here, is a
+    # numeric failure
     def failing_solve(*args, **kwargs):
         raise ObserverError("no stabilising solution")
 
     monkeypatch.setattr(bench, "solve_observer_steady_state", failing_solve)
-    assert main(argv + ["--out", str(tmp_path)]) == code
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    if argv[0] == "compare":
+        # a rejected run list is caught before --out is created
+        assert not out.exists()
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path):

@@ -7,19 +7,14 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from roughlq.control import (
-    CorrectionTerm,
     Predictor,
     PredictorError,
-    correction_term,
     default_horizon,
     gaussian_correction_series,
-    glq_control_law,
-    pathwise_correction,
     pathwise_correction_series,
-    predict_increments,
 )
 from roughlq.control import _lag_sums, _pathwise_sums
-from roughlq.lift import RoughPath, lift_piecewise_linear
+from roughlq.lift import lift_piecewise_linear
 from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_fbm
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
@@ -93,7 +88,7 @@ def test_pathwise_is_not_a_predictor_method():
 
 
 # ---------------------------------------------------------------------------
-# predicted increments
+# conditional-mean correction series
 # ---------------------------------------------------------------------------
 
 def _history_from_increments(increments, dt):
@@ -107,46 +102,50 @@ def _history_from_increments(increments, dt):
 
 
 def test_brownian_prediction_is_zero():
-    pred = Predictor(model=NoiseModel.brownian(), method="gaussian")
+    # a declared zero-mean predictor gives V = 0 without conditioning
+    pred = Predictor(model=NoiseModel.brownian(), method="zero_mean")
     hist = _history_from_increments([0.3, -0.2, 0.5], dt=0.1)
-    mu = predict_increments(pred, hist, 4)
-    assert np.max(np.abs(mu)) < 1e-10
+    series = gaussian_correction_series(scalar_design(), pred, hist, horizon=0.4)
+    assert series.shape == (4, 1)
+    assert np.max(np.abs(series)) == 0.0
 
 
 def test_single_increment_conditioning_hand_oracle():
-    # one observed increment delta, one future step: mu = rho * delta with
-    # rho = (2^(2H) - 2) / 2, by 2x2 Gaussian conditioning
+    # one observed increment delta, one future step: the predicted mean is
+    # rho * delta with rho = (2^(2H) - 2) / 2, by 2x2 Gaussian conditioning,
+    # and with Phi(t, t) = I the correction V(t_1) is that mean
     h, delta, dt = 0.35, 0.7, 0.01
     pred = Predictor(model=NoiseModel.fbm(hurst=h), method="gaussian")
     hist = _history_from_increments([delta], dt=dt)
-    mu = predict_increments(pred, hist, 1)
+    series = gaussian_correction_series(scalar_design(), pred, hist, horizon=dt)
     rho = (2.0 ** (2 * h) - 2.0) / 2.0
     assert rho < 0.0  # anti-persistent for H < 1/2
-    assert mu[0, 0] == pytest.approx(rho * delta, rel=1e-12)
+    assert series[0, 0] == 0.0
+    assert series[1, 0] == pytest.approx(rho * delta, rel=1e-12)
 
 
 def test_prediction_window_is_respected():
-    h = 0.35
+    # with window 2, V at the end of a 10-increment path sees only the last
+    # two increments, so it equals V after those two alone
+    h, dt = 0.35, 0.1
+    design = scalar_design()
     pred = Predictor(model=NoiseModel.fbm(hurst=h), method="gaussian", window=2)
     rng = np.random.Generator(np.random.PCG64(1))
     inc = rng.standard_normal(10)
-    full = predict_increments(pred, _history_from_increments(inc, 0.1), 3)
-    tail = predict_increments(pred, _history_from_increments(inc[-2:], 0.1), 3)
-    assert np.allclose(full, tail)
+    full = gaussian_correction_series(design, pred, _history_from_increments(inc, dt), horizon=3 * dt)
+    tail = gaussian_correction_series(design, pred, _history_from_increments(inc[-2:], dt), horizon=3 * dt)
+    assert np.allclose(full[-1], tail[-1])
+    assert not np.allclose(full[-1], 0.0)
 
-
-# ---------------------------------------------------------------------------
-# conditional-mean correction
-# ---------------------------------------------------------------------------
 
 def test_correction_zero_for_brownian():
+    # fBm at H = 1/2 has independent increments: V = 0 under Gaussian conditioning
     design = two_dim_design()
-    pred = Predictor(model=NoiseModel.brownian(), method="gaussian")
-    grid = make_grid(0.01, 1.0)
-    hist = sample_fbm(NoiseModel.brownian(), grid, d=2, seed=3)
-    corr = correction_term(design, pred, hist, t=1.0, horizon=0.5)
-    assert np.max(np.abs(corr.value)) == 0.0
-    assert not corr.truncated
+    model = NoiseModel.fbm(hurst=0.5)
+    pred = Predictor(model=model, method="gaussian")
+    hist = sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=3)
+    series = gaussian_correction_series(design, pred, hist, horizon=0.5)
+    assert np.max(np.abs(series)) == 0.0
 
 
 def test_correction_single_step_hand_composition():
@@ -156,33 +155,20 @@ def test_correction_single_step_hand_composition():
     design = two_dim_design()
     pred = Predictor(model=NoiseModel.fbm(hurst=h), method="gaussian")
     hist = _history_from_increments([[delta, -delta]], dt=dt)
-    corr = correction_term(design, pred, hist, t=dt, horizon=dt)
+    series = gaussian_correction_series(design, pred, hist, horizon=dt)
     rho = (2.0 ** (2 * h) - 2.0) / 2.0
-    assert np.allclose(corr.value, [rho * delta, -rho * delta], rtol=1e-10)
-
-
-def test_correction_truncation_flag_for_short_horizon():
-    # a horizon far below the closed-loop decay time leaves a tail bound
-    # above 10% of the correction and must be flagged
-    design = two_dim_design()
-    pred = Predictor(model=NoiseModel.fbm(hurst=0.4), method="gaussian")
-    grid = make_grid(0.01, 2.0)
-    hist = sample_fbm(NoiseModel.fbm(hurst=0.4), grid, d=2, seed=5)
-    short = correction_term(design, pred, hist, t=2.0, horizon=0.02)
-    assert short.truncated
-    long = correction_term(design, pred, hist, t=2.0, horizon=default_horizon(design, 0.01))
-    assert not long.truncated
+    assert np.allclose(series[1], [rho * delta, -rho * delta], rtol=1e-10)
 
 
 def test_correction_horizon_insensitive_when_decayed():
     design = two_dim_design()
-    pred = Predictor(model=NoiseModel.fbm(hurst=0.4), method="gaussian")
-    grid = make_grid(0.01, 2.0)
-    hist = sample_fbm(NoiseModel.fbm(hurst=0.4), grid, d=2, seed=5)
+    model = NoiseModel.fbm(hurst=0.4)
+    pred = Predictor(model=model, method="gaussian")
+    hist = sample_fbm(model, make_grid(0.01, 2.0), d=2, seed=5)
     t_h = default_horizon(design, 0.01)
-    base = correction_term(design, pred, hist, t=2.0, horizon=t_h)
-    double = correction_term(design, pred, hist, t=2.0, horizon=2.0 * t_h)
-    rel = np.linalg.norm(double.value - base.value) / np.linalg.norm(base.value)
+    base = gaussian_correction_series(design, pred, hist, horizon=t_h)
+    double = gaussian_correction_series(design, pred, hist, horizon=2.0 * t_h)
+    rel = np.linalg.norm(double[-1] - base[-1]) / np.linalg.norm(base[-1])
     assert rel < 0.01
 
 
@@ -196,11 +182,11 @@ def test_correction_term_memory_stays_linear_in_horizon():
     pred = Predictor(model=model, method="gaussian", window=256)
     tracemalloc.start()
     try:
-        corr = correction_term(design, pred, hist, t=3.0, horizon=20_000 * dt)
+        series = gaussian_correction_series(design, pred, hist, horizon=20_000 * dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.all(np.isfinite(corr.value))
+    assert np.all(np.isfinite(series))
     assert peak < 32 * 2**20
 
 
@@ -307,8 +293,8 @@ def test_pathwise_zero_driver():
     design = two_dim_design()
     grid = make_grid(0.01, 1.0)
     driver = lift_piecewise_linear(SamplePath(t=grid, values=np.zeros((grid.size, 2))))
-    corr = pathwise_correction(design, driver, t=0.0)
-    assert np.max(np.abs(corr.value)) == 0.0
+    corr = pathwise_correction_series(design, driver)
+    assert np.max(np.abs(corr)) == 0.0
 
 
 def test_pathwise_smooth_driver_matches_quadrature():
@@ -318,7 +304,7 @@ def test_pathwise_smooth_driver_matches_quadrature():
     dt, horizon = 1e-4, 6.0
     grid = make_grid(dt, horizon)
     path = SamplePath(t=grid, values=grid[:, None] * c[None, :], holder=1.0)
-    corr = pathwise_correction(design, lift_piecewise_linear(path), t=0.0, horizon=horizon)
+    corr = pathwise_correction_series(design, lift_piecewise_linear(path), horizon=horizon)[0]
 
     from scipy.linalg import expm
 
@@ -327,7 +313,7 @@ def test_pathwise_smooth_driver_matches_quadrature():
 
     raw = np.array([quad(integrand, 0.0, horizon, args=(i,), limit=400)[0] for i in range(2)])
     oracle = np.linalg.solve(design.P, raw)
-    assert np.max(np.abs(corr.value - oracle)) < 1e-8
+    assert np.max(np.abs(corr - oracle)) < 1e-8
 
 
 def test_pathwise_compensation_beats_plain_sums():
@@ -342,10 +328,10 @@ def test_pathwise_compensation_beats_plain_sums():
     target = np.linalg.solve(design.P, raw)
     grid = make_grid(dt, horizon)
     path = SamplePath(t=grid, values=grid[:, None] * c[None, :], holder=1.0)
-    compensated = pathwise_correction(design, lift_piecewise_linear(path), t=0.0, horizon=horizon)
+    compensated = pathwise_correction_series(design, lift_piecewise_linear(path), horizon=horizon)[0]
     # plain left-point sums: weight P, no level-2 compensation
     plain = _riemann_sum(design, path.increments, dt, design.P)
-    errs = {True: np.max(np.abs(compensated.value - target)), False: np.max(np.abs(plain - target))}
+    errs = {True: np.max(np.abs(compensated - target)), False: np.max(np.abs(plain - target))}
     assert errs[True] < 0.02 * errs[False]
 
 
@@ -362,8 +348,8 @@ def test_pathwise_refinement_cauchy():
         for stride in (16, 4, 1):
             idx = np.arange(0, fine_grid.size, stride)
             sub = SamplePath(t=fine.t[idx], values=fine.values[idx], holder=0.35)
-            corr = pathwise_correction(design, lift_piecewise_linear(sub), t=0.0, horizon=1.0)
-            vals.append(corr.value)
+            corr = pathwise_correction_series(design, lift_piecewise_linear(sub), horizon=1.0)[0]
+            vals.append(corr)
         d1 = np.linalg.norm(vals[1] - vals[0])
         d2 = np.linalg.norm(vals[2] - vals[1])
         ratios.append(d2 / d1)
@@ -378,13 +364,13 @@ def test_pathwise_correction_continuous_in_driver():
     grid = make_grid(2e-3, 1.0)
     base = sample_fbm(model, grid, d=2, seed=12)
     bump = np.sin(2.0 * np.pi * grid) * grid * (1.0 - grid)
-    v0 = pathwise_correction(design, lift_piecewise_linear(base), t=0.0, horizon=1.0).value
+    v0 = pathwise_correction_series(design, lift_piecewise_linear(base), horizon=1.0)[0]
     deltas = []
     for eta in (1e-1, 1e-2, 1e-3):
         pert = SamplePath(
             t=grid, values=base.values + eta * bump[:, None], holder=base.holder
         )
-        v_eta = pathwise_correction(design, lift_piecewise_linear(pert), t=0.0, horizon=1.0).value
+        v_eta = pathwise_correction_series(design, lift_piecewise_linear(pert), horizon=1.0)[0]
         deltas.append(np.linalg.norm(v_eta - v0))
     assert deltas[0] >= deltas[1] >= deltas[2]
     assert deltas[2] > 0.0  # the probe actually moved something
@@ -398,11 +384,12 @@ def test_pathwise_rejects_inadmissible_driver():
     values[1:] = np.cumsum(rng.standard_normal((grid.size - 1, 2)), axis=0)
     rough = lift_piecewise_linear(SamplePath(t=grid, values=values, holder=0.2))
     with pytest.raises(PredictorError):
-        pathwise_correction(design, rough, t=0.0)
+        pathwise_correction_series(design, rough)
 
 
 def test_pathwise_series_matches_single_calls():
-    # both package paths against compensated sums with explicit expm powers
+    # the series at single times against compensated sums with explicit
+    # expm powers over the increments from t_k on
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.4)
     dt = 0.02
@@ -411,15 +398,11 @@ def test_pathwise_series_matches_single_calls():
     series = pathwise_correction_series(design, driver)
     for k in (0, 7, 25, 50):
         oracle = _compensated_sum(design, driver.dx[k:], dt)
-        single = pathwise_correction(design, driver, t=grid[k])
         assert np.allclose(series[k], oracle, atol=1e-12)
-        assert np.allclose(single.value, oracle, atol=1e-12)
     # horizon-capped variant: the 15 increments after t_10
     oracle_cap = _compensated_sum(design, driver.dx[10:25], dt)
     series_cap = pathwise_correction_series(design, driver, horizon=0.3)
-    single_cap = pathwise_correction(design, driver, t=grid[10], horizon=0.3)
     assert np.allclose(series_cap[10], oracle_cap, atol=1e-12)
-    assert np.allclose(single_cap.value, oracle_cap, atol=1e-12)
 
 
 def _loop_pathwise_sums(design, dx, dt):
@@ -466,8 +449,8 @@ def test_pathwise_series_horizon_matches_loop():
 
 def _assert_series_matches_single_calls(design, model, grid, window, horizon, seed):
     # the series conditions step k on the last 2^floor(log2 min(k, window))
-    # increments; a single-time op with that window sees the same ones, and
-    # both must match dense conditioning of those increments
+    # increments; at every single time it must match dense conditioning of
+    # those increments
     path = sample_fbm(model, grid, d=design.n, seed=seed)
     pred = Predictor(model=model, method="gaussian", window=window)
     series = gaussian_correction_series(design, pred, path, horizon=horizon)
@@ -478,11 +461,7 @@ def _assert_series_matches_single_calls(design, model, grid, window, horizon, se
         oracle = _dense_gaussian_correction(
             design, model.hurst, path.increments[k - size : k], dt, horizon
         )
-        single_pred = Predictor(model=model, method="gaussian", window=size)
-        hist = SamplePath(t=grid[: k + 1], values=path.values[: k + 1])
-        single = correction_term(design, single_pred, hist, t=grid[k], horizon=horizon)
         np.testing.assert_allclose(series[k], oracle, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(single.value, oracle, rtol=1e-9, atol=1e-12)
 
 
 def test_gaussian_series_matches_single_calls_at_pow2_windows():
@@ -544,35 +523,3 @@ def test_gaussian_series_zero_for_brownian():
     path = sample_fbm(model, grid, d=2, seed=1)
     pred = Predictor(model=model, method="gaussian")
     assert np.max(np.abs(gaussian_correction_series(design, pred, path, horizon=0.4))) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# control law
-# ---------------------------------------------------------------------------
-
-def test_law_reduces_to_lqr_without_correction():
-    design = two_dim_design()
-    x = np.array([0.4, -1.2])
-    assert np.allclose(glq_control_law(design, x), -design.K @ x)
-    assert np.allclose(glq_control_law(design, x, np.zeros(2)), -design.K @ x)
-
-
-def test_law_pure_correction():
-    design = two_dim_design()
-    v = np.array([0.5, 0.1])
-    assert np.allclose(glq_control_law(design, np.zeros(2), v), -design.K @ v)
-
-
-def test_law_scalar_arithmetic():
-    design = scalar_design(a=0.0, q=1.0)  # P = K = 1
-    u = glq_control_law(design, np.array([2.0]), np.array([0.5]))
-    assert u[0] == pytest.approx(-2.5, abs=1e-12)
-
-
-def test_law_linearity_exact():
-    design = two_dim_design()
-    rng = np.random.Generator(np.random.PCG64(2))
-    x1, x2, v1, v2 = (rng.standard_normal(2) for _ in range(4))
-    left = glq_control_law(design, x1 + x2, v1 + v2)
-    right = glq_control_law(design, x1, v1) + glq_control_law(design, x2, v2)
-    assert np.allclose(left, right, atol=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from roughlq.lift import (
     DegeneratePathError,
-    LiftError,
     OffGridError,
     RoughPath,
     chen_defect,
@@ -13,7 +12,6 @@ from roughlq.lift import (
     holder_estimate,
     lift_piecewise_linear,
     lift_to_csv,
-    p_variation,
     reconstruct,
     rough_integral_admissible,
 )
@@ -207,40 +205,6 @@ def test_holder_estimate_degenerate():
     grid = make_grid(1.0 / 128.0, 1.0)
     with pytest.raises(DegeneratePathError):
         holder_estimate(SamplePath(t=grid, values=np.zeros((grid.size, 1))))
-
-
-# ---------------------------------------------------------------------------
-# p-variation
-# ---------------------------------------------------------------------------
-
-def test_p_variation_monotone_path():
-    # telescoping: 1-variation of a monotone path is its total rise
-    path = _line_path([3.0], n=32)
-    assert p_variation(path, 1.0) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_p_variation_zigzag():
-    n, h = 16, 0.25
-    values = np.zeros((n + 1, 1))
-    values[1::2, 0] = h
-    path = SamplePath(t=np.arange(n + 1, dtype=float), values=values)
-    assert p_variation(path, 1.0) == pytest.approx(n * h, abs=1e-12)
-
-
-def test_p_variation_monotone_in_p():
-    model = NoiseModel.fbm(hurst=0.35)
-    grid = make_grid(1.0 / 128.0, 1.0)
-    for seed in range(10):
-        path = sample_fbm(model, grid, seed=seed)
-        v2 = p_variation(path, 2.0)
-        v3 = p_variation(path, 3.0)
-        assert np.isfinite(v2) and np.isfinite(v3)
-        assert v3 <= v2 + 1e-12
-
-
-def test_p_variation_rejects_small_p():
-    with pytest.raises(LiftError):
-        p_variation(_line_path([1.0], n=4), 0.5)
 
 
 # ---------------------------------------------------------------------------

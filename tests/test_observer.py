@@ -5,7 +5,6 @@ from roughlq.noise import NoiseModel, make_grid, sample_fbm
 from roughlq.observer import (
     NoiseSecondMoments,
     ObserverError,
-    error_dynamics_step,
     estimate_second_moments,
     gain_stationarity_check,
     modified_are_residual,
@@ -244,13 +243,19 @@ def test_cost_separation_across_seeds():
     assert abs(cross_terms.mean()) < 3.0 * se
 
 
+def _error_step(a, l_gain, c, e, dv, dw, dt):
+    # one step of the error recursion, as a batch of one
+    out = simulate_error_process(a, l_gain, c, dv[None, None], dw[None, None], dt, e0=e)
+    return out[0, 1]
+
+
 def test_error_step_equilibrium_and_open_loop():
     a = np.array([[0.0, 1.0], [-2.0, -1.0]])
     zero = np.zeros(2)
-    assert np.allclose(error_dynamics_step(a, np.zeros((2, 2)), np.eye(2), zero, zero, zero, 0.01), zero)
+    assert np.allclose(_error_step(a, np.zeros((2, 2)), np.eye(2), zero, zero, zero, 0.01), zero)
     e = np.array([1.0, -1.0])
     dv = np.array([0.1, 0.2])
-    out = error_dynamics_step(a, np.zeros((2, 2)), np.eye(2), e, dv, zero, 0.01)
+    out = _error_step(a, np.zeros((2, 2)), np.eye(2), e, dv, zero, 0.01)
     assert np.allclose(out, e + a @ e * 0.01 + dv)
 
 
@@ -262,10 +267,9 @@ def test_error_step_richardson_order():
     e0 = np.array([0.3, -0.2])
     errs = []
     for dt in (0.02, 0.01):
-        full = error_dynamics_step(a, l_gain, c, e0, np.zeros(2), np.zeros(2), dt)
-        half = error_dynamics_step(a, l_gain, c, e0, np.zeros(2), np.zeros(2), dt / 2)
-        half = error_dynamics_step(a, l_gain, c, half, np.zeros(2), np.zeros(2), dt / 2)
-        errs.append(np.linalg.norm(full - half))
+        full = simulate_error_process(a, l_gain, c, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), dt, e0=e0)
+        half = simulate_error_process(a, l_gain, c, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), dt / 2, e0=e0)
+        errs.append(np.linalg.norm(full[0, -1] - half[0, -1]))
     order = np.log2(errs[0] / errs[1])
     assert order > 1.8
 

@@ -8,7 +8,6 @@ from roughlq.riccati import (
     ControlDesign,
     RiccatiError,
     care_residual,
-    fundamental_solution,
     solve_care,
     solve_lyapunov,
     spectral_abscissa,
@@ -142,54 +141,6 @@ def test_care_matches_hamiltonian_stable_subspace(q_diag, r):
     d = solve_care(pm.A, pm.B, q, rm)
     oracle = hamiltonian_stable_subspace_solution(pm.A, pm.B, q, rm)
     assert np.linalg.norm(d.P - oracle) < 1e-10 * np.linalg.norm(oracle)
-
-
-# ---------------------------------------------------------------------------
-# fundamental solution
-# ---------------------------------------------------------------------------
-
-def test_phi_identity_at_s_equals_t():
-    a_cl = np.array([[0.0, 1.0], [-2.0, -3.0]])
-    assert np.allclose(fundamental_solution(a_cl, 1.5, 1.5), np.eye(2), atol=1e-14)
-
-
-def test_phi_diagonal_exponential():
-    a_cl = np.diag([-1.0, -2.0])
-    phi = fundamental_solution(a_cl, 1.0, 0.0)
-    assert np.allclose(np.diag(phi), [math.exp(-1.0), math.exp(-2.0)], rtol=1e-12)
-
-
-def test_phi_semigroup_property():
-    rng = np.random.Generator(np.random.PCG64(3))
-    a_cl = -np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    worst = 0.0
-    for _ in range(20):
-        s, u, t = np.sort(rng.uniform(-2.0, 2.0, size=3))[::-1]
-        lhs = fundamental_solution(a_cl, s, u) @ fundamental_solution(a_cl, u, t)
-        rhs = fundamental_solution(a_cl, s, t)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    assert worst < 1e-10
-
-
-def test_phi_satisfies_ode_by_central_difference():
-    pm = build_pendulum()
-    d = solve_care(pm.A, pm.B, np.eye(4), np.array([[1.0]]))
-    a_cl = d.A_cl
-    s, t = 0.7, 0.2
-    errs = []
-    for h in (1e-3, 1e-4):
-        num = (fundamental_solution(a_cl, s + h, t) - fundamental_solution(a_cl, s - h, t)) / (2 * h)
-        errs.append(np.max(np.abs(num - a_cl @ fundamental_solution(a_cl, s, t))))
-    order = math.log(errs[0] / errs[1]) / math.log(10.0)
-    assert order >= 1.8
-
-
-def test_phi_decays_for_hurwitz():
-    pm = build_pendulum()
-    d = solve_care(pm.A, pm.B, np.eye(4), np.array([[1.0]]))
-    # beyond a few slowest time constants the norm must contract
-    tau = 5.0 / abs(spectral_abscissa(d.A_cl))
-    assert np.linalg.norm(fundamental_solution(d.A_cl, tau, 0.0), 2) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from roughlq.bench import noise_paths
 from roughlq.control import completion_of_squares_gap, pathwise_cost
 from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm, sample_path
 from roughlq.observer import NoiseSecondMoments, solve_observer_steady_state
@@ -21,7 +23,6 @@ from roughlq.sim import (
     continuity_probe,
     correction_to_csv,
     integrate,
-    refinement_convergence,
     trajectory_to_csv,
     _correction_series,
 )
@@ -678,6 +679,42 @@ def test_continuity_probe_metric_relevance():
     assert saw[1] / saw[0] <= smooth[1] / smooth[0] * 1.001
 
 
+def _refinement_convergence(config, design, levels=(1, 2, 4)):
+    """Self-convergence under step halving with a shared noise realisation.
+
+    Samples the driver of ``config.seed`` on the finest grid, from the
+    streams ``noise_paths`` draws, aggregates its
+    increments for the coarser grids, and compares trajectories on
+    common times.  Returns the list of successive sup-norm differences
+    and the fitted order ``log2(d[i] / d[i+1])`` averaged over pairs.
+    """
+    finest = max(levels)
+    fine_cfg = replace(config, dt=config.dt / finest)
+    fine_grid = fine_cfg.grid()
+    v_fine, w_fine = noise_paths(fine_cfg, config.seed)
+
+    trajs = {}
+    for level in sorted(levels):
+        stride = finest // level
+        idx = np.arange(0, fine_grid.shape[0], stride)
+        grid = fine_grid[idx]
+        v = SamplePath(t=grid, values=v_fine.values[idx], holder=v_fine.holder)
+        w = SamplePath(t=grid, values=w_fine.values[idx], holder=w_fine.holder)
+        cfg = replace(config, dt=config.dt / level)
+        trajs[level] = (integrate(cfg, v, w, design), stride)
+
+    diffs = []
+    lv = sorted(levels)
+    for a, b in zip(lv[:-1], lv[1:]):
+        ta, _ = trajs[a]
+        tb, _ = trajs[b]
+        ratio = b // a
+        k = min(ta.x.shape[0], (tb.x.shape[0] - 1) // ratio + 1)
+        diffs.append(float(np.max(np.abs(ta.x[:k] - tb.x[: (k - 1) * ratio + 1 : ratio]))))
+    orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
+    return {"diffs": diffs, "order": float(np.mean(orders)) if orders else float("nan")}
+
+
 def test_refinement_convergence_orders():
     model = pendulum_model()
     base = dict(
@@ -693,17 +730,17 @@ def test_refinement_convergence_orders():
 
     # deterministic run: classical Euler order ~ 1
     cfg = SimConfig(noise_v=NoiseModel.brownian(sigma=1e-12), **base)
-    out = refinement_convergence(cfg, design, levels=(1, 2, 4))
+    out = _refinement_convergence(cfg, design, levels=(1, 2, 4))
     assert 0.7 <= out["order"] <= 1.3
 
     # Brownian additive noise: still ~ first order
     cfg = SimConfig(noise_v=NoiseModel.brownian(sigma=0.3), **base)
-    out = refinement_convergence(cfg, design, levels=(1, 2, 4))
+    out = _refinement_convergence(cfg, design, levels=(1, 2, 4))
     assert out["order"] >= 0.7
 
     # fBm: monotone Cauchy differences
     cfg = SimConfig(noise_v=NoiseModel.fbm(hurst=0.35, sigma=0.3), **base)
-    out = refinement_convergence(cfg, design, levels=(1, 2, 4))
+    out = _refinement_convergence(cfg, design, levels=(1, 2, 4))
     assert out["diffs"][1] < out["diffs"][0]
     assert out["order"] >= min(1.0, 0.7) - 0.3
 
