@@ -32,7 +32,6 @@ from .riccati import (
 )
 from .pendulum import PendulumModel, build_pendulum
 from .control import (
-    Predictor,
     PredictorError,
     completion_of_squares_gap,
     default_horizon,

@@ -34,6 +34,7 @@ from .sim import (
     SimConfig,
     StateSpaceModel,
     Trajectory,
+    average_cost,
     correction_to_csv,
     integrate,
     trajectory_to_csv,
@@ -247,17 +248,16 @@ def noise_paths(run: SimConfig, seed: int):
     return v, w
 
 
-def saturation_onset_duty(traj: Trajectory, saturation: float, onset_norm: float = 1e3) -> float:
+def saturation_onset_duty(traj: Trajectory, saturation: float) -> float:
     """Fraction of steps at the saturation limit after divergence onset.
 
-    Onset is the last time the state norm sat below ``onset_norm`` (the
-    stabilised regime lives well under it; the kill threshold is far
-    above).  Returns the duty over the whole run when the norm never
-    reached the onset level.
+    Onset is the last time the state norm sat below 1e3 (the stabilised
+    regime lives well under it; the kill threshold is far above).  Returns
+    the duty over the whole run when the norm never reached that level.
     """
     railed = np.abs(traj.u_raw).max(axis=1) >= saturation
     norms = np.linalg.norm(traj.x, axis=1)
-    below = np.nonzero(norms <= onset_norm)[0]
+    below = np.nonzero(norms <= 1e3)[0]
     onset = below[-1] if below.size else 0
     tail = railed[onset:]
     return float(tail.mean()) if tail.size else 0.0
@@ -284,14 +284,15 @@ def _observer_design_for(
     replications: int = MOMENT_REPLICATIONS,
     seed: int = MOMENT_SEED,
 ):
-    """Estimate the noise moments on ``grid`` and solve the observer.
+    """Estimate the noise moments on ``grid`` and solve the observer of
+    ``model``, which supplies only ``A`` and ``C``.
 
     Replication j draws its process noise from ``seed + 2j`` and its
     measurement noise from ``seed + 2j + 1``; heavy-tailed process noise
     is clipped at ``HEAVY_TAIL_QUANTILE``.  Returns ``(design, moments)``.
     """
-    v_paths = sample_paths(noise_v, grid, model.n, [seed + 2 * j for j in range(replications)])
-    w_paths = sample_paths(noise_w, grid, model.p, [seed + 2 * j + 1 for j in range(replications)])
+    v_paths = sample_paths(noise_v, grid, model.A.shape[0], [seed + 2 * j for j in range(replications)])
+    w_paths = sample_paths(noise_w, grid, model.C.shape[0], [seed + 2 * j + 1 for j in range(replications)])
     heavy = noise_v.kind == "stable" and noise_v.alpha < 2.0
     quantile = HEAVY_TAIL_QUANTILE if heavy else None
     moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=quantile)
@@ -335,7 +336,7 @@ def run_comparison(
     if "controller" in cfg["simulate"]:
         raise ConfigError("compare reads [run] controllers; [simulate] controller is not read")
     base = sim_template(cfg)
-    # SimConfig rejects an unknown controller before anything is written
+    # SimConfig rejects an unknown controller or inadmissible predictor before anything is written
     by_controller = {controller: replace(base, controller=controller) for controller in controllers}
     model = base.model
     design = solve_care(model.A, model.B, model.Q, model.R)
@@ -356,7 +357,7 @@ def run_comparison(
         v, w = noise_paths(base, seed)
         for controller in controllers:
             for mode in modes:
-                run = replace(by_controller[controller], observer_enabled=(mode == "observer"), seed=seed)
+                run = replace(by_controller[controller], observer_enabled=(mode == "observer"))
                 tag = f"{scenario}_{controller}_{mode}_seed{seed:03d}"
                 try:
                     traj = integrate(run, v, w, design, observer=observer)
@@ -386,7 +387,7 @@ def run_comparison(
                         seed=seed,
                         diverged=traj.diverged,
                         t_diverge=traj.t_diverge,
-                        mean_cost=float("inf") if traj.diverged else traj.final_cost / base.horizon,
+                        mean_cost=average_cost(traj),
                         final_norm=final_norm,
                         final_angle_deg=final_angle,
                         sat_duty=saturation_onset_duty(traj, base.saturation),

@@ -34,8 +34,9 @@ from .control import PredictorError
 from .lift import LiftError, chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
 from .noise import NoiseError, make_grid, path_from_csv, path_to_csv, sample_path
 from .observer import MIN_REPLICATIONS, ObserverError
+from .pendulum import build_pendulum
 from .riccati import RiccatiError, solve_care
-from .sim import SimError, correction_to_csv, integrate, trajectory_to_csv
+from .sim import CONTROLLERS, PREDICTORS, SimError, average_cost, correction_to_csv, integrate, trajectory_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -160,9 +161,8 @@ def cmd_lift_check(args) -> int:
 def cmd_observer(args) -> int:
     if args.replications < MIN_REPLICATIONS:
         raise ConfigError(f"--replications must be at least {MIN_REPLICATIONS}, got {args.replications}")
-    model = build_state_space(_parse_floats(args.q_diag), args.r)
     design, moments = _observer_design_for(
-        model,
+        build_pendulum(),
         _noise_from(vars(args)),
         _noise_from(vars(args), prefix="w_"),
         make_grid(args.dt, args.moment_horizon),
@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
     if "run" in overrides:
         raise ConfigError("simulate reads no [run] section; its seed is --seed")
     cfg = merge(SIMULATE_BASE, overrides)
-    run = replace(sim_template(cfg), observer_enabled=args.observer_enabled, seed=args.seed)
+    run = replace(sim_template(cfg), observer_enabled=args.observer_enabled)
     model = run.model
     v, w = noise_paths(run, args.seed)
     observer = None
@@ -204,7 +204,7 @@ def cmd_simulate(args) -> int:
         correction_to_csv(traj, str(out / "correction.csv"))
     summary = {
         "final_cost": f"{traj.final_cost:.17g}",
-        "average_cost": f"{traj.final_cost / float(traj.t[-1]):.17g}",
+        "average_cost": f"{average_cost(traj):.17g}",
         "diverged": str(int(traj.diverged)),
         "t_diverge": "" if traj.t_diverge is None else f"{traj.t_diverge:.17g}",
     }
@@ -282,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("seed", "dt"))
     _add_noise_args(p, default_kind="fbm")
     _add_noise_args(p, prefix="w_", default_kind="fbm")
-    p.add_argument("--q-diag", default=BASE_CONFIG["model"]["q_diag"])
-    p.add_argument("--r", type=float, default=BASE_CONFIG["model"]["r"])
     p.add_argument("--replications", type=int, default=MOMENT_REPLICATIONS)
     p.add_argument("--moment-horizon", type=float, default=2.0)
     p.set_defaults(func=cmd_observer)
@@ -296,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_args(p, prefix="w_")
     p.add_argument("--q-diag", default=None)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--controller", default=None, choices=["classical", "glq"])
-    p.add_argument("--predictor", default=None, choices=["pathwise", "gaussian", "zero_mean"])
+    p.add_argument("--controller", default=None, choices=CONTROLLERS)
+    p.add_argument("--predictor", default=None, choices=PREDICTORS)
     p.add_argument("--observer", dest="observer_enabled", action="store_true")
     p.add_argument("--sat", dest="saturation", type=float, default=None)
     p.add_argument("--x0", default=None)

@@ -11,38 +11,30 @@ expressed in state units through the normalisation ``V = P^{-1} r``,
 which makes ``-K (x + V) = -R^{-1} B^T (P x + r)`` the exact
 completion-of-squares minimiser.
 
-A :class:`Predictor` replaces the future increments by their conditional
-mean given the past:
-
-* ``zero_mean`` - valid only for independent-increment, zero-mean noise
-  (Brownian; symmetric centred stable with alpha > 1), where V = 0,
-* ``gaussian`` - exact Gaussian conditioning of future fBm increments on
-  a finite window of observed increments (the causal optimum of Duncan &
-  Pasik-Duncan, SIAM J. Control Optim. 2013).
-
 V is read only as a series along a path, one entry point per mode:
-:func:`gaussian_correction_series` conditions on the past through the lag
-sums ``H[l] = sum_j Phi(j)^T P gamma(j + l)`` of the fGn autocovariance
-``gamma``, and :func:`pathwise_correction_series` evaluates the
-realised-path integral against a fixed rough driver (it reads the future)
-by one backward recursion with compensated (level-2 aware) Riemann sums.
+:func:`gaussian_correction_series` replaces the future increments by their
+conditional mean given a window of past ones (exact Gaussian conditioning
+of fBm, the causal optimum of Duncan & Pasik-Duncan, SIAM J. Control
+Optim. 2013) through the lag sums ``H[l] = sum_j Phi(j)^T P gamma(j + l)``
+of the fGn autocovariance ``gamma``; at H = 1/2 it is 0, and the law is LQR.
+:func:`pathwise_correction_series` evaluates the realised-path integral
+against a fixed rough driver (it reads the future) by one backward
+recursion with compensated (level-2 aware) Riemann sums.  ``roughlq.sim``
+decides which mode a run's noise admits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm, toeplitz
 
 from .lift import RoughPath, rough_integral_admissible
-from .noise import NoiseModel, SamplePath, fgn_autocovariance
+from .noise import SamplePath, fgn_autocovariance
 from .riccati import ControlDesign
 
 __all__ = [
     "PredictorError",
-    "Predictor",
     "default_horizon",
     "pathwise_correction_series",
     "gaussian_correction_series",
@@ -65,45 +57,7 @@ _HORIZON_MEMO: dict = {}
 
 
 class PredictorError(ValueError):
-    """Raised when a prediction mode is invalid for the noise model."""
-
-
-def _zero_mean_valid(model: NoiseModel) -> bool:
-    if model.kind == "brownian":
-        return True
-    if model.kind == "fbm":
-        return model.hurst == 0.5
-    # stable: mean exists only for alpha > 1; zero only when symmetric
-    return model.alpha > 1.0 and model.beta == 0.0 and model.delta == 0.0
-
-
-@dataclass(frozen=True)
-class Predictor:
-    """Conditional-mean model for future noise increments.
-
-    ``method`` is ``"zero_mean"`` or ``"gaussian"``; ``window`` bounds how
-    many trailing increments the Gaussian conditioning sees.
-    """
-
-    model: NoiseModel
-    method: str = "gaussian"
-    window: int = 256
-
-    def __post_init__(self):
-        if self.method not in ("zero_mean", "gaussian"):
-            raise PredictorError(f"unknown predictor method {self.method!r}")
-        if self.window < 1:
-            raise PredictorError("window must be positive")
-        if self.method == "zero_mean" and not _zero_mean_valid(self.model):
-            if self.model.kind == "stable" and self.model.alpha <= 1.0:
-                raise PredictorError(
-                    "stable noise with alpha <= 1 has no mean; no zero-mean predictor"
-                )
-            raise PredictorError(
-                "zero_mean is only valid for independent-increment zero-mean noise"
-            )
-        if self.method == "gaussian" and self.model.kind == "stable":
-            raise PredictorError("gaussian conditioning needs a Gaussian model")
+    """Raised for invalid correction inputs."""
 
 
 def _powers(step: np.ndarray, count: int) -> np.ndarray:
@@ -189,11 +143,6 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise PredictorError("history Gram matrix is singular") from exc
 
 
-def _independent(pred: Predictor) -> bool:
-    """Zero conditional mean: declared so, or Brownian (H = 1/2)."""
-    return pred.method == "zero_mean" or pred.model.hurst == 0.5
-
-
 def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np.ndarray:
     """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. L = len(gamma) - m,
     row l - 1 holding H[l] as a flat n x n block.
@@ -222,14 +171,15 @@ def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np
 
 def gaussian_correction_series(
     design: ControlDesign,
-    pred: Predictor,
+    hurst: float,
     path: SamplePath,
+    window: int = 256,
     horizon: float | None = None,
 ) -> np.ndarray:
-    """Conditional-mean V(t_k) along a sampled path, shape (N + 1, n).
+    """Conditional-mean V(t_k) along an fBm path of index ``hurst``, shape (N + 1, n).
 
-    Identically zero for ``zero_mean`` and H = 1/2.  For other Hurst
-    indices the conditioning window at step k is the largest power of two
+    Identically zero at H = 1/2.  For other Hurst indices the
+    conditioning window at step k is the largest power of two
     s not exceeding min(k, window), and V(t_k) is ``P^{-1}`` times the
     ``Phi^T P``-weighted sum of the conditional means of the next m
     increments (m horizon steps, default :func:`default_horizon`) given
@@ -241,17 +191,19 @@ def gaussian_correction_series(
     windows of the increments.  Cost: O(m n^3 + window n^3) for the lag
     sums, O(window^3) for the solves and O(N window n^2) for the sweep.
     """
+    if not (0.0 < hurst < 1.0 and window >= 1):
+        raise PredictorError(f"need 0 < hurst < 1 and window >= 1, got {hurst} and {window}")
     n_steps = path.n_steps
     n = design.n
     out = np.zeros((n_steps + 1, n))
-    if _independent(pred):
+    if hurst == 0.5:
         return out
     dt = path.dt
     if horizon is None:
         horizon = _memo_horizon(design, dt)
     m = max(1, int(round(horizon / dt)))
-    sizes = [1 << i for i in range(min(pred.window, n_steps).bit_length())]
-    gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(pred.model.hurst))
+    sizes = [1 << i for i in range(min(window, n_steps).bit_length())]
+    gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(hurst))
     lag_sums = _lag_sums(design, gamma, m, dt)
 
     inc = path.increments

@@ -150,19 +150,19 @@ def chen_defect(rp: RoughPath, s: float, u: float, t: float) -> float:
     return chen_gap(xx_st, xx_su, xx_ut, x_su, x_ut)
 
 
-def holder_estimate(path: SamplePath, max_lag: int | None = None) -> float:
+def holder_estimate(path: SamplePath) -> float:
     """Regularity exponent from max-increment scaling over dyadic lags.
 
     Fits ``log max_k |x(t_{k+l}) - x(t_k)|`` against ``log(l * dt)`` by
-    least squares over lags l = 1, 2, 4, ...; the slope estimates the
-    Holder exponent.  Raises :class:`DegeneratePathError` on constant
-    paths, where the statistic is undefined.
+    least squares over lags l = 1, 2, 4, ... up to min(32, N / 8); the
+    slope estimates the Holder exponent.  Raises
+    :class:`DegeneratePathError` on constant paths, where the statistic is
+    undefined.
     """
     n = path.n_steps
     if n < 64:
         raise LiftError("need at least 64 steps for a regularity estimate")
-    if max_lag is None:
-        max_lag = min(32, n // 8)
+    max_lag = min(32, n // 8)
     values = path.values
     lags, peaks = [], []
     lag = 1

@@ -32,17 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemv
 
-from .control import (
-    Predictor,
-    gaussian_correction_series,
-    pathwise_correction_series,
-)
+from .control import gaussian_correction_series, pathwise_correction_series
 from .lift import lift_piecewise_linear
 from .noise import NoiseModel, SamplePath, _write_table, make_grid
 from .observer import ObserverDesign
 from .riccati import ControlDesign
 
 __all__ = [
+    "CONTROLLERS",
+    "PREDICTORS",
     "SimError",
     "StateSpaceModel",
     "SimConfig",
@@ -60,6 +58,12 @@ DIVERGENCE_NORM = 1e12
 
 #: steps between two divergence tests; rows computed past a halt are dropped
 _BLOCK = 256
+
+#: the laws: ``classical`` is u = -K x, ``glq`` is u = -K (x + V)
+CONTROLLERS = ("classical", "glq")
+#: how ``glq`` forms V: ``pathwise`` reads the realised driver (the future),
+#: ``gaussian`` conditions on the past and needs Gaussian process noise
+PREDICTORS = ("pathwise", "gaussian")
 
 
 class SimError(ValueError):
@@ -114,21 +118,22 @@ class SimConfig:
     model: StateSpaceModel
     noise_v: NoiseModel
     noise_w: NoiseModel
-    controller: str = "classical"  # or "glq"
-    predictor: str = "pathwise"  # glq correction mode
+    controller: str = "classical"  # one of CONTROLLERS
+    predictor: str = "pathwise"  # one of PREDICTORS; read by glq only
     observer_enabled: bool = False
     dt: float = 1e-3
     horizon: float = 10.0
     saturation: float = 1000.0
     x0: np.ndarray | None = None
     xhat0: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.controller not in ("classical", "glq"):
+        if self.controller not in CONTROLLERS:
             raise SimError(f"unknown controller {self.controller!r}")
-        if self.predictor not in ("pathwise", "gaussian", "zero_mean"):
+        if self.predictor not in PREDICTORS:
             raise SimError(f"unknown predictor {self.predictor!r}")
+        if self.controller == "glq" and self.predictor == "gaussian" and self.noise_v.kind == "stable":
+            raise SimError("the gaussian predictor needs Gaussian process noise, not stable")
         if not np.isfinite([self.dt, self.horizon]).all():
             raise SimError(f"dt and horizon must be finite, got {self.dt} and {self.horizon}")
         if self.dt <= 0.0 or self.horizon < 10.0 * self.dt:
@@ -179,8 +184,7 @@ def _correction_series(config: SimConfig, design: ControlDesign, v_path: SampleP
         return None
     if config.predictor == "pathwise":
         return pathwise_correction_series(design, lift_piecewise_linear(v_path))
-    pred = Predictor(model=config.noise_v, method=config.predictor)
-    return gaussian_correction_series(design, pred, v_path)
+    return gaussian_correction_series(design, config.noise_v.hurst, v_path)
 
 
 def integrate(

@@ -23,11 +23,7 @@ import pytest
 from scipy import stats
 
 from roughlq.bench import run_comparison, saturation_onset_duty
-from roughlq.control import (
-    Predictor,
-    completion_of_squares_gap,
-    pathwise_correction_series,
-)
+from roughlq.control import completion_of_squares_gap, pathwise_correction_series
 from roughlq.lift import chen_defect, holder_estimate, lift_piecewise_linear, reconstruct
 from roughlq.noise import (
     NoiseModel,

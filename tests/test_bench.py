@@ -38,7 +38,7 @@ def test_runs_csv_round_trips_through_load_report(monkeypatch, tmp_path):
     real = bench.integrate
 
     def fail_seed_1(run, *args, **kwargs):
-        if run.seed == 1:
+        if args[0].seed == 1:  # the process-noise path of run seed 1
             raise FloatingPointError("overflow")
         return real(run, *args, **kwargs)
 
@@ -70,10 +70,24 @@ def test_repeated_seed_is_a_config_error(tmp_path):
         pytest.param(
             {"seeds": [0], "controllers": ["bogus"]}, SimError, "unknown controller 'bogus'", id="unknown-controller"
         ),
+        pytest.param(
+            {"scenario": "stable15", "seeds": [0], "overrides": {"simulate": {"predictor": "gaussian"}}},
+            SimError,
+            "the gaussian predictor needs Gaussian process noise",
+            id="gaussian-predictor-on-stable-noise",
+        ),
     ],
 )
 def test_run_list_is_checked_before_out_is_created(tmp_path, kwargs, error, message):
     out = tmp_path / "out"
     with pytest.raises(error, match=message):
-        bench.run_comparison("fbm035", out_dir=out, **kwargs)
+        bench.run_comparison(**{"scenario": "fbm035", "out_dir": out, **kwargs})
     assert not out.exists()
+
+
+def test_classical_run_ignores_the_predictor():
+    # only glq reads the predictor, so a classical-only stable15 run with
+    # the gaussian predictor configured still runs
+    overrides = {"run": {"observer": "fullstate"}, "simulate": {"horizon": "0.1", "predictor": "gaussian"}}
+    report = bench.run_comparison("stable15", controllers=["classical"], seeds=[0], overrides=overrides)
+    assert [(r.controller, r.mode, r.seed) for r in report.records] == [("classical", "fullstate", 0)]

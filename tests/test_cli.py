@@ -83,6 +83,8 @@ def test_cli_simulate_rejects_run_section(tmp_path, capsys):
         ["compare", "--scenario", "fbm035", "--out", "o", "--seed", "1"],
         ["noise-gen", "--out", "o", "--config", "c.cfg"],
         ["lift-check", "--config", "c.cfg"],
+        ["observer", "--r", "2"],
+        ["observer", "--q-diag", "1,1,1,1"],
     ],
 )
 def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_path, monkeypatch):
@@ -126,19 +128,26 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         pytest.param(["noise-gen", "--seed", "-1"], 2, id="noise-gen-negative-seed"),
         pytest.param(["lift-check", "--seed", "-1"], 2, id="lift-check-negative-seed"),
         pytest.param(["observer", "--seed", "-1"], 2, id="observer-negative-seed"),
+        pytest.param(
+            ["compare", "--scenario", "stable15", "--seeds", "0", "--horizon", "0.1", "--config", "gaussian.cfg"],
+            2,
+            id="compare-gaussian-predictor-on-stable-noise",
+        ),
     ],
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
-    # a PredictorError, a SimError, a NoiseError, too few observer
-    # replications, a non-finite grid, plant weight or initial state, a
-    # negative triple count, an empty seed range, a repeated or negative
-    # seed and a repeated or unknown controller are config errors; an
-    # ObserverError from the observer solve, made to fail here, is a
-    # numeric failure
+    # an unknown predictor or one the noise does not admit, a SimError, a
+    # NoiseError, too few observer replications, a non-finite grid, plant
+    # weight or initial state, a negative triple count, an empty seed
+    # range, a repeated or negative seed and a repeated or unknown
+    # controller are config errors; an ObserverError from the observer
+    # solve, made to fail here, is a numeric failure
     def failing_solve(*args, **kwargs):
         raise ObserverError("no stabilising solution")
 
     monkeypatch.setattr(bench, "solve_observer_steady_state", failing_solve)
+    monkeypatch.chdir(tmp_path)
+    Path("gaussian.cfg").write_text("[simulate]\npredictor = gaussian\n")
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == code
     if argv[0] == "compare":

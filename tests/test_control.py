@@ -6,8 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from roughlq.bench import build_state_space
 from roughlq.control import (
-    Predictor,
     PredictorError,
     default_horizon,
     gaussian_correction_series,
@@ -18,6 +18,7 @@ from roughlq.lift import lift_piecewise_linear
 from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_fbm
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
+from roughlq.sim import SimConfig, SimError
 
 
 def scalar_design(a=0.0, q=1.0):
@@ -64,27 +65,21 @@ def _dense_gaussian_correction(design, hurst, increments, dt, horizon):
 # predictor validity
 # ---------------------------------------------------------------------------
 
-def test_zero_mean_rejected_for_dependent_increments():
-    with pytest.raises(PredictorError):
-        Predictor(model=NoiseModel.fbm(hurst=0.35), method="zero_mean")
-    Predictor(model=NoiseModel.brownian(), method="zero_mean")  # fine
-    Predictor(model=NoiseModel.stable(alpha=1.5), method="zero_mean")  # fine
-
-
-def test_zero_mean_rejected_for_heavy_tail_without_mean():
-    with pytest.raises(PredictorError, match="alpha <= 1"):
-        Predictor(model=NoiseModel.stable(alpha=0.9), method="zero_mean")
-
-
 def test_gaussian_conditioning_rejected_for_stable():
-    with pytest.raises(PredictorError):
-        Predictor(model=NoiseModel.stable(alpha=1.5), method="gaussian")
+    # a glq run may not condition stable noise as if it were Gaussian; a
+    # classical run reads no predictor
+    run = dict(model=build_state_space([1, 1, 1, 1], 1), noise_w=NoiseModel.brownian(), predictor="gaussian")
+    with pytest.raises(SimError, match="Gaussian process noise"):
+        SimConfig(noise_v=NoiseModel.stable(alpha=1.5), controller="glq", **run)
+    SimConfig(noise_v=NoiseModel.stable(alpha=1.5), controller="classical", **run)
+    SimConfig(noise_v=NoiseModel.brownian(), controller="glq", **run)
 
 
-def test_pathwise_is_not_a_predictor_method():
-    # the realised-path correction reads the driver, not a predictor
-    with pytest.raises(PredictorError, match="unknown predictor method"):
-        Predictor(model=NoiseModel.fbm(hurst=0.35), method="pathwise")
+@pytest.mark.parametrize("hurst, window", [(0.0, 8), (1.0, 8), (float("nan"), 8), (0.35, 0)])
+def test_gaussian_series_rejects_bad_hurst_or_window(hurst, window):
+    path = sample_fbm(NoiseModel.fbm(hurst=0.35), make_grid(0.1, 1.0), seed=0)
+    with pytest.raises(PredictorError, match="need 0 < hurst < 1 and window >= 1"):
+        gaussian_correction_series(scalar_design(), hurst, path, window=window, horizon=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +97,9 @@ def _history_from_increments(increments, dt):
 
 
 def test_brownian_prediction_is_zero():
-    # a declared zero-mean predictor gives V = 0 without conditioning
-    pred = Predictor(model=NoiseModel.brownian(), method="zero_mean")
+    # at H = 1/2 the increments are independent: V = 0 without conditioning
     hist = _history_from_increments([0.3, -0.2, 0.5], dt=0.1)
-    series = gaussian_correction_series(scalar_design(), pred, hist, horizon=0.4)
+    series = gaussian_correction_series(scalar_design(), 0.5, hist, horizon=0.4)
     assert series.shape == (4, 1)
     assert np.max(np.abs(series)) == 0.0
 
@@ -115,9 +109,8 @@ def test_single_increment_conditioning_hand_oracle():
     # rho * delta with rho = (2^(2H) - 2) / 2, by 2x2 Gaussian conditioning,
     # and with Phi(t, t) = I the correction V(t_1) is that mean
     h, delta, dt = 0.35, 0.7, 0.01
-    pred = Predictor(model=NoiseModel.fbm(hurst=h), method="gaussian")
     hist = _history_from_increments([delta], dt=dt)
-    series = gaussian_correction_series(scalar_design(), pred, hist, horizon=dt)
+    series = gaussian_correction_series(scalar_design(), h, hist, horizon=dt)
     rho = (2.0 ** (2 * h) - 2.0) / 2.0
     assert rho < 0.0  # anti-persistent for H < 1/2
     assert series[0, 0] == 0.0
@@ -129,11 +122,10 @@ def test_prediction_window_is_respected():
     # two increments, so it equals V after those two alone
     h, dt = 0.35, 0.1
     design = scalar_design()
-    pred = Predictor(model=NoiseModel.fbm(hurst=h), method="gaussian", window=2)
     rng = np.random.Generator(np.random.PCG64(1))
     inc = rng.standard_normal(10)
-    full = gaussian_correction_series(design, pred, _history_from_increments(inc, dt), horizon=3 * dt)
-    tail = gaussian_correction_series(design, pred, _history_from_increments(inc[-2:], dt), horizon=3 * dt)
+    full = gaussian_correction_series(design, h, _history_from_increments(inc, dt), window=2, horizon=3 * dt)
+    tail = gaussian_correction_series(design, h, _history_from_increments(inc[-2:], dt), window=2, horizon=3 * dt)
     assert np.allclose(full[-1], tail[-1])
     assert not np.allclose(full[-1], 0.0)
 
@@ -142,9 +134,8 @@ def test_correction_zero_for_brownian():
     # fBm at H = 1/2 has independent increments: V = 0 under Gaussian conditioning
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.5)
-    pred = Predictor(model=model, method="gaussian")
     hist = sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=3)
-    series = gaussian_correction_series(design, pred, hist, horizon=0.5)
+    series = gaussian_correction_series(design, model.hurst, hist, horizon=0.5)
     assert np.max(np.abs(series)) == 0.0
 
 
@@ -153,9 +144,8 @@ def test_correction_single_step_hand_composition():
     # weighted sum is P rho delta; in state units that is rho delta
     h, delta, dt = 0.35, 0.4, 0.05
     design = two_dim_design()
-    pred = Predictor(model=NoiseModel.fbm(hurst=h), method="gaussian")
     hist = _history_from_increments([[delta, -delta]], dt=dt)
-    series = gaussian_correction_series(design, pred, hist, horizon=dt)
+    series = gaussian_correction_series(design, h, hist, horizon=dt)
     rho = (2.0 ** (2 * h) - 2.0) / 2.0
     assert np.allclose(series[1], [rho * delta, -rho * delta], rtol=1e-10)
 
@@ -163,11 +153,10 @@ def test_correction_single_step_hand_composition():
 def test_correction_horizon_insensitive_when_decayed():
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.4)
-    pred = Predictor(model=model, method="gaussian")
     hist = sample_fbm(model, make_grid(0.01, 2.0), d=2, seed=5)
     t_h = default_horizon(design, 0.01)
-    base = gaussian_correction_series(design, pred, hist, horizon=t_h)
-    double = gaussian_correction_series(design, pred, hist, horizon=2.0 * t_h)
+    base = gaussian_correction_series(design, model.hurst, hist, horizon=t_h)
+    double = gaussian_correction_series(design, model.hurst, hist, horizon=2.0 * t_h)
     rel = np.linalg.norm(double[-1] - base[-1]) / np.linalg.norm(base[-1])
     assert rel < 0.01
 
@@ -179,10 +168,9 @@ def test_correction_term_memory_stays_linear_in_horizon():
     model = NoiseModel.fbm(hurst=0.35)
     dt = 0.01
     hist = sample_fbm(model, make_grid(dt, 3.0), d=2, seed=7)
-    pred = Predictor(model=model, method="gaussian", window=256)
     tracemalloc.start()
     try:
-        series = gaussian_correction_series(design, pred, hist, horizon=20_000 * dt)
+        series = gaussian_correction_series(design, model.hurst, hist, window=256, horizon=20_000 * dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,8 +440,7 @@ def _assert_series_matches_single_calls(design, model, grid, window, horizon, se
     # increments; at every single time it must match dense conditioning of
     # those increments
     path = sample_fbm(model, grid, d=design.n, seed=seed)
-    pred = Predictor(model=model, method="gaussian", window=window)
-    series = gaussian_correction_series(design, pred, path, horizon=horizon)
+    series = gaussian_correction_series(design, model.hurst, path, window=window, horizon=horizon)
     assert np.max(np.abs(series[0])) == 0.0
     dt = grid[1] - grid[0]
     for k in range(1, grid.size):
@@ -501,18 +488,17 @@ def test_gaussian_series_scans_default_horizon_once_per_design_and_dt(monkeypatc
     monkeypatch.setattr(control, "default_horizon", counted)
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.35)
-    pred = Predictor(model=model, method="gaussian", window=8)
     grid = make_grid(0.02, 1.0)
     explicit = gaussian_correction_series(
-        design, pred, sample_fbm(model, grid, d=2, seed=0), horizon=default_horizon(design, 0.02)
+        design, model.hurst, sample_fbm(model, grid, d=2, seed=0), window=8, horizon=default_horizon(design, 0.02)
     )
     for seed in (0, 1):
-        series = gaussian_correction_series(design, pred, sample_fbm(model, grid, d=2, seed=seed))
+        series = gaussian_correction_series(design, model.hurst, sample_fbm(model, grid, d=2, seed=seed), window=8)
         if seed == 0:
             assert np.array_equal(series, explicit)
     assert calls == [0.02]
     # another step size is another scan
-    gaussian_correction_series(design, pred, sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=0))
+    gaussian_correction_series(design, model.hurst, sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=0), window=8)
     assert calls == [0.02, 0.01]
 
 
@@ -521,5 +507,4 @@ def test_gaussian_series_zero_for_brownian():
     model = NoiseModel.brownian()
     grid = make_grid(0.02, 1.0)
     path = sample_fbm(model, grid, d=2, seed=1)
-    pred = Predictor(model=model, method="gaussian")
-    assert np.max(np.abs(gaussian_correction_series(design, pred, path, horizon=0.4))) == 0.0
+    assert np.max(np.abs(gaussian_correction_series(design, model.hurst, path, horizon=0.4))) == 0.0

@@ -230,13 +230,12 @@ def test_determinism_byte_identical_csv():
         predictor="pathwise",
         dt=1e-3,
         horizon=1.0,
-        seed=5,
     )
     grid = cfg.grid()
     outputs = []
     for _ in range(2):
-        v = sample_path(cfg.noise_v, grid, d=4, seed=cfg.seed)
-        w = sample_path(cfg.noise_w, grid, d=4, seed=cfg.seed + 1)
+        v = sample_path(cfg.noise_v, grid, d=4, seed=5)
+        w = sample_path(cfg.noise_w, grid, d=4, seed=6)
         traj = integrate(cfg, v, w, design)
         buf = io.StringIO()
         trajectory_to_csv(traj, buf)
@@ -679,10 +678,10 @@ def test_continuity_probe_metric_relevance():
     assert saw[1] / saw[0] <= smooth[1] / smooth[0] * 1.001
 
 
-def _refinement_convergence(config, design, levels=(1, 2, 4)):
+def _refinement_convergence(config, design, seed, levels=(1, 2, 4)):
     """Self-convergence under step halving with a shared noise realisation.
 
-    Samples the driver of ``config.seed`` on the finest grid, from the
+    Samples the driver of run seed ``seed`` on the finest grid, from the
     streams ``noise_paths`` draws, aggregates its
     increments for the coarser grids, and compares trajectories on
     common times.  Returns the list of successive sup-norm differences
@@ -691,7 +690,7 @@ def _refinement_convergence(config, design, levels=(1, 2, 4)):
     finest = max(levels)
     fine_cfg = replace(config, dt=config.dt / finest)
     fine_grid = fine_cfg.grid()
-    v_fine, w_fine = noise_paths(fine_cfg, config.seed)
+    v_fine, w_fine = noise_paths(fine_cfg, seed)
 
     trajs = {}
     for level in sorted(levels):
@@ -724,23 +723,22 @@ def test_refinement_convergence_orders():
         dt=4e-3,
         horizon=2.0,
         x0=np.array([0.1, 0.05, 0.0, 0.0]),
-        seed=11,
     )
     design = pendulum_design(model)
 
     # deterministic run: classical Euler order ~ 1
     cfg = SimConfig(noise_v=NoiseModel.brownian(sigma=1e-12), **base)
-    out = _refinement_convergence(cfg, design, levels=(1, 2, 4))
+    out = _refinement_convergence(cfg, design, 11, levels=(1, 2, 4))
     assert 0.7 <= out["order"] <= 1.3
 
     # Brownian additive noise: still ~ first order
     cfg = SimConfig(noise_v=NoiseModel.brownian(sigma=0.3), **base)
-    out = _refinement_convergence(cfg, design, levels=(1, 2, 4))
+    out = _refinement_convergence(cfg, design, 11, levels=(1, 2, 4))
     assert out["order"] >= 0.7
 
     # fBm: monotone Cauchy differences
     cfg = SimConfig(noise_v=NoiseModel.fbm(hurst=0.35, sigma=0.3), **base)
-    out = _refinement_convergence(cfg, design, levels=(1, 2, 4))
+    out = _refinement_convergence(cfg, design, 11, levels=(1, 2, 4))
     assert out["diffs"][1] < out["diffs"][0]
     assert out["order"] >= min(1.0, 0.7) - 0.3
 
