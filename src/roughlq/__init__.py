@@ -7,9 +7,8 @@ from .noise import (
     empirical_char_fn,
     fbm_covariance,
     make_grid,
-    sample_fbm,
     sample_path,
-    sample_stable,
+    sample_paths,
     stable_char_fn,
 )
 from .lift import (

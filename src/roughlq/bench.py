@@ -149,7 +149,7 @@ class ExperimentReport:
 
 
 def _parse_floats(text: str):
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    return [float(part) for part in text.split(",")]
 
 
 def _parse_seeds(text: str):

@@ -22,6 +22,7 @@ from .bench import (
     _noise_from,
     _observer_design_for,
     _parse_floats,
+    _read,
     build_state_space,
     emit_plot_data,
     load_report,
@@ -105,7 +106,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_care(args) -> int:
-    model = build_state_space(_parse_floats(args.q_diag), args.r)
+    model = build_state_space(_read(vars(args), "model", "q_diag", _parse_floats), args.r)
     design = solve_care(model.A, model.B, model.Q, model.R)
     print(f"care_residual = {design.care_residual:.17g}")
     print(f"closed_loop_abscissa = {np.max(np.linalg.eigvals(design.A_cl).real):.17g}")

@@ -1,18 +1,19 @@
 """Noise process samplers on uniform time grids.
 
-Three process families are supported:
+Two process families are supported:
 
 * fractional Brownian motion (fBm) with Hurst index ``hurst`` and scale
-  ``sigma``; exact sampling as cumulative sums of fractional Gaussian
-  noise (fGn) drawn through the Cholesky factor of its Toeplitz
-  covariance, built by the Schur algorithm in O(n^2), with a
-  circulant-embedding fast path for long grids,
+  ``sigma``, Brownian motion being fBm at ``hurst = 0.5``; exact sampling
+  as cumulative sums of fractional Gaussian noise (fGn).  Grids of at most
+  ``CHOLESKY_MAX_N`` steps use the Cholesky factor of the fGn Toeplitz
+  covariance, built by the Schur algorithm in O(n^2); longer grids use
+  circulant embedding (Davies & Harte 1987),
 * symmetric/skewed alpha-stable Levy walks sampled step-by-step with the
-  Chambers-Mallows-Stuck transform,
-* Brownian motion, which is byte-identical to fBm with ``hurst = 0.5``.
+  Chambers-Mallows-Stuck transform.
 
-All samplers are pure functions of ``(model, grid, d, seed)``; seeding is
-explicit everywhere and no global RNG state is touched.
+:func:`sample_paths` is the one sampler, a pure function of
+``(model, grid, d, seeds)``; seeding is explicit everywhere and no global
+RNG state is touched.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "make_grid",
     "fbm_covariance",
     "fgn_autocovariance",
-    "sample_fbm",
-    "sample_stable",
     "sample_path",
     "sample_paths",
     "empirical_char_fn",
@@ -45,7 +44,7 @@ __all__ = [
 #: the downstream lift does not provide.
 MIN_HURST = 1.0 / 3.0
 
-#: Grids at most this long use the exact Cholesky route by default.
+#: Grids at most this long take the Cholesky route, longer ones the circulant.
 CHOLESKY_MAX_N = 2048
 
 
@@ -57,10 +56,10 @@ class NoiseError(ValueError):
 class NoiseModel:
     """Tagged union over the supported noise families.
 
-    ``kind`` is one of ``"fbm"``, ``"stable"``, ``"brownian"``.  Only the
-    fields relevant to the kind are meaningful; the constructors
-    :meth:`fbm`, :meth:`stable` and :meth:`brownian` are the intended way
-    to build instances.
+    ``kind`` is ``"fbm"`` or ``"stable"``.  Only the fields relevant to the
+    kind are meaningful; the constructors :meth:`fbm`, :meth:`stable` and
+    :meth:`brownian` (fBm at ``hurst = 0.5``) are the intended way to build
+    instances.
     """
 
     kind: str
@@ -72,7 +71,7 @@ class NoiseModel:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fbm", "stable", "brownian"):
+        if self.kind not in ("fbm", "stable"):
             raise NoiseError(f"unknown noise kind {self.kind!r}")
         if self.kind == "fbm":
             if self.hurst is None or not (0.0 < self.hurst < 1.0):
@@ -84,10 +83,6 @@ class NoiseModel:
                 )
             if not self.sigma > 0.0:
                 raise NoiseError("fbm sigma must be positive")
-        elif self.kind == "brownian":
-            if not self.sigma > 0.0:
-                raise NoiseError("brownian sigma must be positive")
-            object.__setattr__(self, "hurst", 0.5)
         else:
             if self.alpha is None or not (0.0 < self.alpha <= 2.0):
                 raise NoiseError("stable requires alpha in (0, 2]")
@@ -104,7 +99,7 @@ class NoiseModel:
 
     @classmethod
     def brownian(cls, sigma: float = 1.0) -> "NoiseModel":
-        return cls(kind="brownian", sigma=sigma)
+        return cls.fbm(0.5, sigma)
 
     @classmethod
     def stable(
@@ -124,7 +119,7 @@ class NoiseModel:
         finite p-variation for p > alpha, which plays the role of a
         1/alpha regularity index in the admissibility predicate.
         """
-        if self.kind in ("fbm", "brownian"):
+        if self.kind == "fbm":
             return float(self.hurst)
         return 1.0 / float(self.alpha)
 
@@ -308,60 +303,6 @@ def _sample_fgn_circulant(n: int, dt: float, hurst: float, rng) -> np.ndarray:
     return np.sqrt(m) * np.fft.ifft(sq * z).real[:n]
 
 
-def sample_fbm(
-    model: NoiseModel,
-    grid: np.ndarray,
-    d: int = 1,
-    seed: int = 0,
-    method: str = "auto",
-) -> SamplePath:
-    """Sample d independent fBm coordinates on ``grid``.
-
-    ``method`` selects the generator: ``"cholesky"`` (cumulative sums of
-    the Schur-algorithm Cholesky factor of the fGn Toeplitz covariance
-    times standard normals, the reference), ``"circulant"`` (exact
-    Davies-Harte fast path), or ``"auto"`` which uses Cholesky up to 2048
-    steps and the circulant route beyond.  Identical inputs give identical
-    bytes.
-    """
-    return _sample_fbm_paths(model, grid, d, [seed], method)[0]
-
-
-def _sample_fbm_paths(model: NoiseModel, grid, d: int, seeds, method: str) -> list:
-    """One fBm path per seed, each from its own stream; on the Cholesky
-    route one product ``cumsum(chol @ Z)`` serves the normals of every seed."""
-    if model.kind not in ("fbm", "brownian"):
-        raise NoiseError(f"sample_fbm needs an fbm/brownian model, got {model.kind!r}")
-    if d < 1:
-        raise NoiseError("dimension must be at least 1")
-    if not seeds:
-        return []
-    grid = np.asarray(grid, dtype=float)
-    n = grid.shape[0] - 1
-    dt = float(grid[1] - grid[0])
-    if method == "auto":
-        method = "cholesky" if n <= CHOLESKY_MAX_N else "circulant"
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    if method == "cholesky":
-        chol = _fgn_cholesky(n, dt, float(model.hurst))
-        values = np.cumsum(chol @ np.hstack([rng.standard_normal((n, d)) for rng in rngs]), axis=0)
-        values *= model.sigma
-        blocks = np.hsplit(values, len(seeds))
-    elif method == "circulant":
-        blocks = [
-            np.column_stack(
-                [model.sigma * np.cumsum(_sample_fgn_circulant(n, dt, float(model.hurst), rng)) for _ in range(d)]
-            )
-            for rng in rngs
-        ]
-    else:
-        raise NoiseError(f"unknown fbm method {method!r}")
-    return [
-        SamplePath(t=grid, values=np.vstack([np.zeros((1, d)), block]), seed=seed, holder=model.holder)
-        for seed, block in zip(seeds, blocks)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # alpha-stable Levy walks
 # ---------------------------------------------------------------------------
@@ -395,42 +336,56 @@ def _cms_standard(alpha: float, beta: float, u: np.ndarray, w: np.ndarray) -> np
     return z - tb
 
 
-def sample_stable(model: NoiseModel, grid: np.ndarray, d: int = 1, seed: int = 0) -> SamplePath:
-    """Cumulative sum of i.i.d. stable increments.
-
-    Each step draws from the stable law with per-step scale
-    ``gamma * dt^(1/alpha)`` and location ``delta * dt``, the self-similar
-    scaling of a stable Levy walk.
-    """
-    if model.kind != "stable":
-        raise NoiseError(f"sample_stable needs a stable model, got {model.kind!r}")
-    if d < 1:
-        raise NoiseError("dimension must be at least 1")
-    grid = np.asarray(grid, dtype=float)
-    n = grid.shape[0] - 1
-    dt = float(grid[1] - grid[0])
-    alpha = float(model.alpha)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(n, d))
-    w = rng.exponential(1.0, size=(n, d))
-    z = _cms_standard(alpha, float(model.beta), u, w)
-    increments = model.gamma * dt ** (1.0 / alpha) * z + model.delta * dt
-    values = np.zeros((n + 1, d))
-    values[1:] = np.cumsum(increments, axis=0)
-    return SamplePath(t=grid, values=values, seed=seed, holder=model.holder)
-
+# ---------------------------------------------------------------------------
+# the sampler
+# ---------------------------------------------------------------------------
 
 def sample_path(model: NoiseModel, grid: np.ndarray, d: int = 1, seed: int = 0) -> SamplePath:
-    """Dispatch to the sampler matching ``model.kind``."""
+    """One path: ``sample_paths(model, grid, d, [seed])[0]``."""
     return sample_paths(model, grid, d, [seed])[0]
 
 
 def sample_paths(model: NoiseModel, grid: np.ndarray, d: int, seeds) -> list:
-    """``[sample_path(model, grid, d, s) for s in seeds]``, with one
-    covariance product for all seeds on the fBm Cholesky route."""
+    """One path of d independent coordinates per seed, each from its own
+    ``PCG64(seed)`` stream; identical inputs give identical bytes.
+
+    A stable walk sums i.i.d. increments of per-step scale
+    ``gamma * dt^(1/alpha)`` and location ``delta * dt``, the self-similar
+    scaling of a stable Levy walk.  fBm on N <= ``CHOLESKY_MAX_N`` steps is
+    ``cumsum(chol @ Z)`` with one product for the normals of every seed;
+    on longer grids each coordinate is one Davies-Harte draw.
+    """
+    if d < 1:
+        raise NoiseError("dimension must be at least 1")
+    if not seeds:
+        return []
+    grid = np.asarray(grid, dtype=float)
+    n = grid.shape[0] - 1
+    dt = float(grid[1] - grid[0])
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     if model.kind == "stable":
-        return [sample_stable(model, grid, d=d, seed=seed) for seed in seeds]
-    return _sample_fbm_paths(model, grid, d, seeds, "auto")
+        alpha = float(model.alpha)
+        blocks = [np.zeros((n + 1, d)) for _ in seeds]
+        for rng, block in zip(rngs, blocks):
+            u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(n, d))
+            w = rng.exponential(1.0, size=(n, d))
+            z = _cms_standard(alpha, float(model.beta), u, w)
+            np.cumsum(model.gamma * dt ** (1.0 / alpha) * z + model.delta * dt, axis=0, out=block[1:])
+    elif n <= CHOLESKY_MAX_N:
+        chol = _fgn_cholesky(n, dt, float(model.hurst))
+        values = np.zeros((n + 1, d * len(seeds)))
+        np.cumsum(chol @ np.hstack([rng.standard_normal((n, d)) for rng in rngs]), axis=0, out=values[1:])
+        values *= model.sigma
+        blocks = np.hsplit(values, len(seeds))
+    else:
+        blocks = [np.zeros((n + 1, d)) for _ in seeds]
+        for rng, block in zip(rngs, blocks):
+            for j in range(d):
+                np.cumsum(_sample_fgn_circulant(n, dt, float(model.hurst), rng), out=block[1:, j])
+            block *= model.sigma
+    return [
+        SamplePath(t=grid, values=block, seed=seed, holder=model.holder) for seed, block in zip(seeds, blocks)
+    ]
 
 
 # ---------------------------------------------------------------------------

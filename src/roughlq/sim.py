@@ -97,6 +97,14 @@ class StateSpaceModel:
             if not np.isfinite(mat).all():
                 raise SimError(f"{name} must be finite")
             object.__setattr__(self, name, mat)
+        # the weights are config: refuse them here, with solve_care's tolerance
+        for name, mat in (("Q", q), ("R", r)):
+            if np.linalg.norm(mat - mat.T) > 1e-10 * max(1.0, np.linalg.norm(mat)):
+                raise SimError(f"{name} must be symmetric")
+        if np.min(np.linalg.eigvalsh(r)) <= 0.0:
+            raise SimError("R must be positive definite")
+        if np.min(np.linalg.eigvalsh(q)) < -1e-10 * max(1.0, np.linalg.norm(q)):
+            raise SimError("Q must be positive semidefinite")
 
     @property
     def n(self) -> int:

@@ -31,8 +31,7 @@ from roughlq.noise import (
     empirical_char_fn,
     fbm_covariance,
     make_grid,
-    sample_fbm,
-    sample_stable,
+    sample_path,
 )
 from roughlq.observer import (
     NoiseSecondMoments,
@@ -106,7 +105,7 @@ def test_criterion_03_chen_geometricity():
     n_paths, n_triples = 100, 100
     for p in range(n_paths):
         hurst = float(rng.uniform(0.36, 0.9))
-        path = sample_fbm(NoiseModel.fbm(hurst=hurst), grid, d=2, seed=p)
+        path = sample_path(NoiseModel.fbm(hurst=hurst), grid, d=2, seed=p)
         rough = lift_piecewise_linear(path)
         for _ in range(n_triples):
             i, u, j = np.sort(rng.integers(0, 65, size=3))
@@ -133,7 +132,7 @@ def test_criterion_04_fbm_statistics():
     model = NoiseModel.fbm(hurst=hurst)
     grid = make_grid(1.0 / 32.0, 1.0)
     reps = 2000
-    samples = np.stack([sample_fbm(model, grid, d=1, seed=s).values[1:, 0] for s in range(reps)])
+    samples = np.stack([sample_path(model, grid, d=1, seed=s).values[1:, 0] for s in range(reps)])
     emp = samples.T @ samples / reps
     times = grid[1:]
     kernel = np.array([[fbm_covariance(s, t, hurst) for t in times] for s in times])
@@ -143,7 +142,7 @@ def test_criterion_04_fbm_statistics():
 
     grid4k = make_grid(1.0 / 4096.0, 1.0)
     ests = np.array(
-        [holder_estimate(sample_fbm(model, grid4k, seed=s, method="circulant")) for s in range(100)]
+        [holder_estimate(sample_path(model, grid4k, seed=s)) for s in range(100)]
     )
     inside = int(np.sum((ests >= 0.25) & (ests <= 0.45)))
     ok = cov_ok and inside >= 95
@@ -160,7 +159,7 @@ def test_criterion_05_stable_sampler():
     t0 = time.time()
     n = 100_000
     model = NoiseModel.stable(alpha=1.5, beta=0.0, gamma=1.0)
-    inc = sample_stable(model, make_grid(1.0, float(n)), seed=5).increments.ravel()
+    inc = sample_path(model, make_grid(1.0, float(n)), seed=5).increments.ravel()
     cf_ok = True
     worst = 0.0
     from roughlq.noise import stable_char_fn
@@ -175,7 +174,7 @@ def test_criterion_05_stable_sampler():
         cf_ok = cf_ok and z < 5.0
 
     gauss = NoiseModel.stable(alpha=2.0, beta=0.0, gamma=1.0 / math.sqrt(2.0))
-    ginc = sample_stable(gauss, make_grid(1.0, float(n)), seed=6).increments.ravel()
+    ginc = sample_path(gauss, make_grid(1.0, float(n)), seed=6).increments.ravel()
     stat, pval = stats.kstest(ginc, "norm")
     ks_ok = pval > 0.01
     ok = cf_ok and ks_ok
@@ -195,8 +194,8 @@ def test_criterion_06_brownian_reduction():
     design = solve_care(model.A, model.B, model.Q, model.R)
     noise = NoiseModel.brownian(sigma=0.5)
     grid = make_grid(1e-3, 3.0)
-    v = sample_fbm(noise, grid, d=4, seed=40)
-    w = sample_fbm(noise, grid, d=4, seed=41)
+    v = sample_path(noise, grid, d=4, seed=40)
+    w = sample_path(noise, grid, d=4, seed=41)
     base = dict(model=model, noise_v=noise, noise_w=noise, dt=1e-3, horizon=3.0,
                 x0=np.array([0.05, 0.05, 0.0, 0.0]))
     classical = integrate(SimConfig(controller="classical", **base), v, w, design)
@@ -247,7 +246,7 @@ def test_criterion_07_completion_of_squares():
     design = solve_care(model.A, model.B, model.Q, model.R)
     dt, horizon, active = 2e-4, 8.0, 2.0
     grid = make_grid(dt, horizon)
-    raw = sample_fbm(NoiseModel.fbm(hurst=0.35, sigma=3e-3), grid, d=4, seed=70)
+    raw = sample_path(NoiseModel.fbm(hurst=0.35, sigma=3e-3), grid, d=4, seed=70)
     inc = raw.increments * (grid[1:] <= active)[:, None]
     vals = np.zeros_like(raw.values)
     vals[1:] = np.cumsum(inc, axis=0)
@@ -298,8 +297,8 @@ def test_criterion_08_observer():
     dt, horizon, reps = 1e-3, 3.0, 100
     grid = make_grid(dt, horizon)
     bm = NoiseModel.brownian()
-    v_paths = [sample_fbm(bm, grid, d=4, seed=800 + 2 * s) for s in range(reps)]
-    w_paths = [sample_fbm(bm, grid, d=4, seed=800 + 2 * s + 1) for s in range(reps)]
+    v_paths = [sample_path(bm, grid, d=4, seed=800 + 2 * s) for s in range(reps)]
+    w_paths = [sample_path(bm, grid, d=4, seed=800 + 2 * s + 1) for s in range(reps)]
     mom_hat = estimate_second_moments(v_paths, w_paths)
     design_hat = solve_observer_steady_state(pm.A, pm.C, mom_hat)
     v_incs = np.stack([p.increments for p in v_paths])
@@ -393,7 +392,7 @@ def test_criterion_11_continuity_probe():
                     noise_w=NoiseModel.brownian(), controller="glq", predictor="pathwise",
                     dt=1e-3, horizon=2.0)
     grid = cfg.grid()
-    v = sample_fbm(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=110)
+    v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=110)
     w = SamplePath(t=grid, values=np.zeros((grid.size, 4)))
     pairs = continuity_probe(cfg, design, v, w, etas=[1e-1, 1e-2, 1e-3])
     sizes = np.array([p[0] for p in pairs])

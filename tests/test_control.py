@@ -15,7 +15,7 @@ from roughlq.control import (
 )
 from roughlq.control import _lag_sums, _pathwise_sums
 from roughlq.lift import lift_piecewise_linear
-from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_fbm
+from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_path
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 from roughlq.sim import SimConfig, SimError
@@ -77,7 +77,7 @@ def test_gaussian_conditioning_rejected_for_stable():
 
 @pytest.mark.parametrize("hurst, window", [(0.0, 8), (1.0, 8), (float("nan"), 8), (0.35, 0)])
 def test_gaussian_series_rejects_bad_hurst_or_window(hurst, window):
-    path = sample_fbm(NoiseModel.fbm(hurst=0.35), make_grid(0.1, 1.0), seed=0)
+    path = sample_path(NoiseModel.fbm(hurst=0.35), make_grid(0.1, 1.0), seed=0)
     with pytest.raises(PredictorError, match="need 0 < hurst < 1 and window >= 1"):
         gaussian_correction_series(scalar_design(), hurst, path, window=window, horizon=0.2)
 
@@ -134,7 +134,7 @@ def test_correction_zero_for_brownian():
     # fBm at H = 1/2 has independent increments: V = 0 under Gaussian conditioning
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.5)
-    hist = sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=3)
+    hist = sample_path(model, make_grid(0.01, 1.0), d=2, seed=3)
     series = gaussian_correction_series(design, model.hurst, hist, horizon=0.5)
     assert np.max(np.abs(series)) == 0.0
 
@@ -153,7 +153,7 @@ def test_correction_single_step_hand_composition():
 def test_correction_horizon_insensitive_when_decayed():
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.4)
-    hist = sample_fbm(model, make_grid(0.01, 2.0), d=2, seed=5)
+    hist = sample_path(model, make_grid(0.01, 2.0), d=2, seed=5)
     t_h = default_horizon(design, 0.01)
     base = gaussian_correction_series(design, model.hurst, hist, horizon=t_h)
     double = gaussian_correction_series(design, model.hurst, hist, horizon=2.0 * t_h)
@@ -167,7 +167,7 @@ def test_correction_term_memory_stays_linear_in_horizon():
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.35)
     dt = 0.01
-    hist = sample_fbm(model, make_grid(dt, 3.0), d=2, seed=7)
+    hist = sample_path(model, make_grid(dt, 3.0), d=2, seed=7)
     tracemalloc.start()
     try:
         series = gaussian_correction_series(design, model.hurst, hist, window=256, horizon=20_000 * dt)
@@ -331,7 +331,7 @@ def test_pathwise_refinement_cauchy():
     fine_grid = make_grid(1e-4, 1.0)
     ratios = []
     for seed in range(5):
-        fine = sample_fbm(model, fine_grid, d=2, seed=seed, method="circulant")
+        fine = sample_path(model, fine_grid, d=2, seed=seed)
         vals = []
         for stride in (16, 4, 1):
             idx = np.arange(0, fine_grid.size, stride)
@@ -350,7 +350,7 @@ def test_pathwise_correction_continuous_in_driver():
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.35)
     grid = make_grid(2e-3, 1.0)
-    base = sample_fbm(model, grid, d=2, seed=12)
+    base = sample_path(model, grid, d=2, seed=12)
     bump = np.sin(2.0 * np.pi * grid) * grid * (1.0 - grid)
     v0 = pathwise_correction_series(design, lift_piecewise_linear(base), horizon=1.0)[0]
     deltas = []
@@ -382,7 +382,7 @@ def test_pathwise_series_matches_single_calls():
     model = NoiseModel.fbm(hurst=0.4)
     dt = 0.02
     grid = make_grid(dt, 1.0)
-    driver = lift_piecewise_linear(sample_fbm(model, grid, d=2, seed=2))
+    driver = lift_piecewise_linear(sample_path(model, grid, d=2, seed=2))
     series = pathwise_correction_series(design, driver)
     for k in (0, 7, 25, 50):
         oracle = _compensated_sum(design, driver.dx[k:], dt)
@@ -417,7 +417,7 @@ def _loop_pathwise_sums(design, dx, dt):
 )
 def test_pathwise_scan_matches_loop(make_design, model, dt, n_steps):
     design = make_design()
-    path = sample_fbm(model, make_grid(dt, n_steps * dt), d=design.n, seed=4)
+    path = sample_path(model, make_grid(dt, n_steps * dt), d=design.n, seed=4)
     oracle = _loop_pathwise_sums(design, path.increments, dt)
     scale = np.max(np.abs(oracle))
     np.testing.assert_allclose(_pathwise_sums(design, path.increments, dt), oracle, rtol=0.0, atol=1e-12 * scale)
@@ -428,7 +428,7 @@ def test_pathwise_series_horizon_matches_loop():
     # past the path end
     design = two_dim_design()
     dt, w = 0.01, 20
-    path = sample_fbm(NoiseModel.fbm(hurst=0.4), make_grid(dt, 257 * dt), d=2, seed=4)
+    path = sample_path(NoiseModel.fbm(hurst=0.4), make_grid(dt, 257 * dt), d=2, seed=4)
     series = pathwise_correction_series(design, lift_piecewise_linear(path), horizon=w * dt)
     truncated = np.array([_loop_pathwise_sums(design, path.increments[k : k + w], dt)[0] for k in range(258)])
     expected = np.linalg.solve(design.P, truncated.T).T
@@ -439,7 +439,7 @@ def _assert_series_matches_single_calls(design, model, grid, window, horizon, se
     # the series conditions step k on the last 2^floor(log2 min(k, window))
     # increments; at every single time it must match dense conditioning of
     # those increments
-    path = sample_fbm(model, grid, d=design.n, seed=seed)
+    path = sample_path(model, grid, d=design.n, seed=seed)
     series = gaussian_correction_series(design, model.hurst, path, window=window, horizon=horizon)
     assert np.max(np.abs(series[0])) == 0.0
     dt = grid[1] - grid[0]
@@ -490,15 +490,15 @@ def test_gaussian_series_scans_default_horizon_once_per_design_and_dt(monkeypatc
     model = NoiseModel.fbm(hurst=0.35)
     grid = make_grid(0.02, 1.0)
     explicit = gaussian_correction_series(
-        design, model.hurst, sample_fbm(model, grid, d=2, seed=0), window=8, horizon=default_horizon(design, 0.02)
+        design, model.hurst, sample_path(model, grid, d=2, seed=0), window=8, horizon=default_horizon(design, 0.02)
     )
     for seed in (0, 1):
-        series = gaussian_correction_series(design, model.hurst, sample_fbm(model, grid, d=2, seed=seed), window=8)
+        series = gaussian_correction_series(design, model.hurst, sample_path(model, grid, d=2, seed=seed), window=8)
         if seed == 0:
             assert np.array_equal(series, explicit)
     assert calls == [0.02]
     # another step size is another scan
-    gaussian_correction_series(design, model.hurst, sample_fbm(model, make_grid(0.01, 1.0), d=2, seed=0), window=8)
+    gaussian_correction_series(design, model.hurst, sample_path(model, make_grid(0.01, 1.0), d=2, seed=0), window=8)
     assert calls == [0.02, 0.01]
 
 
@@ -506,5 +506,5 @@ def test_gaussian_series_zero_for_brownian():
     design = two_dim_design()
     model = NoiseModel.brownian()
     grid = make_grid(0.02, 1.0)
-    path = sample_fbm(model, grid, d=2, seed=1)
+    path = sample_path(model, grid, d=2, seed=1)
     assert np.max(np.abs(gaussian_correction_series(design, model.hurst, path, horizon=0.4))) == 0.0

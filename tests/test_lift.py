@@ -15,7 +15,7 @@ from roughlq.lift import (
     reconstruct,
     rough_integral_admissible,
 )
-from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm, sample_path
+from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_path
 
 
 def _line_path(c, n=1, horizon=1.0):
@@ -144,7 +144,7 @@ def test_chen_defect_zero_on_lifts():
     rng = np.random.Generator(np.random.PCG64(0))
     worst = 0.0
     for seed in range(5):
-        rp = lift_piecewise_linear(sample_fbm(model, grid, d=2, seed=seed))
+        rp = lift_piecewise_linear(sample_path(model, grid, d=2, seed=seed))
         for _ in range(100):
             i, u, j = np.sort(rng.integers(0, 129, size=3))
             worst = max(worst, chen_defect(rp, grid[i], grid[u], grid[j]))
@@ -165,7 +165,7 @@ def test_chen_defect_detects_violation():
 def test_geometricity_symmetric_part():
     model = NoiseModel.fbm(hurst=0.4)
     grid = make_grid(1.0 / 64.0, 1.0)
-    rp = lift_piecewise_linear(sample_fbm(model, grid, d=2, seed=9))
+    rp = lift_piecewise_linear(sample_path(model, grid, d=2, seed=9))
     for (i, j) in [(0, 64), (3, 40), (10, 11)]:
         x, xx = reconstruct(rp, grid[i], grid[j])
         sym = 0.5 * (xx + xx.T)
@@ -186,17 +186,17 @@ def test_holder_estimate_fbm_smoke():
     # full 100-seed calibration runs in the acceptance suite
     model = NoiseModel.fbm(hurst=0.35)
     grid = make_grid(1.0 / 4096.0, 1.0)
-    ests = [holder_estimate(sample_fbm(model, grid, seed=s, method="circulant")) for s in range(10)]
+    ests = [holder_estimate(sample_path(model, grid, seed=s)) for s in range(10)]
     assert sum(0.25 <= e <= 0.45 for e in ests) >= 8
     bm = NoiseModel.brownian()
-    ests = [holder_estimate(sample_fbm(bm, grid, seed=s, method="circulant")) for s in range(10)]
+    ests = [holder_estimate(sample_path(bm, grid, seed=s)) for s in range(10)]
     assert sum(0.40 <= e <= 0.60 for e in ests) >= 8
 
 
 def test_holder_estimate_scale_invariance():
     model = NoiseModel.fbm(hurst=0.35)
     grid = make_grid(1.0 / 1024.0, 1.0)
-    path = sample_fbm(model, grid, seed=4)
+    path = sample_path(model, grid, seed=4)
     scaled = SamplePath(t=path.t, values=10.0 * path.values)
     assert abs(holder_estimate(path) - holder_estimate(scaled)) < 0.02
 
@@ -218,7 +218,7 @@ def test_level2_refinement_rate():
     model = NoiseModel.fbm(hurst=h)
     n_fine = 4096
     grid = make_grid(1.0 / n_fine, 1.0)
-    fine = sample_fbm(model, grid, d=2, seed=12, method="circulant")
+    fine = sample_path(model, grid, d=2, seed=12)
 
     defects, steps = [], []
     for level in (8, 16, 32):

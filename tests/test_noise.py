@@ -16,13 +16,11 @@ from roughlq.noise import (
     make_grid,
     path_from_csv,
     path_to_csv,
-    sample_fbm,
     sample_path,
     sample_paths,
-    sample_stable,
     stable_char_fn,
 )
-from roughlq.noise import _fgn_cholesky
+from roughlq.noise import _fgn_cholesky, _sample_fgn_circulant
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +92,7 @@ def test_fbm_covariance_domain_errors():
 
 def test_fbm_brownian_case_statistics():
     grid = make_grid(1e-3, 1.0)
-    path = sample_fbm(NoiseModel.brownian(), grid, d=1, seed=7)
+    path = sample_path(NoiseModel.brownian(), grid, d=1, seed=7)
     inc = path.increments.ravel()
     n = inc.size
     # zero-mean t-test at the 1% level
@@ -103,7 +101,7 @@ def test_fbm_brownian_case_statistics():
     # Var[B(1)] is t within 3 standard errors over replications
     reps = 400
     finals = np.array(
-        [sample_fbm(NoiseModel.brownian(), make_grid(0.25, 1.0), seed=s).values[-1, 0] for s in range(reps)]
+        [sample_path(NoiseModel.brownian(), make_grid(0.25, 1.0), seed=s).values[-1, 0] for s in range(reps)]
     )
     var = finals.var(ddof=1)
     se = math.sqrt(2.0 / (reps - 1))  # SE of unit variance estimate
@@ -116,7 +114,7 @@ def test_fbm_empirical_covariance_matches_kernel():
     grid = make_grid(0.125, 1.0)
     reps = 500
     samples = np.stack(
-        [sample_fbm(model, grid, d=1, seed=s).values[1:, 0] for s in range(reps)]
+        [sample_path(model, grid, d=1, seed=s).values[1:, 0] for s in range(reps)]
     )
     emp = samples.T @ samples / reps
     times = grid[1:]
@@ -131,10 +129,10 @@ def test_fbm_empirical_covariance_matches_kernel():
 def test_fbm_determinism():
     model = NoiseModel.fbm(hurst=0.35)
     grid = make_grid(0.01, 1.0)
-    a = sample_fbm(model, grid, d=3, seed=42)
-    b = sample_fbm(model, grid, d=3, seed=42)
+    a = sample_path(model, grid, d=3, seed=42)
+    b = sample_path(model, grid, d=3, seed=42)
     assert a.values.tobytes() == b.values.tobytes()
-    c = sample_fbm(model, grid, d=3, seed=43)
+    c = sample_path(model, grid, d=3, seed=43)
     assert a.values.tobytes() != c.values.tobytes()
 
 
@@ -212,21 +210,39 @@ def test_cholesky_route_matches_dense_oracle():
         np.testing.assert_allclose(path.values[1:], values, rtol=0.0, atol=1e-10 * scale)
 
 
+@pytest.mark.parametrize("n", [CHOLESKY_MAX_N, CHOLESKY_MAX_N + 1], ids=["cholesky", "circulant"])
+def test_fbm_route_follows_grid_length(n):
+    # up to CHOLESKY_MAX_N steps the Schur-Cholesky product, beyond it one
+    # Davies-Harte draw per coordinate, each bit for bit
+    model = NoiseModel.fbm(hurst=0.4, sigma=1.5)
+    grid = make_grid(1e-3, n * 1e-3)
+    assert grid.size == n + 1
+    rng = np.random.Generator(np.random.PCG64(7))
+    if n <= CHOLESKY_MAX_N:
+        expected = model.sigma * np.cumsum(_fgn_cholesky(n, 1e-3, 0.4) @ rng.standard_normal((n, 2)), axis=0)
+    else:
+        expected = np.column_stack(
+            [model.sigma * np.cumsum(_sample_fgn_circulant(n, 1e-3, 0.4, rng)) for _ in range(2)]
+        )
+    assert sample_path(model, grid, d=2, seed=7).values[1:].tobytes() == expected.tobytes()
+
+
 def test_brownian_bit_identical_to_half_hurst_fbm():
     grid = make_grid(0.01, 1.0)
-    bm = sample_fbm(NoiseModel.brownian(sigma=2.0), grid, d=2, seed=5)
-    fb = sample_fbm(NoiseModel(kind="fbm", hurst=0.5, sigma=2.0), grid, d=2, seed=5)
+    bm = sample_path(NoiseModel.brownian(sigma=2.0), grid, d=2, seed=5)
+    fb = sample_path(NoiseModel(kind="fbm", hurst=0.5, sigma=2.0), grid, d=2, seed=5)
     assert bm.values.tobytes() == fb.values.tobytes()
+    assert NoiseModel.brownian(2.0) == NoiseModel.fbm(0.5, 2.0)
 
 
 def test_fbm_circulant_matches_kernel():
-    # the fast path is exact too: check its empirical covariance
-    model = NoiseModel.fbm(hurst=0.4)
+    # the fast path is exact too: check its empirical covariance (8 steps
+    # take the Cholesky route in sample_path, so draw the circulant directly)
     grid = make_grid(0.25, 2.0)
     reps = 600
     samples = np.stack(
         [
-            sample_fbm(model, grid, d=1, seed=s, method="circulant").values[1:, 0]
+            np.cumsum(_sample_fgn_circulant(8, 0.25, 0.4, np.random.Generator(np.random.PCG64(s))))
             for s in range(reps)
         ]
     )
@@ -239,7 +255,7 @@ def test_fbm_circulant_matches_kernel():
 
 def test_fbm_h_half_increments_uncorrelated():
     grid = make_grid(1e-3, 2.0)
-    inc = sample_fbm(NoiseModel.brownian(), grid, seed=3).increments.ravel()
+    inc = sample_path(NoiseModel.brownian(), grid, seed=3).increments.ravel()
     n = inc.size
     rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]
     assert abs(rho) < 3.0 / math.sqrt(n)
@@ -252,11 +268,11 @@ def test_fbm_self_similarity():
     rng_grid_small = make_grid(1.0 / 16.0, 1.0)
     rng_grid_big = make_grid(0.25, 4.0)
     small = np.array(
-        [sample_fbm(model, rng_grid_small, seed=s).values[-1, 0] for s in range(reps // 50)]
+        [sample_path(model, rng_grid_small, seed=s).values[-1, 0] for s in range(reps // 50)]
     )
     big = np.array(
         [
-            sample_fbm(model, rng_grid_big, seed=10_000 + s).values[-1, 0] / 4.0**0.35
+            sample_path(model, rng_grid_big, seed=10_000 + s).values[-1, 0] / 4.0**0.35
             for s in range(reps // 50)
         ]
     )
@@ -272,7 +288,7 @@ def test_stable_gaussian_case_ks():
     # alpha=2, gamma=1/sqrt(2) has unit-Gaussian increments
     model = NoiseModel.stable(alpha=2.0, beta=0.0, gamma=1.0 / math.sqrt(2.0))
     grid = make_grid(1.0, 100_000.0)
-    inc = sample_stable(model, grid, seed=11).increments.ravel()
+    inc = sample_path(model, grid, seed=11).increments.ravel()
     stat, pval = stats.kstest(inc, "norm")
     assert pval > 0.01
 
@@ -280,7 +296,7 @@ def test_stable_gaussian_case_ks():
 def test_stable_char_fn_match():
     model = NoiseModel.stable(alpha=1.5, beta=0.0, gamma=1.0)
     grid = make_grid(1.0, 100_000.0)
-    inc = sample_stable(model, grid, seed=2).increments.ravel()
+    inc = sample_path(model, grid, seed=2).increments.ravel()
     n = inc.size
     for u in (0.1, 0.5, 1.0):
         emp = empirical_char_fn(inc, u)
@@ -296,7 +312,7 @@ def test_stable_skewed_char_fn_match():
     alpha, beta, gamma, delta = 1.3, 0.5, 0.8, 0.2
     model = NoiseModel.stable(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
     grid = make_grid(1.0, 50_000.0)
-    inc = sample_stable(model, grid, seed=9).increments.ravel()
+    inc = sample_path(model, grid, seed=9).increments.ravel()
     n = inc.size
     for u in (0.2, 0.7):
         emp = empirical_char_fn(inc, u)
@@ -310,7 +326,7 @@ def test_stable_skewed_char_fn_match():
 def test_stable_alpha_one_char_fn_match():
     model = NoiseModel.stable(alpha=1.0, beta=0.3, gamma=1.2, delta=0.0)
     grid = make_grid(1.0, 50_000.0)
-    inc = sample_stable(model, grid, seed=4).increments.ravel()
+    inc = sample_path(model, grid, seed=4).increments.ravel()
     n = inc.size
     for u in (0.3, 1.0):
         emp = empirical_char_fn(inc, u)
@@ -324,8 +340,8 @@ def test_stable_alpha_one_char_fn_match():
 def test_stable_determinism():
     model = NoiseModel.stable(alpha=1.5)
     grid = make_grid(0.01, 1.0)
-    a = sample_stable(model, grid, d=2, seed=0)
-    b = sample_stable(model, grid, d=2, seed=0)
+    a = sample_path(model, grid, d=2, seed=0)
+    b = sample_path(model, grid, d=2, seed=0)
     assert a.values.tobytes() == b.values.tobytes()
 
 
@@ -335,9 +351,9 @@ def test_stable_step_scaling():
     model = NoiseModel.stable(alpha=1.5, gamma=1.0)
     n_group = 64
     grid = make_grid(1.0, 64_000.0)
-    inc = sample_stable(model, grid, seed=21).increments.ravel()
+    inc = sample_path(model, grid, seed=21).increments.ravel()
     sums = inc.reshape(-1, n_group).sum(axis=1) / n_group ** (1.0 / 1.5)
-    singles = sample_stable(model, make_grid(1.0, 1000.0), seed=22).increments.ravel()
+    singles = sample_path(model, make_grid(1.0, 1000.0), seed=22).increments.ravel()
     stat, pval = stats.ks_2samp(sums, singles)
     assert pval > 0.01
 
@@ -371,7 +387,7 @@ def test_fgn_autocovariance_consistency():
 
 def test_csv_round_trip_and_precision():
     grid = make_grid(0.1, 0.5)
-    path = sample_fbm(NoiseModel.fbm(hurst=0.4), grid, d=2, seed=1)
+    path = sample_path(NoiseModel.fbm(hurst=0.4), grid, d=2, seed=1)
     buf = io.StringIO()
     path_to_csv(path, buf)
     text = buf.getvalue()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughlq.noise import NoiseModel, make_grid, sample_fbm
+from roughlq.noise import NoiseModel, make_grid, sample_path
 from roughlq.observer import (
     NoiseSecondMoments,
     ObserverError,
@@ -17,8 +17,8 @@ from roughlq.riccati import solve_care, spectral_abscissa
 
 
 def _joint_paths(model_v, model_w, grid, reps, d=4, seed0=0):
-    v = [sample_fbm(model_v, grid, d=d, seed=2 * s + seed0) for s in range(reps)]
-    w = [sample_fbm(model_w, grid, d=d, seed=2 * s + 1 + seed0) for s in range(reps)]
+    v = [sample_path(model_v, grid, d=d, seed=2 * s + seed0) for s in range(reps)]
+    w = [sample_path(model_w, grid, d=d, seed=2 * s + 1 + seed0) for s in range(reps)]
     return v, w
 
 
@@ -38,7 +38,7 @@ def test_independent_brownian_moments():
 
 def test_fully_correlated_moments():
     grid = make_grid(0.01, 1.0)
-    v = [sample_fbm(NoiseModel.brownian(), grid, d=2, seed=s) for s in range(110)]
+    v = [sample_path(NoiseModel.brownian(), grid, d=2, seed=s) for s in range(110)]
     mom = estimate_second_moments(v, v)
     assert np.allclose(mom.r_vw, mom.sigma_v, atol=1e-12)
 
@@ -73,12 +73,10 @@ def test_raw_arrays_rejected():
 
 
 def test_truncation_is_recorded_and_tames_tails():
-    from roughlq.noise import sample_stable
-
     grid = make_grid(1e-3, 0.5)
     model = NoiseModel.stable(alpha=1.5)
-    v = [sample_stable(model, grid, d=2, seed=2 * s) for s in range(120)]
-    w = [sample_stable(model, grid, d=2, seed=2 * s + 1) for s in range(120)]
+    v = [sample_path(model, grid, d=2, seed=2 * s) for s in range(120)]
+    w = [sample_path(model, grid, d=2, seed=2 * s + 1) for s in range(120)]
     mom = estimate_second_moments(v, w, truncate_quantile=0.999)
     assert mom.truncation is not None and mom.truncation > 0.0
     raw = estimate_second_moments(v, w)
@@ -218,8 +216,8 @@ def test_cost_separation_across_seeds():
     )
     cross_terms, residuals = [], []
     for seed in range(reps):
-        v = sample_fbm(noise, grid, d=4, seed=3000 + 2 * seed)
-        w = sample_fbm(noise, grid, d=4, seed=3000 + 2 * seed + 1)
+        v = sample_path(noise, grid, d=4, seed=3000 + 2 * seed)
+        w = sample_path(noise, grid, d=4, seed=3000 + 2 * seed + 1)
         traj = integrate(cfg, v, w, design, observer=obs)
         err = traj.x - traj.xhat
         j_total = np.trapezoid(

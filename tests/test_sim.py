@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from roughlq.bench import noise_paths
 from roughlq.control import completion_of_squares_gap, pathwise_cost
-from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_fbm, sample_path
+from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_path
 from roughlq.observer import NoiseSecondMoments, solve_observer_steady_state
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
@@ -98,8 +98,8 @@ def test_brownian_reduction_glq_equals_classical():
     model = pendulum_model()
     design = pendulum_design(model)
     grid = make_grid(1e-3, 2.0)
-    v = sample_fbm(NoiseModel.brownian(sigma=0.5), grid, d=4, seed=13)
-    w = sample_fbm(NoiseModel.brownian(sigma=0.5), grid, d=4, seed=14)
+    v = sample_path(NoiseModel.brownian(sigma=0.5), grid, d=4, seed=13)
+    w = sample_path(NoiseModel.brownian(sigma=0.5), grid, d=4, seed=14)
     base = dict(
         model=model,
         noise_v=NoiseModel.brownian(sigma=0.5),
@@ -163,7 +163,7 @@ def test_running_cost_nondecreasing():
     model = pendulum_model()
     design = pendulum_design(model)
     grid = make_grid(1e-3, 1.0)
-    v = sample_fbm(NoiseModel.fbm(hurst=0.35, sigma=0.2), grid, d=4, seed=3)
+    v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.2), grid, d=4, seed=3)
     w = zero_paths(grid, 4, 4)[1]
     cfg = SimConfig(
         model=model,
@@ -208,8 +208,8 @@ def test_average_cost_ergodic_under_doubled_horizon():
             average_cost(
                 integrate(
                     cfg,
-                    sample_fbm(noise, grid, d=4, seed=s),
-                    sample_fbm(noise, grid, d=4, seed=100 + s),
+                    sample_path(noise, grid, d=4, seed=s),
+                    sample_path(noise, grid, d=4, seed=100 + s),
                     design,
                 )
             )
@@ -255,8 +255,8 @@ def test_observer_loop_tracks_state():
     mom = NoiseSecondMoments.uncorrelated(0.04 * np.eye(4), 0.04 * np.eye(4), dt=1e-3)
     obs = solve_observer_steady_state(model.A, model.C, mom)
     grid = make_grid(1e-3, 4.0)
-    v = sample_fbm(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=21)
-    w = sample_fbm(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=22)
+    v = sample_path(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=21)
+    w = sample_path(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=22)
     cfg = SimConfig(
         model=model,
         noise_v=NoiseModel.brownian(sigma=0.2),
@@ -404,8 +404,8 @@ def test_integrate_matches_reference_loop(controller, observer_enabled):
         xhat0=np.array([0.0, 0.2, 0.0, 0.0]),
     )
     grid = cfg.grid()
-    v = sample_fbm(noise_v, grid, d=4, seed=3)
-    w = sample_fbm(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=4)
+    v = sample_path(noise_v, grid, d=4, seed=3)
+    w = sample_path(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=4)
     observer = _observer_for(model) if observer_enabled else None
     traj = integrate(cfg, v, w, design, observer=observer)
     ref = _reference_integrate(cfg, v, w, design, observer=observer)
@@ -432,7 +432,7 @@ def test_integrate_matches_reference_with_one_input_railed():
         x0=np.array([0.0, 0.3, 0.0, 0.0]),
     )
     grid = cfg.grid()
-    v = sample_fbm(noise_v, grid, d=4, seed=8)
+    v = sample_path(noise_v, grid, d=4, seed=8)
     w = zero_paths(grid, 4, 4)[1]
     traj = integrate(cfg, v, w, design)
     ref = _reference_integrate(cfg, v, w, design)
@@ -483,8 +483,8 @@ def test_nan_increment_halts_at_its_step(row, observer_enabled):
         horizon=1.0,
     )
     grid = cfg.grid()
-    v = sample_fbm(noise, grid, d=4, seed=5)
-    w = sample_fbm(noise, grid, d=4, seed=6)
+    v = sample_path(noise, grid, d=4, seed=5)
+    w = sample_path(noise, grid, d=4, seed=6)
     values = v.values.copy()
     values[row, 2] = np.nan  # dv[row - 1] is NaN in one coordinate
     v = SamplePath(t=grid, values=values)
@@ -511,7 +511,7 @@ def test_completion_identity_on_pendulum():
     dt, horizon, active = 2e-4, 8.0, 2.0
     grid = make_grid(dt, horizon)
     # driver supported on [0, active] so trajectories settle by T
-    rng_path = sample_fbm(NoiseModel.fbm(hurst=0.35, sigma=3e-3), grid, d=4, seed=9)
+    rng_path = sample_path(NoiseModel.fbm(hurst=0.35, sigma=3e-3), grid, d=4, seed=9)
     mask = (grid <= active).astype(float)
     inc = np.diff(rng_path.values, axis=0) * mask[1:, None]
     vals = np.zeros_like(rng_path.values)
@@ -560,8 +560,8 @@ def test_completion_gap_rejects_mismatched_drivers():
         dt=1e-3,
         horizon=1.0,
     )
-    v1 = sample_fbm(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=1)
-    v2 = sample_fbm(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=2)
+    v1 = sample_path(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=1)
+    v2 = sample_path(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=2)
     w = zero_paths(grid, 4, 4)[1]
     t1 = integrate(cfg, v1, w, design)
     t2 = integrate(cfg, v2, w, design)
@@ -575,7 +575,7 @@ def test_identity_case_zero_gap():
     model = pendulum_model()
     design = pendulum_design(model)
     grid = make_grid(1e-3, 1.0)
-    v = sample_fbm(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=1)
+    v = sample_path(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=1)
     w = zero_paths(grid, 4, 4)[1]
     cfg = SimConfig(
         model=model,
@@ -636,7 +636,7 @@ def test_continuity_probe_monotone_with_positive_slope():
         horizon=2.0,
     )
     grid = cfg.grid()
-    v = sample_fbm(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=31)
+    v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=31)
     w = zero_paths(grid, 4, 4)[1]
     pairs = continuity_probe(cfg, design, v, w, etas=[1e-1, 1e-2, 1e-3])
     sizes = [p[0] for p in pairs]
@@ -666,7 +666,7 @@ def test_continuity_probe_metric_relevance():
         horizon=1.0,
     )
     grid = cfg.grid()
-    v = sample_fbm(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=7)
+    v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=7)
     w = zero_paths(grid, 4, 4)[1]
     sup_ratio = np.max(np.abs(_smooth_bump(grid))) / np.max(np.abs(_sawtooth(grid)))
     smooth = continuity_probe(cfg, design, v, w, etas=[1e-2], shape="smooth")[0]
@@ -755,6 +755,28 @@ def test_config_validation():
         SimConfig(model=model, noise_v=NoiseModel.brownian(), noise_w=NoiseModel.brownian(), dt=1.0, horizon=2.0)
     with pytest.raises(SimError):
         SimConfig(model=model, noise_v=NoiseModel.brownian(), noise_w=NoiseModel.brownian(), saturation=-1.0)
+
+
+@pytest.mark.parametrize(
+    "q, r, message",
+    [
+        (np.eye(4), [[0.0]], "R must be positive definite"),
+        (np.eye(4), [[-1.0]], "R must be positive definite"),
+        (np.eye(4), [[1.0, 0.5], [0.0, 1.0]], "R must be symmetric"),
+        (np.diag([-1.0, 1.0, 1.0, 1.0]), [[1.0]], "Q must be positive semidefinite"),
+    ],
+    ids=["r-zero", "r-negative", "r-not-symmetric", "q-negative-eigenvalue"],
+)
+def test_state_space_rejects_bad_weights(q, r, message):
+    pm = build_pendulum()
+    b = np.column_stack([pm.B] * len(r))
+    with pytest.raises(SimError, match=message):
+        StateSpaceModel(A=pm.A, B=b, C=pm.C, Q=q, R=r)
+
+
+def test_state_space_accepts_semidefinite_q():
+    model = pendulum_model(q=[0.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(model.Q, np.diag([0.0, 1.0, 1.0, 1.0]))
 
 
 def test_trajectory_csv_columns():
