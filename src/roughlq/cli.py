@@ -33,7 +33,7 @@ from .bench import (
 from .config import ALLOWED_KEYS, ConfigError, format_config, merge, parse_config
 from .control import PredictorError
 from .lift import LiftError, chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
-from .noise import NoiseError, make_grid, path_from_csv, path_to_csv, sample_path
+from .noise import NoiseError, _format_rows, make_grid, path_from_csv, path_to_csv, sample_path
 from .observer import MIN_REPLICATIONS, ObserverError
 from .pendulum import build_pendulum
 from .riccati import RiccatiError, solve_care
@@ -51,7 +51,7 @@ SIMULATE_BASE = merge(
 
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(mat), fmt="%.17g", delimiter=",")
+    path.write_text("".join(_format_rows(np.atleast_2d(mat))))
 
 
 def _add_noise_args(parser, prefix="", default_kind=None):

@@ -427,20 +427,201 @@ def stable_char_fn(u: float, alpha: float, beta: float, gamma: float, delta: flo
 # CSV round trip
 # ---------------------------------------------------------------------------
 
+#: magnitudes whose 17 digits the encoder decides itself
+_EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
+#: exponents k of the tabulated 10^k, covering 10^(16 - E) for E in that range
+_POW_MIN, _POW_MAX = -270, 300
+#: a scaled value whose fraction is nearer 1/2 than this goes to ``%``
+_TIE_MARGIN = 2.0**-24
+#: Dekker's splitter 2^27 + 1 for doubles
+_SPLIT = 134217729.0
+#: values encoded per chunk, which bounds the encoder's working memory
+_CHUNK_VALUES = 4096
+#: every character any ``%.17g`` layout can hold, in output order: sign,
+#: ``0.000`` for exponents -4 .. -1, the 17 digits with a point after each
+#: of the first 16, then ``e``, the exponent's sign, its 3 digits and the
+#: separator; a value's text keeps a subsequence of these columns
+_SUPERSET = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"
+_WIDTH = len(_SUPERSET)
+_FIRST_DIGIT, _EXP_SIGN, _SEPARATOR = 6, 40, 44
+
+
+@lru_cache(maxsize=1)
+def _pow10_table():
+    """``hi + lo = 10^k`` to 2^-106 relative, and hi's Dekker halves.
+
+    ``hi`` is 10^k rounded to double and ``lo`` the rounded remainder,
+    both from exact integer arithmetic.
+    """
+    hi = np.empty(_POW_MAX - _POW_MIN + 1)
+    lo = np.empty_like(hi)
+    for i, k in enumerate(range(_POW_MIN, _POW_MAX + 1)):
+        if k >= 0:
+            hi[i] = float(10**k)
+            lo[i] = float(10**k - int(hi[i]))
+        else:
+            n = 10**-k
+            hi[i] = 1 / n
+            num, den = hi[i].as_integer_ratio()
+            lo[i] = (den - num * n) / (n * den)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    return hi, head, hi - head, lo
+
+
+@lru_cache(maxsize=1)
+def _layout_tables():
+    """Lookup tables of the encoder.
+
+    * ``keep``: per class ``(sign * 23 + layout) * 17 + nz - 1`` the 0/0xFF
+      mask of the ``_SUPERSET`` columns its text keeps.  ``layout`` is
+      ``X + 4`` for the fixed form (exponent X in -4 .. 16), 21 for the
+      exponent form with two exponent digits and 22 with three; ``nz`` is
+      the number of digits left when trailing zeros are stripped.
+    * ``quad``: the four ASCII digits of 0 .. 9999 as one uint32.
+    * ``last``: ``last[k, g]`` is the 1-based index among the 17 digits of
+      the last nonzero digit of 4-digit group k holding g (0 if g = 0).
+    * ``exponent``: row X + 400 holds the sign and three digits of X.
+    """
+    keep = np.zeros((2, 23 * 17, _WIDTH), dtype=np.uint8)
+    for layout in range(23):
+        for nz in range(1, 18):
+            digits = [_FIRST_DIGIT + 2 * i for i in range(nz)]
+            x = layout - 4
+            if layout < 4:
+                cols = [1, 2] + list(range(3, 2 - x)) + digits
+            elif layout < 21:
+                cols = [_FIRST_DIGIT + 2 * i for i in range(max(x + 1, nz))]
+                if nz > x + 1:
+                    cols.append(_FIRST_DIGIT + 1 + 2 * x)
+            else:
+                cols = digits + ([_FIRST_DIGIT + 1] if nz > 1 else [])
+                cols += [_EXP_SIGN - 1, _EXP_SIGN] + ([_EXP_SIGN + 1] if layout == 22 else [])
+                cols += [_EXP_SIGN + 2, _EXP_SIGN + 3]
+            keep[0, layout * 17 + nz - 1, cols + [_SEPARATOR]] = 0xFF
+    keep[1] = keep[0]
+    keep[1, :, 0] = 0xFF  # the minus sign
+    g = np.arange(10000)
+    quad = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")).astype(np.uint8)
+    length = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
+    last = np.where(g > 0, 1 + 4 * np.arange(4)[:, None] + length, 0).astype(np.int8)
+    exponent = np.frombuffer("".join(f"{x:+04d}" for x in range(-400, 401)).encode("ascii"), dtype=np.uint8)
+    return keep.reshape(-1, _WIDTH), quad.view(np.uint32)[:, 0], last, exponent.reshape(-1, 4)
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The ``%.17g`` CSV text of the rows of a 2-D float array."""
+    nrow, ncol = block.shape
+    values = block.ravel()
+    mag = np.abs(values)
+    fast = (mag >= _EXACT_MIN) & (mag <= _EXACT_MAX)
+    mag[~fast] = 1.0
+    hi, hi_head, hi_tail, lo = _pow10_table()
+    exp10 = np.floor(np.log10(mag)).astype(np.int64)
+    c = _SPLIT * mag
+    head = c - (c - mag)
+    tail = mag - head
+    digits = np.empty(values.size, dtype=np.int64)
+    tie = np.empty(values.size, dtype=bool)
+    todo = np.arange(values.size)
+    # log10 can misjudge E by one next to a power of ten: redo those values
+    for _ in range(3):
+        k = 16 - _POW_MIN - exp10[todo]
+        x, xh, xt = mag[todo], head[todo], tail[todo]
+        # x * 10^(16 - E) = p + err exactly (Dekker), plus x * lo
+        p = x * hi[k]
+        err = xh * hi_head[k] - p
+        err += xh * hi_tail[k]
+        err += xt * hi_head[k]
+        err += xt * hi_tail[k]
+        err += x * lo[k]
+        whole = np.floor(p)
+        frac = p - whole
+        frac += err
+        carry = np.floor(frac)
+        frac -= carry
+        integer = whole.astype(np.int64) + carry.astype(np.int64)
+        rounded = integer + (frac > 0.5)
+        digits[todo] = rounded
+        tie[todo] = np.abs(frac - 0.5) < _TIE_MARGIN
+        low, high = integer < 10**16, rounded > 10**17
+        exp10[todo[low]] -= 1
+        exp10[todo[high]] += 1
+        todo = todo[low | high]
+        if not todo.size:
+            break
+    fast[todo] = False
+    fast &= ~tie
+    digits[~fast] = 10**16
+    exp10[~fast] = 0
+    # 17 digits that round up to 10^17 carry into the exponent
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    exp10 += carry
+
+    keep, quad, last, exponent = _layout_tables()
+    lead, rest = np.divmod(digits, 10**16)
+    groups = np.empty((values.size, 4), dtype=np.int64)
+    groups[:, 0], groups[:, 1] = np.divmod(rest // 10**8, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(rest % 10**8, 10**4)
+    nz = np.maximum(np.maximum(last[0, groups[:, 0]], last[1, groups[:, 1]]), last[2, groups[:, 2]])
+    np.maximum(nz, last[3, groups[:, 3]], out=nz)
+    np.maximum(nz, 1, out=nz)
+    layout = np.where(np.abs(exp10) < 100, 21, 22)
+    fixed = (exp10 >= -4) & (exp10 < 17)
+    layout[fixed] = exp10[fixed] + 4
+
+    chars = np.empty((values.size, _WIDTH), dtype=np.uint8)
+    chars[:] = np.frombuffer(_SUPERSET, dtype=np.uint8)
+    chars[:, _FIRST_DIGIT] = lead + ord("0")
+    chars[:, _FIRST_DIGIT + 2 : _EXP_SIGN - 1 : 2] = quad[groups].view(np.uint8)
+    chars[:, _EXP_SIGN : _EXP_SIGN + 4] = exponent[exp10 + 400]
+    chars.reshape(nrow, ncol, _WIDTH)[:, -1, _SEPARATOR] = ord("\n")
+    chars &= keep[(np.signbit(values) * 23 + layout) * 17 + nz - 1]
+    for j in np.flatnonzero(~fast):
+        text = ("%.17g" % values[j]).encode("ascii")
+        chars[j, :_SEPARATOR] = 0
+        chars[j, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return chars.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_rows(table: np.ndarray):
+    """Yield the ``%.17g`` CSV text of a 2-D table, a chunk of rows at a time."""
+    table = np.asarray(table, dtype=float)
+    step = max(1, _CHUNK_VALUES // table.shape[1])
+    for start in range(0, table.shape[0], step):
+        yield _format_block(table[start : start + step])
+
+
 def _write_table(file, header: str, table: np.ndarray) -> None:
     """Write a header line and ``%.17g`` comma-separated rows.
 
     ``file`` is a path or an open text file; a path is opened and closed
     here.  Every headed CSV the package exports goes through this writer;
     the CLI's matrix files (``P.csv``, ``S.csv`` and the like) are headerless
-    and written by ``cli._write_matrix``.
+    and call the encoder, :func:`_format_rows`, themselves.
+
+    The text is exactly ``'%.17g' % v`` per value, ``,`` between values
+    and ``\\n`` after each row, encoded in bulk.  For a finite v with
+    1e-280 <= |v| <= 1e280 and E = floor(log10 |v|), the encoder forms
+    |v| * 10^(16 - E) as a double-double: 10^k = hi + lo to 2^-106 relative
+    from exact integers, and a Dekker two-product ``|v| * hi = p + err``
+    exactly.  The scaled value is then known to within 1e-12 of a unit,
+    far inside ``_TIE_MARGIN``, so rounding it to the nearest integer gives
+    Python's correctly rounded 17 digits unless its fraction lies within
+    the margin of 1/2.  Those near-ties, zeros, non-finite values and
+    values outside the range go through ``'%.17g' %`` itself, so every
+    value's bytes equal Python's by construction.  The fixed or exponent
+    layout, with trailing zeros stripped, is a per-value mask over
+    ``_SUPERSET``.
     """
     if isinstance(file, (str, bytes, os.PathLike)):
         with open(file, "w") as fh:
             _write_table(fh, header, table)
         return
     file.write(header + "\n")
-    np.savetxt(file, table, fmt="%.17g", delimiter=",")
+    for text in _format_rows(table):
+        file.write(text)
 
 
 def path_to_csv(path: SamplePath, file) -> None:

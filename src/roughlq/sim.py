@@ -103,8 +103,19 @@ class StateSpaceModel:
                 raise SimError(f"{name} must be symmetric")
         if np.min(np.linalg.eigvalsh(r)) <= 0.0:
             raise SimError("R must be positive definite")
-        if np.min(np.linalg.eigvalsh(q)) < -1e-10 * max(1.0, np.linalg.norm(q)):
+        w, u = np.linalg.eigh(q)
+        if w[0] < -1e-10 * max(1.0, np.linalg.norm(q)):
             raise SimError("Q must be positive semidefinite")
+        # PBH test: (A, Q^1/2) is detectable when no mode of A with
+        # Re(lambda) >= 0 lies in the null space of Q^1/2; else the CARE
+        # has no stabilising positive definite solution
+        q_half = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+        scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(q_half, 2))
+        for lam in np.linalg.eigvals(a):
+            if lam.real >= -1e-10 * scale:
+                pencil = np.vstack([a - lam * np.eye(n), q_half])
+                if np.linalg.svd(pencil, compute_uv=False)[-1] < 1e-10 * scale:
+                    raise SimError(f"Q leaves the mode {lam:.4g} of A unweighted: (A, Q^1/2) is not detectable")
 
     @property
     def n(self) -> int:

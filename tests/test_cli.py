@@ -136,22 +136,29 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         pytest.param(["care", "--r", "0"], 2, id="care-r-not-positive-definite"),
         pytest.param(["care", "--q-diag=-1,1,1,1"], 2, id="care-q-not-semidefinite"),
         pytest.param(["care", "--q-diag", "1,x,1,1"], 2, id="care-q-diag-not-a-number"),
+        pytest.param(["care", "--q-diag", "0,1,1,1"], 2, id="care-q-undetectable"),
+        pytest.param(["simulate", "--horizon", "0.1", "--q-diag", "0,1,1,1"], 2, id="simulate-q-undetectable"),
         pytest.param(["simulate", "--horizon", "0.1", "--x0", "0,,0,0,0"], 2, id="simulate-x0-empty-entry"),
         pytest.param(
             ["compare", "--scenario", "fbm035", "--seeds", "0", "--horizon", "0.1", "--r", "0"],
             2,
             id="compare-r-not-positive-definite",
         ),
+        pytest.param(
+            ["compare", "--scenario", "fbm035", "--seeds", "0", "--horizon", "0.1", "--q-diag", "0,1,1,1"],
+            2,
+            id="compare-q-undetectable",
+        ),
     ],
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
     # an unknown predictor or one the noise does not admit, a SimError, a
     # NoiseError, too few observer replications, a non-finite grid, plant
-    # weight or initial state, an indefinite plant weight, a malformed
-    # number list, a negative triple count, an empty seed range, a repeated
-    # or negative seed and a repeated or unknown controller are config
-    # errors; an ObserverError from the observer solve, made to fail here,
-    # is a numeric failure
+    # weight or initial state, an indefinite or undetectable plant weight,
+    # a malformed number list, a negative triple count, an empty seed
+    # range, a repeated or negative seed and a repeated or unknown
+    # controller are config errors; an ObserverError from the observer
+    # solve, made to fail here, is a numeric failure
     def failing_solve(*args, **kwargs):
         raise ObserverError("no stabilising solution")
 

@@ -20,7 +20,10 @@ from roughlq.noise import (
     sample_paths,
     stable_char_fn,
 )
-from roughlq.noise import _fgn_cholesky, _sample_fgn_circulant
+from roughlq.bench import noise_paths, scenario_config, sim_template
+from roughlq.noise import _fgn_cholesky, _format_rows, _sample_fgn_circulant
+from roughlq.riccati import solve_care
+from roughlq.sim import integrate, trajectory_to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +399,102 @@ def test_csv_round_trip_and_precision():
     back = path_from_csv(buf)
     assert np.array_equal(back.values, path.values)
     assert np.array_equal(back.t, path.t)
+
+
+def _percent_oracle(table) -> str:
+    """The reference encoding: ``'%.17g' % v`` per value, one value at a time."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(table, dtype=float))
+
+
+def _assert_encodes_like_percent(table):
+    got = "".join(_format_rows(table))
+    want = _percent_oracle(table)
+    if got != want:
+        # report the first differing row, not two multi-megabyte strings
+        for row, (a, b) in enumerate(zip(got.splitlines(True), want.splitlines(True))):
+            assert a == b, f"row {row}"
+        assert len(got) == len(want)
+
+
+def _ulp_neighbours(values, reach):
+    """``values`` and their ``reach`` nearest doubles on either side."""
+    values = np.abs(np.asarray(values, dtype=float))
+    bits = values.view(np.int64)[:, None] + np.arange(-reach, reach + 1)
+    return bits.clip(0, np.float64(np.finfo(float).max).view(np.int64)).view(np.float64).ravel()
+
+
+def _column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
+def test_encoder_matches_percent_on_random_bit_patterns():
+    values = np.random.PCG64(0).random_raw(10**6).view(np.float64)
+    _assert_encodes_like_percent(values.reshape(-1, 8))
+
+
+def test_encoder_matches_percent_on_powers_of_ten_and_carry_boundaries():
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    neighbours = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    _assert_encodes_like_percent(_column(np.concatenate(neighbours)))
+    # 17 digits that round up to 10^17 (a carry into the exponent), and the
+    # 10^16 and 10^17 ends of the scaled 17-digit integer, at every exponent
+    marks = ["9.99999999999999995e{}", "9.9999999999999999e{}", "1.00000000000000005e{}", "9.999999999999999e{}"]
+    boundary = [float(m.format(e)) for m in marks for e in range(-307, 308)]
+    boundary = _ulp_neighbours(boundary, 4)
+    _assert_encodes_like_percent(_column(np.concatenate([boundary, -boundary])))
+    # the same boundaries where the scaling itself is exact
+    _assert_encodes_like_percent(_column([1e16 - 2.0, 1e16, 1e16 + 2.0, 1e17 - 16.0, 1e17, 1e17 + 16.0]))
+
+
+def test_encoder_matches_percent_on_integers_halves_and_subnormals():
+    integers = np.concatenate(
+        [
+            np.arange(-1000.0, 1001.0),
+            2.0 ** np.arange(54),
+            [2.0**53 - 1.0, 2.0**53 + 2.0],
+            np.random.Generator(np.random.PCG64(1)).integers(0, 2**53, 10**4).astype(float),
+        ]
+    )
+    # exact decimal ties of the 17-digit rounding (2^-25 has 18 digits, the
+    # last a 5) and odd multiples of 2^-j
+    odd = np.arange(1.0, 200.0, 2.0)
+    halves = np.concatenate(
+        [integers + 0.5, np.ldexp(1.0, -np.arange(1075)), np.ldexp(odd[:, None], -np.arange(1, 80)).ravel()]
+    )
+    tiny = np.finfo(float).tiny
+    subnormals = np.concatenate(
+        [
+            np.ldexp(np.arange(1.0, 1000.0), -1074),
+            _ulp_neighbours([tiny], 8),
+            (np.random.PCG64(2).random_raw(10**4) >> np.uint64(12)).view(np.float64),
+        ]
+    )
+    for values in (integers, halves, subnormals):
+        _assert_encodes_like_percent(_column(np.concatenate([values, -values])))
+
+
+def test_encoder_matches_percent_on_specials_and_shapes():
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1])
+    _assert_encodes_like_percent(specials[None, :])  # 1 x n
+    _assert_encodes_like_percent(specials[:, None])  # n x 1
+    for v in specials:
+        _assert_encodes_like_percent([[v]])  # 1 x 1
+    # tables longer than one encoding chunk, with every shape of row
+    rng = np.random.Generator(np.random.PCG64(3))
+    for ncol in (1, 3, 12, 5000):
+        scale = 10.0 ** rng.integers(-8, 9, ncol)
+        _assert_encodes_like_percent(rng.standard_normal((9000 // ncol + 1, ncol)) * scale)
+    assert "".join(_format_rows(np.empty((0, 3)))) == ""
+
+
+def test_encoder_matches_percent_on_a_fbm035_trajectory():
+    run = sim_template(scenario_config("fbm035", {"simulate": {"horizon": "0.5", "controller": "glq"}}))
+    design = solve_care(run.model.A, run.model.B, run.model.Q, run.model.R)
+    traj = integrate(run, *noise_paths(run, 0), design)
+    for values in (traj.t, traj.x, traj.xhat, traj.u_raw, traj.u_sat, traj.cost_running, traj.v_correction):
+        _assert_encodes_like_percent(np.reshape(values, (values.shape[0], -1)))
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    header, body = buf.getvalue().split("\n", 1)
+    table = np.column_stack([traj.t, traj.x, traj.xhat, traj.u_raw, traj.u_sat, traj.cost_running])
+    assert header.startswith("t,x1,") and body == _percent_oracle(table)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from roughlq.bench import noise_paths
+from roughlq.bench import SCENARIOS, _parse_floats, noise_paths
 from roughlq.control import completion_of_squares_gap, pathwise_cost
 from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_path
 from roughlq.observer import NoiseSecondMoments, solve_observer_steady_state
@@ -764,8 +764,10 @@ def test_config_validation():
         (np.eye(4), [[-1.0]], "R must be positive definite"),
         (np.eye(4), [[1.0, 0.5], [0.0, 1.0]], "R must be symmetric"),
         (np.diag([-1.0, 1.0, 1.0, 1.0]), [[1.0]], "Q must be positive semidefinite"),
+        # the cart position is the pendulum's eigenvalue-0 mode
+        (np.diag([0.0, 1.0, 1.0, 1.0]), [[1.0]], "not detectable"),
     ],
-    ids=["r-zero", "r-negative", "r-not-symmetric", "q-negative-eigenvalue"],
+    ids=["r-zero", "r-negative", "r-not-symmetric", "q-negative-eigenvalue", "q-undetectable"],
 )
 def test_state_space_rejects_bad_weights(q, r, message):
     pm = build_pendulum()
@@ -775,8 +777,19 @@ def test_state_space_rejects_bad_weights(q, r, message):
 
 
 def test_state_space_accepts_semidefinite_q():
-    model = pendulum_model(q=[0.0, 1.0, 1.0, 1.0])
-    assert np.array_equal(model.Q, np.diag([0.0, 1.0, 1.0, 1.0]))
+    model = pendulum_model(q=[1.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(model.Q, np.diag([1.0, 0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "q_diag, r",
+    # the weightings of test_riccati.py, then each scenario's own
+    [((1, 1, 1, 1), 1.0), ((10, 100, 1, 1), 0.01), ((1, 1, 1, 1), 100.0), ((1e3, 1e3, 1, 1), 1e-3)]
+    + [(_parse_floats(cfg["model"]["q_diag"]), float(cfg["model"]["r"])) for cfg in SCENARIOS.values()],
+)
+def test_state_space_accepts_detectable_weights(q_diag, r):
+    model = pendulum_model(q=q_diag, r=r)
+    assert np.min(np.linalg.eigvalsh(solve_care(model.A, model.B, model.Q, model.R).P)) > 0.0
 
 
 def test_trajectory_csv_columns():
