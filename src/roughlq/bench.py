@@ -321,6 +321,8 @@ def run_comparison(
         controllers = [c.strip() for c in run_cfg["controllers"].split(",")]
     if seeds is None:
         seeds = _read(run_cfg, "run", "seeds", _parse_seeds)
+    if not all(controllers):
+        raise ConfigError("[run] controllers has an empty entry")
     # a repeated seed or controller would be counted twice and overwrite its own files
     for kind, items in (("seed", seeds), ("controller", controllers)):
         repeated = [item for i, item in enumerate(items) if item in items[:i]]

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_are
+from scipy.linalg.lapack import dtbtrs
 
 from .noise import SamplePath
-from .riccati import spectral_abscissa
+from .riccati import _step_band, spectral_abscissa
 
 __all__ = [
     "ObserverError",
@@ -201,16 +202,20 @@ def simulate_error_process(a, l_gain, c, v_incs, w_incs, dt: float, e0=None) -> 
     """Error trajectories for stacked increment batches.
 
     ``v_incs``/``w_incs`` have shape ``(reps, N, d)``; returns the error
-    history ``(reps, N + 1, n)`` under the error recursion.
+    history ``(reps, N + 1, n)`` under the error recursion
+    ``e[k+1] = (I + (A - LC) dt) e[k] + dv[k] - L dw[k]``.  The recursion
+    has no saturation, so the whole history is one banded triangular
+    solve (LAPACK ``dtbtrs``) with the replications as right-hand sides.
     """
     a_err = np.atleast_2d(a) - np.atleast_2d(l_gain) @ np.atleast_2d(c)
     reps, n_steps, _ = v_incs.shape
     n = a_err.shape[0]
-    e = np.zeros((reps, n_steps + 1, n))
-    if e0 is not None:
-        e[:, 0] = e0
-    step = np.eye(n) + a_err * dt
-    lt = np.atleast_2d(l_gain).T
-    for k in range(n_steps):
-        e[:, k + 1] = e[:, k] @ step.T + v_incs[:, k] - w_incs[:, k] @ lt
-    return e
+    e = np.empty((reps, n_steps + 1, n))
+    e[:, 0] = 0.0 if e0 is None else e0
+    e[:, 1:] = v_incs - w_incs @ np.atleast_2d(l_gain).T
+    band = _step_band(np.eye(n) + a_err * dt, n_steps + 1)
+    # one column per replication: the transposed view is already in Fortran order
+    x, info = dtbtrs(band, e.reshape(reps, -1).T, uplo="L", diag="U", overwrite_b=1)
+    if info != 0:
+        raise ObserverError(f"banded error solve failed: dtbtrs info {info}")
+    return x.T.reshape(reps, n_steps + 1, n)

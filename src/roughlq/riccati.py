@@ -34,6 +34,26 @@ def spectral_abscissa(m: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(m))))
 
 
+def _step_band(step: np.ndarray, blocks: int) -> np.ndarray:
+    """LAPACK lower band storage of the recursion ``z[k+1] = step z[k] + r[k+1]``.
+
+    The matrix is ``blocks`` x ``blocks`` d x d blocks: identity on the
+    diagonal, ``-step`` below it.  Stacking the rows z[0], z[1], ... into
+    one vector, the recursion from ``z[0] = r[0]`` is this unit
+    lower-triangular system with ``2 d - 1`` subdiagonals; ``dtbsv`` or
+    ``dtbtrs`` (lower, unit diagonal) solve it by forward substitution.
+    Column ``b`` of a block holds ``-step[:, b]`` in band rows ``d - b``
+    to ``2 d - 1 - b``; the band is returned in Fortran order.
+    """
+    d = step.shape[0]
+    column = np.zeros((d, 2 * d))  # the transpose of one block's band columns
+    row, col = np.indices((d, d))
+    column[col, d + row - col] = -step
+    band = np.empty((blocks, d, 2 * d))
+    band[:] = column
+    return band.reshape(-1, 2 * d).T  # Fortran order: one band column per row of ``band``
+
+
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``a^T X + X a + q = 0`` (Bartels-Stewart, via scipy)."""
     return solve_continuous_lyapunov(a.T, -q)

@@ -17,12 +17,29 @@ z = (x, xhat), or z = x without the observer (xhat is x):
 
     w[k+1] = M clip(w[k]) + c[k],
 
-where ``clip`` bounds the u_raw coordinates by the saturation level.  An
-unsaturated step is one BLAS matrix-vector product plus add; a saturated
-one is the explicit step z[k+1] = F z[k] + G clip(u) + h[k].  c holds what
-does not depend on the state (dv, L dw and -K V), built once per run.
-Divergence is tested over blocks of rows, and the clipped inputs and the
-running cost are formed after the loop.
+where ``clip`` bounds the u_raw coordinates by the saturation level, and c
+holds what does not depend on the state (dv, L dw and -K V), built once
+per run.
+
+A mode says, for each input, whether it is free or railed at +saturation
+or -saturation.  While the mode mu holds the loop is linear,
+
+    w[k+1] = M_mu w[k] + c[k] + const_mu,
+
+with M_mu the matrix M with the railed input columns zeroed and const_mu
+their +-saturation contribution.  Stacked over a window of rows that is a
+unit lower-triangular block-bidiagonal system, and one banded forward
+substitution (BLAS ``dtbsv``) solves it.  The window is speculative: the
+loop keeps the rows up to and including the first row in a new mode,
+tests them for divergence and starts again from the last kept row.  A
+window is 64 rows after a mode change and doubles up to 1024 while the
+mode holds.  Where the input chatters, a mode change within the first 16
+rows of a window sends the next 256 rows through the per-row loop: one
+explicit step z[k+1] = F z[k] + G clip(u) + h[k] each, one BLAS
+matrix-vector product.  The band solve multiplies a NaN or inf by the
+band's structural zeros, so the halt row is recomputed as one explicit
+step from the row before it.  The clipped inputs and the running cost are
+formed after the loop.
 """
 
 from __future__ import annotations
@@ -30,13 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemv, dtbsv
 
 from .control import gaussian_correction_series, pathwise_correction_series
 from .lift import lift_piecewise_linear
 from .noise import NoiseModel, SamplePath, _write_table, make_grid
 from .observer import ObserverDesign
-from .riccati import ControlDesign
+from .riccati import ControlDesign, _step_band
 
 __all__ = [
     "CONTROLLERS",
@@ -56,8 +73,13 @@ __all__ = [
 #: before floating-point overflow can contaminate stored values
 DIVERGENCE_NORM = 1e12
 
-#: steps between two divergence tests; rows computed past a halt are dropped
+#: rows of one chattering stretch stepped one at a time
 _BLOCK = 256
+#: rows of the first speculative band solve after a mode change, and the
+#: cap it doubles up to while the mode holds; a change within the first
+#: ``_CHATTER`` rows of a window sends the next ``_BLOCK`` rows to the
+#: per-row loop
+_WINDOW, _MAX_WINDOW, _CHATTER = 64, 1024, 16
 
 #: the laws: ``classical`` is u = -K x, ``glq`` is u = -K (x + V)
 CONTROLLERS = ("classical", "glq")
@@ -251,23 +273,66 @@ def integrate(
     c = np.hstack([h, bias[1:] - h @ k_fb.T])
     hi = np.r_[np.full(nz, np.inf), np.full(m, sat)]  # clip bounds on w
     lo = -hi
-    w = np.empty((n_steps + 1, nz + m))
+    d = nz + m
+    w = np.empty((n_steps + 1, d))
     w[0] = np.r_[z0, bias[0] - k_fb @ z0]
 
-    halt = None
+    def rails(rows):
+        """Mode of each row: per input, +1 or -1 railed at that bound, 0 free."""
+        u = rows[..., nz:]
+        return (u > sat).view(np.int8) - (u < -sat).view(np.int8)
+
+    def step_rows(k0, k1):
+        """Rows k0 + 1 .. k1, one explicit step each."""
+        wk = w[k0]
+        for k, ck in enumerate(c[k0:k1], k0 + 1):
+            if max(map(abs, wk[nz:].tolist())) > sat:
+                wk = np.minimum(np.maximum(wk, lo), hi)
+            w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
+
+    bands = {}  # mode -> (band of the windowed system, constant input of the railed inputs)
+
+    def solve_rows(k0, k1, mode):
+        """Rows k0 + 1 .. k1, assuming rows k0 .. k1 - 1 all hold ``mode``."""
+        key = mode.tobytes()
+        if key not in bands:
+            railed = nz + np.flatnonzero(mode)
+            m_mode = m_step.copy()
+            m_mode[:, railed] = 0.0
+            const = m_step[:, railed] @ (sat * mode[mode != 0])
+            bands[key] = _step_band(m_mode, min(_MAX_WINDOW, n_steps) + 1), const
+        band, const = bands[key]
+        rows = w[k0 : k1 + 1]
+        np.add(c[k0:k1], const, out=rows[1:])
+        # overwrite_x: the solve runs in place on the contiguous rows
+        dtbsv(2 * d - 1, band[:, : rows.size], rows.reshape(-1), lower=1, diag=1, overwrite_x=1)
+
+    halt, k0, window = None, 0, _WINDOW
     with np.errstate(over="ignore", invalid="ignore"):  # rows past a halt may overflow
-        for k0 in range(0, n_steps, _BLOCK):
-            k1 = min(k0 + _BLOCK, n_steps)
-            wk = w[k0]
-            for k, ck in enumerate(c[k0:k1], k0 + 1):
-                if max(map(abs, wk[nz:].tolist())) > sat:
-                    wk = np.minimum(np.maximum(wk, lo), hi)
-                w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
-            # a non-finite state has a NaN or infinite norm and fails the test too
-            bad = np.flatnonzero(~(np.linalg.norm(w[k0 + 1 : k1 + 1, :n], axis=1) <= DIVERGENCE_NORM))
-            if bad.size:
-                halt = k0 + 1 + int(bad[0])
-                break
+        while k0 < n_steps:
+            mode = rails(w[k0])
+            k1 = min(k0 + window, n_steps)
+            solve_rows(k0, k1, mode)
+            switched = np.flatnonzero((rails(w[k0 + 1 : k1 + 1]) != mode).any(axis=1))
+            window = _WINDOW if switched.size else min(2 * window, _MAX_WINDOW)
+            if switched.size:
+                k1 = k0 + 1 + int(switched[0])  # keep rows through the first in a new mode
+                if k1 - k0 <= _CHATTER:  # chattering: one explicit step per row
+                    chatter_end = min(k1 + _BLOCK, n_steps)
+                    step_rows(k1, chatter_end)
+                    k1 = chatter_end
+            states = w[k0 + 1 : k1 + 1, :n]
+            # squared norms screen the rows; the norm decides, and a
+            # non-finite state has a NaN or infinite norm and fails it too
+            if not np.max(np.einsum("ij,ij->i", states, states)) <= 0.25 * DIVERGENCE_NORM**2:
+                bad = np.flatnonzero(~(np.linalg.norm(states, axis=1) <= DIVERGENCE_NORM))
+                if bad.size:
+                    halt = k0 + 1 + int(bad[0])
+                    # the band solve spreads a NaN or inf through the band's zeros:
+                    # redo the halt row as one step from the row before it
+                    step_rows(halt - 1, halt)
+                    break
+            k0 = k1
 
     end = n_steps if halt is None else halt
     live = end if halt is not None else end + 1  # rows that carry a cost rate
@@ -276,8 +341,8 @@ def integrate(
     u_raw = w[:, nz:].copy()
     u_raw[live:] = 0.0  # the halt row records no input
     u_sat = np.clip(u_raw, -sat, sat)
-    rate = np.einsum("ki,ij,kj->k", x[:live], model.Q, x[:live])
-    rate += np.einsum("ki,ij,kj->k", u_sat[:live], model.R, u_sat[:live])
+    rate = np.einsum("ki,ki->k", x[:live] @ model.Q, x[:live])
+    rate += np.einsum("ki,ki->k", u_sat[:live] @ model.R, u_sat[:live])
     cost = np.zeros(end + 1)
     cost[1:live] = np.cumsum(0.5 * config.dt * (rate[:-1] + rate[1:]))
     cost[live:] = cost[live - 1]  # the halt row carries the last accumulated cost

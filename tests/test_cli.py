@@ -124,6 +124,11 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         ),
         pytest.param(["compare", "--scenario", "fbm035", "--controllers", "bogus"], 2, id="compare-unknown-controller"),
         pytest.param(["compare", "--scenario", "fbm035", "--controllers", "glq,"], 2, id="compare-empty-controller"),
+        pytest.param(
+            ["compare", "--scenario", "fbm035", "--seeds", "0", "--controllers", ","],
+            2,
+            id="compare-only-empty-controllers",
+        ),
         pytest.param(["simulate", "--seed", "-1"], 2, id="simulate-negative-seed"),
         pytest.param(["noise-gen", "--seed", "-1"], 2, id="noise-gen-negative-seed"),
         pytest.param(["lift-check", "--seed", "-1"], 2, id="lift-check-negative-seed"),
@@ -156,9 +161,10 @@ def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code)
     # NoiseError, too few observer replications, a non-finite grid, plant
     # weight or initial state, an indefinite or undetectable plant weight,
     # a malformed number list, a negative triple count, an empty seed
-    # range, a repeated or negative seed and a repeated or unknown
-    # controller are config errors; an ObserverError from the observer
-    # solve, made to fail here, is a numeric failure
+    # range, a repeated or negative seed and a repeated, unknown or empty
+    # controller (an empty entry is refused before the repeat check, so
+    # "," is not reported as a repeat) are config errors; an ObserverError
+    # from the observer solve, made to fail here, is a numeric failure
     def failing_solve(*args, **kwargs):
         raise ObserverError("no stabilising solution")
 
@@ -170,6 +176,15 @@ def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code)
     if argv[0] == "compare":
         # a rejected run list is caught before --out is created
         assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", [",", "glq,", ",classical"])
+def test_cli_compare_names_an_empty_controller_entry(tmp_path, capsys, entries):
+    out = tmp_path / "out"
+    argv = ["compare", "--scenario", "fbm035", "--seeds", "0", "--controllers", entries, "--out", str(out)]
+    assert main(argv) == 2
+    assert "config error: [run] controllers has an empty entry" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path):

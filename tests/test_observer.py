@@ -247,6 +247,27 @@ def _error_step(a, l_gain, c, e, dv, dw, dt):
     return out[0, 1]
 
 
+def test_error_process_matches_step_formula():
+    # the banded solve against e[k+1] = (I + (A - LC) dt) e[k] + dv[k] - L dw[k],
+    # stepped one row at a time, on three replications with a nonzero start
+    pm = build_pendulum()
+    mom = NoiseSecondMoments.uncorrelated(0.04 * np.eye(4), 0.04 * np.eye(4), dt=1e-3)
+    l_gain = solve_observer_steady_state(pm.A, pm.C, mom).L
+    dt, reps, n_steps = 1e-3, 3, 5000
+    rng = np.random.Generator(np.random.PCG64(11))
+    v_incs = 0.05 * rng.standard_normal((reps, n_steps, 4))
+    w_incs = 0.05 * rng.standard_normal((reps, n_steps, 4))
+    e0 = np.array([0.2, -0.1, 0.0, 0.3])
+    err = simulate_error_process(pm.A, l_gain, pm.C, v_incs, w_incs, dt, e0=e0)
+    step = np.eye(4) + (pm.A - l_gain @ pm.C) * dt
+    ref = np.empty((reps, n_steps + 1, 4))
+    ref[:, 0] = e0
+    for k in range(n_steps):
+        ref[:, k + 1] = ref[:, k] @ step.T + v_incs[:, k] - w_incs[:, k] @ l_gain.T
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    np.testing.assert_allclose(err, ref, rtol=0.0, atol=1e-12 * scale)
+
+
 def test_error_step_equilibrium_and_open_loop():
     a = np.array([[0.0, 1.0], [-2.0, -1.0]])
     zero = np.zeros(2)

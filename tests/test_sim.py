@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from roughlq.bench import SCENARIOS, _parse_floats, noise_paths
+from roughlq import sim
+from roughlq.bench import SCENARIOS, _parse_floats, noise_paths, scenario_config, sim_template
 from roughlq.control import completion_of_squares_gap, pathwise_cost
 from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_path
 from roughlq.observer import NoiseSecondMoments, solve_observer_steady_state
@@ -14,6 +15,7 @@ from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 from roughlq.sim import (
     _BLOCK,
+    _WINDOW,
     DIVERGENCE_NORM,
     SimConfig,
     SimError,
@@ -466,8 +468,91 @@ def test_integrate_matches_reference_when_saturation_diverges(observer_enabled):
 
 @pytest.mark.parametrize(
     "row",
-    [_BLOCK, _BLOCK + 45, 1000],
-    ids=["block-boundary", "inside-a-block", "last-step"],
+    [_WINDOW, _WINDOW + 1, 1000],
+    ids=["last-row-of-a-window", "first-row-of-a-window", "last-step"],
+)
+def test_integrate_matches_reference_when_a_kick_rails_the_input(row):
+    # noise-free but for one kick in dv[row - 1]: the input rails first at
+    # exactly ``row`` and returns to its bound afterwards
+    model = pendulum_model()
+    design = pendulum_design(model)
+    cfg = SimConfig(
+        model=model,
+        noise_v=NoiseModel.brownian(),
+        noise_w=NoiseModel.brownian(),
+        dt=1e-3,
+        horizon=1.0,
+        saturation=20.0,
+    )
+    grid = cfg.grid()
+    v, w = zero_paths(grid, 4, 4)
+    values = v.values.copy()
+    values[row:, 1] = 1.0
+    v = SamplePath(t=grid, values=values)
+    traj = integrate(cfg, v, w, design)
+    ref = _reference_integrate(cfg, v, w, design)
+    _assert_same_run(traj, ref)
+    railed = np.flatnonzero(np.abs(ref.u_raw[:, 0]) > cfg.saturation)
+    assert railed[0] == row and (row == grid.size - 1 or railed[-1] < grid.size - 1)
+
+
+def test_integrate_matches_reference_without_saturation():
+    # saturation = inf: one mode for the whole run, so every window is a band solve
+    model = pendulum_model()
+    design = pendulum_design(model)
+    noise_v = NoiseModel.fbm(hurst=0.35, sigma=2.0)
+    cfg = SimConfig(
+        model=model,
+        noise_v=noise_v,
+        noise_w=NoiseModel.brownian(),
+        controller="glq",
+        dt=1e-3,
+        horizon=3.0,
+        saturation=float("inf"),
+        x0=np.array([0.0, 0.3, 0.0, 0.0]),
+    )
+    grid = cfg.grid()
+    v = sample_path(noise_v, grid, d=4, seed=12)
+    w = zero_paths(grid, 4, 4)[1]
+    traj = integrate(cfg, v, w, design)
+    ref = _reference_integrate(cfg, v, w, design)
+    assert not ref.diverged
+    _assert_same_run(traj, ref)
+
+
+def test_integrate_matches_reference_on_a_chattering_observer_run(monkeypatch):
+    # the fbm035 noise and saturation on a 2 s glq observer run: its input
+    # switches between rails every few steps in places and holds elsewhere,
+    # so the loop takes both the band solve and the per-row step
+    cfg = scenario_config("fbm035", {"simulate": {"horizon": "2.0"}})
+    run = replace(sim_template(cfg), controller="glq", observer_enabled=True)
+    model = run.model
+    design = pendulum_design(model)
+    observer = _observer_for(model)
+    v, w = noise_paths(run, 0)
+    calls = {"dtbsv": 0, "dgemv": 0}
+
+    def counted(name):
+        inner = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name))
+    traj = integrate(run, v, w, design, observer=observer)
+    assert calls["dtbsv"] > 0 and calls["dgemv"] >= _BLOCK
+    ref = _reference_integrate(run, v, w, design, observer=observer)
+    _assert_same_run(traj, ref)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [_BLOCK, _BLOCK + 45, 1000, _WINDOW, 700],
+    ids=["block-boundary", "inside-a-block", "last-step", "window-edge", "inside-a-long-free-segment"],
 )
 @pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
 def test_nan_increment_halts_at_its_step(row, observer_enabled):
