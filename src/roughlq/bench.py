@@ -235,15 +235,18 @@ def sim_template(cfg: dict) -> SimConfig:
     )
 
 
-def noise_paths(run: SimConfig, seed: int):
+def noise_paths(run: SimConfig, seed: int, measured: bool = True):
     """Process and measurement noise of run seed ``seed`` on the run's grid.
 
     The process stream is the seed itself, so the runs of one seed are
     matched across controllers and modes; measurement noise draws from
-    the disjoint stream ``MEASUREMENT_SEED_OFFSET + seed``.
+    the disjoint stream ``MEASUREMENT_SEED_OFFSET + seed``, and only when
+    ``measured`` (else it is None), which moves no other draw.
     """
     grid = run.grid()
     v = sample_path(run.noise_v, grid, d=run.model.n, seed=seed)
+    if not measured:
+        return v, None
     w = sample_path(run.noise_w, grid, d=run.model.p, seed=MEASUREMENT_SEED_OFFSET + seed)
     return v, w
 
@@ -288,12 +291,14 @@ def _observer_design_for(
     ``model``, which supplies only ``A`` and ``C``.
 
     Replication j draws its process noise from ``seed + 2j`` and its
-    measurement noise from ``seed + 2j + 1``; heavy-tailed process noise
-    is clipped at ``HEAVY_TAIL_QUANTILE``.  Returns ``(design, moments)``.
+    measurement noise from ``seed + 2j + 1``.  When either noise is
+    heavy-tailed (stable with alpha < 2) both are clipped at the
+    ``HEAVY_TAIL_QUANTILE`` of their joint absolute increments.  Returns
+    ``(design, moments)``.
     """
     v_paths = sample_paths(noise_v, grid, model.A.shape[0], [seed + 2 * j for j in range(replications)])
     w_paths = sample_paths(noise_w, grid, model.C.shape[0], [seed + 2 * j + 1 for j in range(replications)])
-    heavy = noise_v.kind == "stable" and noise_v.alpha < 2.0
+    heavy = any(noise.kind == "stable" and noise.alpha < 2.0 for noise in (noise_v, noise_w))
     quantile = HEAVY_TAIL_QUANTILE if heavy else None
     moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=quantile)
     return solve_observer_steady_state(model.A, model.C, moments), moments
@@ -356,7 +361,7 @@ def run_comparison(
 
     records = []
     for seed in seeds:
-        v, w = noise_paths(base, seed)
+        v, w = noise_paths(base, seed, measured=observer is not None)
         for controller in controllers:
             for mode in modes:
                 run = replace(by_controller[controller], observer_enabled=(mode == "observer"))

@@ -193,7 +193,7 @@ def cmd_simulate(args) -> int:
     cfg = merge(SIMULATE_BASE, overrides)
     run = replace(sim_template(cfg), observer_enabled=args.observer_enabled)
     model = run.model
-    v, w = noise_paths(run, args.seed)
+    v, w = noise_paths(run, args.seed, measured=run.observer_enabled)
     observer = None
     if run.observer_enabled:
         observer, _ = _observer_design_for(model, run.noise_v, run.noise_w, _moment_grid(run.dt))

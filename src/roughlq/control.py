@@ -26,7 +26,6 @@ decides which mode a run's noise admits.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm, toeplitz
 
 from .lift import RoughPath, rough_integral_admissible
@@ -49,11 +48,10 @@ INTEGRAND_HOLDER = 1.0
 #: powers of the closed-loop step whose norms are tested together
 _HORIZON_BLOCK = 1024
 
-#: increments x window entries copied at once by the correction sweep
-_SWEEP_CHUNK = 1 << 20
-
-#: default_horizon results (default max_steps) by (A_cl shape, A_cl bytes, dt)
-_HORIZON_MEMO: dict = {}
+#: default horizons and Gaussian correction kernels built in this process,
+#: by what they depend on; past ``_MEMO_ENTRIES`` the oldest entry goes
+_MEMO: dict = {}
+_MEMO_ENTRIES = 16
 
 
 class PredictorError(ValueError):
@@ -120,14 +118,19 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
 
-def _memo_horizon(design: ControlDesign, dt: float) -> float:
-    """:func:`default_horizon`, scanned once per closed loop and ``dt`` in a
-    process, so the runs of one design share the scan."""
-    a_cl = np.asarray(design.A_cl, dtype=float)
-    key = (a_cl.shape, a_cl.tobytes(), float(dt))
-    if key not in _HORIZON_MEMO:
-        _HORIZON_MEMO[key] = default_horizon(design, dt)
-    return _HORIZON_MEMO[key]
+def _memoised(key: tuple, build):
+    """``build()``, kept by ``key`` in the process-wide memo, so the runs
+    of one design share what only the design decides."""
+    if key not in _MEMO:
+        if len(_MEMO) >= _MEMO_ENTRIES:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = build()
+    return _MEMO[key]
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,25 @@ def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np
     return out.reshape(lags, n * n)
 
 
+def _gaussian_kernels(design: ControlDesign, hurst: float, dt: float, m: int, sizes: tuple) -> list:
+    """Per window size s the taps ``T_s[w]``, shape (s, n, n), with
+    ``V(t_k) = sum_{w<s} T_s[w] inc[k - s + w]``.
+
+    The conditioning, the lag sums ``H[l]`` and ``P^{-1}`` collapse into
+    ``T_s = P^{-1} Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``: one
+    Toeplitz solve per size.
+    """
+    n = design.n
+    gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(hurst))
+    lag_sums = _lag_sums(design, gamma, m, dt)
+    p_inv = np.linalg.inv(design.P)
+    taps = []
+    for size in sizes:
+        kernel = _solve_gram(toeplitz(gamma[:size]), lag_sums[size - 1 :: -1]).reshape(size, n, n)
+        taps.append(p_inv @ kernel)
+    return taps
+
+
 def gaussian_correction_series(
     design: ControlDesign,
     hurst: float,
@@ -186,40 +208,40 @@ def gaussian_correction_series(
     those last s increments.
 
     Per window size the conditioning, the lag sums ``H[l]`` and ``P^{-1}``
-    collapse into one kernel ``Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``,
-    so each size costs one Toeplitz solve and one matmul over the sliding
-    windows of the increments.  Cost: O(m n^3 + window n^3) for the lag
-    sums, O(window^3) for the solves and O(N window n^2) for the sweep.
+    collapse into s taps (:func:`_gaussian_kernels`), built once per
+    design, ``dt``, Hurst index, horizon and window in a process, as is the
+    default horizon.  The sweep adds one product per tap over all rows of
+    that size, ``V[s + r] += T_s[w] inc[r + w]``, with no copy of the
+    windows; each row sums only its own past increments, in a fixed
+    order, so changing an increment never moves an earlier V by rounding.
+    Cost: O(m n^3 + window n^3) for the lag sums, O(window^3) for the
+    solves, both once per key, and O(N window n^2) for the sweep.
     """
     if not (0.0 < hurst < 1.0 and window >= 1):
         raise PredictorError(f"need 0 < hurst < 1 and window >= 1, got {hurst} and {window}")
     n_steps = path.n_steps
-    n = design.n
-    out = np.zeros((n_steps + 1, n))
     if hurst == 0.5:
-        return out
-    dt = path.dt
+        return np.zeros((n_steps + 1, design.n))
+    dt = float(path.dt)
+    loop = _array_key(design.A_cl)
     if horizon is None:
-        horizon = _memo_horizon(design, dt)
+        horizon = _memoised(("horizon", loop, dt), lambda: default_horizon(design, dt))
     m = max(1, int(round(horizon / dt)))
-    sizes = [1 << i for i in range(min(window, n_steps).bit_length())]
-    gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(hurst))
-    lag_sums = _lag_sums(design, gamma, m, dt)
+    sizes = tuple(1 << i for i in range(min(window, n_steps).bit_length()))
+    key = ("taps", loop, _array_key(design.P), dt, float(hurst), m, sizes)
+    taps = _memoised(key, lambda: _gaussian_kernels(design, hurst, dt, m, sizes))
 
-    inc = path.increments
-    p_inv = np.linalg.inv(design.P)
-    for size in sizes:
-        gram = toeplitz(gamma[:size])
-        kernel = _solve_gram(gram, lag_sums[size - 1 :: -1]).reshape(size, n, n)
-        # rows (b, w) of the flattened window inc[k - size + w, b]
-        kmat = np.einsum("ac,wcb->bwa", p_inv, kernel).reshape(n * size, n)
-        windows = sliding_window_view(inc, size, axis=0)
-        rows = windows.shape[0] if size == sizes[-1] else size
-        chunk = max(1, _SWEEP_CHUNK // (n * size))
-        for r0 in range(0, rows, chunk):
-            r1 = min(rows, r0 + chunk)
-            out[size + r0 : size + r1] = windows[r0:r1].reshape(r1 - r0, n * size) @ kmat
-    return out
+    # time runs along the rows of the transposed series: an n x n by n x rows
+    # product runs about twice as fast as rows x n by n x n
+    inc = path.increments.T.copy()
+    out = np.zeros((design.n, n_steps + 1))
+    for size, tap in zip(sizes, taps):
+        # V[size .. 2 size - 1] conditions on size increments; the largest size takes the rest
+        rows = n_steps + 1 - size if size == sizes[-1] else size
+        block = out[:, size : size + rows]
+        for w in range(size):
+            block += tap[w] @ inc[:, w : w + rows]
+    return out.T.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -231,15 +231,16 @@ def _correction_series(config: SimConfig, design: ControlDesign, v_path: SampleP
 def integrate(
     config: SimConfig,
     v_path: SamplePath,
-    w_path: SamplePath,
+    w_path: SamplePath | None,
     design: ControlDesign,
     observer: ObserverDesign | None = None,
 ) -> Trajectory:
     """Run one closed loop over the configured grid.
 
-    ``v_path``/``w_path`` must sit on the config grid.  Divergence
-    (non-finite values or state norm beyond 1e12) halts the run cleanly
-    at the offending step and flags the trajectory.
+    ``v_path`` and ``w_path`` must sit on the config grid; only an
+    observer run reads ``w_path``, so a full-state run may pass None.
+    Divergence (non-finite values or state norm beyond 1e12) halts the
+    run cleanly at the offending step and flags the trajectory.
     """
     model = config.model
     grid = config.grid()
@@ -250,6 +251,8 @@ def integrate(
     if config.observer_enabled:
         if observer is None:
             raise SimError("observer run requested without an observer design")
+        if w_path is None:
+            raise SimError("observer run requested without a measurement noise path")
         if w_path.t.shape != grid.shape or w_path.d != model.p:
             raise SimError("w_path must live on the grid with output dimension")
 

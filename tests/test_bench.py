@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from roughlq import bench
-from roughlq.sim import SimError
+from roughlq.observer import estimate_second_moments
+from roughlq.sim import SimError, integrate
 
 #: one classical full-state run of 100 steps
 SMALL = {"run": {"observer": "fullstate"}, "simulate": {"horizon": "0.1"}}
@@ -91,3 +92,44 @@ def test_classical_run_ignores_the_predictor():
     overrides = {"run": {"observer": "fullstate"}, "simulate": {"horizon": "0.1", "predictor": "gaussian"}}
     report = bench.run_comparison("stable15", controllers=["classical"], seeds=[0], overrides=overrides)
     assert [(r.controller, r.mode, r.seed) for r in report.records] == [("classical", "fullstate", 0)]
+
+
+@pytest.mark.parametrize("scenario", sorted(bench.SCENARIOS))
+def test_shipped_scenarios_clip_as_their_process_noise_decides(monkeypatch, scenario):
+    # each shipped scenario's two noises are of one kind, so clipping when
+    # either noise is heavy-tailed forms the moments the process noise
+    # alone decided before, bit for bit
+    drawn = []
+
+    def capture(v_paths, w_paths, **kwargs):
+        drawn.append((v_paths, w_paths))
+        return estimate_second_moments(v_paths, w_paths, **kwargs)
+
+    monkeypatch.setattr(bench, "estimate_second_moments", capture)
+    run = bench.sim_template(bench.scenario_config(scenario))
+    _, moments = bench._observer_design_for(run.model, run.noise_v, run.noise_w, bench._moment_grid(run.dt))
+    heavy = run.noise_v.kind == "stable" and run.noise_v.alpha < 2.0
+    assert heavy == (scenario == "stable15")
+    expected = estimate_second_moments(*drawn[0], truncate_quantile=bench.HEAVY_TAIL_QUANTILE if heavy else None)
+    assert moments.truncation == expected.truncation
+    for name in ("sigma_v", "sigma_w", "r_vw"):
+        assert np.array_equal(getattr(moments, name), getattr(expected, name))
+
+
+def test_full_state_runs_draw_no_measurement_noise(monkeypatch):
+    seeds = []
+    real = bench.sample_path
+
+    def counted(model, grid, d, seed):
+        seeds.append(seed)
+        return real(model, grid, d=d, seed=seed)
+
+    monkeypatch.setattr(bench, "sample_path", counted)
+    report = bench.run_comparison("fbm035", controllers=["classical"], seeds=[0, 1], overrides=SMALL)
+    assert seeds == [0, 1]  # the process streams only
+    # the runs equal those given the measurement noise as well
+    run = bench.sim_template(bench.scenario_config("fbm035", SMALL))
+    design = bench.solve_care(run.model.A, run.model.B, run.model.Q, run.model.R)
+    for record, seed in zip(report.records, [0, 1]):
+        traj = integrate(run, *bench.noise_paths(run, seed), design)
+        assert record.mean_cost == bench.average_cost(traj)

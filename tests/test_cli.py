@@ -521,6 +521,25 @@ def test_cli_observer_matches_compare_observer(tmp_path, monkeypatch):
     assert np.array_equal(s, designs[0].S)
 
 
+def test_cli_observer_clips_heavy_tailed_measurement_noise(tmp_path, capsys):
+    # Gaussian process noise with stable measurement noise: the raw second
+    # moment of the measurement increments does not exist, so both are clipped
+    code = main(
+        [
+            "observer", "--kind", "fbm", "--hurst", "0.35", "--sigma", "100",
+            "--w-kind", "stable", "--w-alpha", "1.5", "--moment-horizon", "2", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    printed = capsys.readouterr().out
+    (line,) = [line for line in printed.splitlines() if line.startswith("truncation_level = ")]
+    level = float(line.split(" = ")[1])
+    assert 0.0 < level < np.inf
+    # no clipped increment exceeds the level, so neither does a sample second moment
+    sigma_w = np.loadtxt(tmp_path / "sigma_w.csv", delimiter=",")
+    assert np.max(np.diag(sigma_w)) <= level**2 / 0.001
+
+
 def test_plot_data_empty_report(tmp_path):
     from roughlq.bench import ExperimentReport, emit_plot_data
     from roughlq.config import parse_config

@@ -484,7 +484,7 @@ def test_gaussian_series_scans_default_horizon_once_per_design_and_dt(monkeypatc
         calls.append(dt)
         return default_horizon(design, dt, *args)
 
-    monkeypatch.setattr(control, "_HORIZON_MEMO", {})
+    monkeypatch.setattr(control, "_MEMO", {})
     monkeypatch.setattr(control, "default_horizon", counted)
     design = two_dim_design()
     model = NoiseModel.fbm(hurst=0.35)
@@ -500,6 +500,67 @@ def test_gaussian_series_scans_default_horizon_once_per_design_and_dt(monkeypatc
     # another step size is another scan
     gaussian_correction_series(design, model.hurst, sample_path(model, make_grid(0.01, 1.0), d=2, seed=0), window=8)
     assert calls == [0.02, 0.01]
+
+
+@pytest.mark.parametrize("k", [100, 256, 257, 598])
+def test_gaussian_series_is_causal_bit_for_bit(k):
+    # V(t_k) reads only the increments before step k: changing every
+    # increment from step k on leaves series[:k + 1] unchanged to the bit,
+    # with the default window of 256 and a 600-step path
+    design = two_dim_design()
+    path = sample_path(NoiseModel.fbm(hurst=0.35), make_grid(0.01, 6.0), d=2, seed=11)
+    rng = np.random.Generator(np.random.PCG64(12))
+    values = path.values.copy()
+    values[k + 1 :] = values[k] + np.cumsum(rng.standard_normal((path.n_steps - k, 2)), axis=0)
+    changed = SamplePath(t=path.t, values=values)
+    assert np.array_equal(changed.increments[:k], path.increments[:k])
+    assert not np.array_equal(changed.increments[k:], path.increments[k:])
+    base = gaussian_correction_series(design, 0.35, path, horizon=0.5)
+    after = gaussian_correction_series(design, 0.35, changed, horizon=0.5)
+    assert np.array_equal(after[: k + 1], base[: k + 1])
+    assert not np.array_equal(after[k + 1], base[k + 1])
+
+
+def test_gaussian_kernels_built_once_per_key(monkeypatch):
+    from roughlq import control
+
+    builds = []
+
+    def counted(*args):
+        builds.append(1)
+        return _lag_sums(*args)
+
+    monkeypatch.setattr(control, "_MEMO", {})
+    monkeypatch.setattr(control, "_lag_sums", counted)
+    design = two_dim_design()
+    model = NoiseModel.fbm(hurst=0.35)
+    path = sample_path(model, make_grid(0.02, 1.0), d=2, seed=2)
+    first = gaussian_correction_series(design, 0.35, path, window=8)
+    assert len(builds) == 1
+    # the same key builds nothing, whatever the path
+    again = gaussian_correction_series(design, 0.35, path, window=8)
+    gaussian_correction_series(design, 0.35, sample_path(model, make_grid(0.02, 1.0), d=2, seed=3), window=8)
+    assert len(builds) == 1
+    assert np.array_equal(again, first)
+    control._MEMO.clear()
+    assert np.array_equal(gaussian_correction_series(design, 0.35, path, window=8), first)
+    assert len(builds) == 2
+    # each part of the key rebuilds
+    gaussian_correction_series(design, 0.4, path, window=8)
+    assert len(builds) == 3
+    gaussian_correction_series(design, 0.35, path, window=16)
+    assert len(builds) == 4
+    gaussian_correction_series(design, 0.35, path, window=8, horizon=0.3)
+    assert len(builds) == 5
+    gaussian_correction_series(design, 0.35, sample_path(model, make_grid(0.01, 1.0), d=2, seed=2), window=8)
+    assert len(builds) == 6
+    other = solve_care(np.array([[0.0, 1.0], [-1.0, -1.5]]), np.array([[0.0], [1.0]]), 2.0 * np.eye(2), np.array([[1.0]]))
+    gaussian_correction_series(other, 0.35, path, window=8)
+    assert len(builds) == 7
+    # the memo stays bounded
+    for steps in range(2, 2 + 2 * control._MEMO_ENTRIES):
+        gaussian_correction_series(design, 0.35, path, window=2, horizon=steps * 0.02)
+    assert len(control._MEMO) == control._MEMO_ENTRIES
 
 
 def test_gaussian_series_zero_for_brownian():

@@ -300,6 +300,14 @@ def test_observer_requires_design():
     v, w = zero_paths(grid, 4, 4)
     with pytest.raises(SimError):
         integrate(cfg, v, w, design, observer=None)
+    # a full-state run needs no measurement noise; an observer run does
+    observer = _observer_for(model)
+    with pytest.raises(SimError, match="without a measurement noise path"):
+        integrate(cfg, v, None, design, observer=observer)
+    assert np.array_equal(
+        integrate(replace(cfg, observer_enabled=False), v, None, design).x,
+        integrate(replace(cfg, observer_enabled=False), v, w, design).x,
+    )
 
 
 # ---------------------------------------------------------------------------
