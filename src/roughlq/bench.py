@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, format_config, merge, parse_config
-from .noise import NoiseModel, _write_table, make_grid, sample_path, sample_paths
+from .noise import NoiseModel, _sample_increments, _write_table, make_grid, sample_path
 from .observer import estimate_second_moments, solve_observer_steady_state
 from .pendulum import build_pendulum
 from .riccati import solve_care
@@ -118,11 +118,13 @@ SCENARIOS = {
 @dataclass(frozen=True)
 class RunRecord:
     """Per-(controller, mode, seed) outcome row; its fields, in order, are
-    the columns of ``runs.csv``."""
+    the columns of ``runs.csv``.  ``information`` is what the run's
+    correction reads (``sim.INFORMATION``)."""
 
     scenario: str
     controller: str
     mode: str
+    information: str
     seed: int
     diverged: bool
     t_diverge: float | None
@@ -296,11 +298,14 @@ def _observer_design_for(
     ``HEAVY_TAIL_QUANTILE`` of their joint absolute increments.  Returns
     ``(design, moments)``.
     """
-    v_paths = sample_paths(noise_v, grid, model.A.shape[0], [seed + 2 * j for j in range(replications)])
-    w_paths = sample_paths(noise_w, grid, model.C.shape[0], [seed + 2 * j + 1 for j in range(replications)])
+    increments = []
+    for noise, d, stream in ((noise_v, model.A.shape[0], 0), (noise_w, model.C.shape[0], 1)):
+        inc, scale = _sample_increments(noise, grid, d, [seed + 2 * j + stream for j in range(replications)])
+        inc *= scale
+        increments.append(inc)
     heavy = any(noise.kind == "stable" and noise.alpha < 2.0 for noise in (noise_v, noise_w))
     quantile = HEAVY_TAIL_QUANTILE if heavy else None
-    moments = estimate_second_moments(v_paths, w_paths, truncate_quantile=quantile)
+    moments = estimate_second_moments(*increments, float(grid[1] - grid[0]), truncate_quantile=quantile)
     return solve_observer_steady_state(model.A, model.C, moments), moments
 
 
@@ -371,7 +376,8 @@ def run_comparison(
                 except (np.linalg.LinAlgError, ArithmeticError):
                     # a numeric failure counts as that run's divergence
                     inf = float("inf")
-                    records.append(RunRecord(scenario, controller, mode, seed, True, 0.0, inf, inf, inf, 1.0, inf, ""))
+                    row = (scenario, controller, mode, run.information, seed, True, 0.0, inf, inf, inf, 1.0, inf, "")
+                    records.append(RunRecord(*row))
                     continue
                 window = _final_window(traj, grid.shape[0])
                 if traj.diverged or window is None:
@@ -391,6 +397,7 @@ def run_comparison(
                         scenario=scenario,
                         controller=controller,
                         mode=mode,
+                        information=run.information,
                         seed=seed,
                         diverged=traj.diverged,
                         t_diverge=traj.t_diverge,
@@ -422,6 +429,7 @@ def _aggregate(report: ExperimentReport, controllers, modes) -> dict:
             alive = [r for r in rows if not r.diverged]
             out[(controller, mode)] = {
                 "runs": len(rows),
+                "information": rows[0].information,
                 "divergence_rate": len(diverged) / len(rows),
                 "median_t_diverge": float(np.median([r.t_diverge for r in diverged])) if diverged else float("nan"),
                 "median_sat_duty_diverged": float(np.median([r.sat_duty for r in diverged])) if diverged else float("nan"),
@@ -482,7 +490,8 @@ def _write_summary(report: ExperimentReport, path: Path) -> None:
     lines = [f"scenario = {report.scenario}"]
     for (controller, mode), agg in sorted(report.aggregates.items()):
         for key in sorted(agg):
-            lines.append(f"{controller}.{mode}.{key} = {agg[key]:.17g}")
+            value = agg[key] if isinstance(agg[key], str) else f"{agg[key]:.17g}"
+            lines.append(f"{controller}.{mode}.{key} = {value}")
     lines.append("")
     lines.append("# config echo")
     lines.append(format_config(report.config))

@@ -11,9 +11,11 @@ Two process families are supported:
 * symmetric/skewed alpha-stable Levy walks sampled step-by-step with the
   Chambers-Mallows-Stuck transform.
 
-:func:`sample_paths` is the one sampler, a pure function of
-``(model, grid, d, seeds)``; seeding is explicit everywhere and no global
-RNG state is touched.
+One private draw core, :func:`_sample_increments`, returns the increments
+of every seed in one array; :func:`sample_paths` is its cumulative sum,
+and the observer moments read the increments directly.  Both are pure
+functions of ``(model, grid, d, seeds)``; seeding is explicit everywhere
+and no global RNG state is touched.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 __all__ = [
     "NoiseError",
@@ -340,6 +343,54 @@ def _cms_standard(alpha: float, beta: float, u: np.ndarray, w: np.ndarray) -> np
 # the sampler
 # ---------------------------------------------------------------------------
 
+def _sample_increments(model: NoiseModel, grid: np.ndarray, d: int, seeds):
+    """The draw core: the increments of one path per seed, in one array.
+
+    Returns ``(increments, scale)``.  ``increments`` has shape
+    ``(len(seeds), N, d)``, replication i drawn from its own
+    ``PCG64(seeds[i])`` stream, and the model's increments are
+    ``scale * increments`` (``scale`` is ``sigma`` for fBm and 1 for a
+    stable walk; :func:`sample_paths` applies it after the cumulative sum).
+    A stable walk's i.i.d. increments have per-step scale
+    ``gamma * dt^(1/alpha)`` and location ``delta * dt``, the self-similar
+    scaling of a stable Levy walk; each stream draws its uniforms, then
+    its exponentials, for the Chambers-Mallows-Stuck transform.  fBm on N <= ``CHOLESKY_MAX_N`` steps is the
+    fGn Cholesky factor times each stream's ``(N, d)`` normals, one
+    triangular product (BLAS ``dtrmm``) for every seed on normals laid out
+    so that it needs no copy; the result is a strided view.  On longer
+    grids each coordinate is one Davies-Harte draw.
+    """
+    grid = np.asarray(grid, dtype=float)
+    n = grid.shape[0] - 1
+    dt = float(grid[1] - grid[0])
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    if model.kind == "stable":
+        alpha = float(model.alpha)
+        increments = np.empty((len(seeds), n, d))
+        # one replication at a time keeps the transform's temporaries in
+        # cache: faster than one pass over all replications, same bits
+        for rng, block in zip(rngs, increments):
+            u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(n, d))
+            w = rng.exponential(1.0, size=(n, d))
+            block[...] = model.gamma * dt ** (1.0 / alpha) * _cms_standard(alpha, float(model.beta), u, w)
+            block += model.delta * dt
+        return increments, 1.0
+    if n <= CHOLESKY_MAX_N:
+        chol = _fgn_cholesky(n, dt, float(model.hurst))
+        # C-order (seed, coordinate, step) is the Fortran (step, column) matrix
+        # dtrmm overwrites in place, column seed * d + coordinate
+        normals = np.empty((len(seeds), d, n))
+        for rng, block in zip(rngs, normals):
+            block.T[...] = rng.standard_normal((n, d))
+        product = dtrmm(1.0, chol, normals.reshape(-1, n).T, lower=1, overwrite_b=1)
+        return product.T.reshape(len(seeds), d, n).transpose(0, 2, 1), model.sigma
+    increments = np.empty((len(seeds), n, d))
+    for rng, block in zip(rngs, increments):
+        for j in range(d):
+            block[:, j] = _sample_fgn_circulant(n, dt, float(model.hurst), rng)
+    return increments, model.sigma
+
+
 def sample_path(model: NoiseModel, grid: np.ndarray, d: int = 1, seed: int = 0) -> SamplePath:
     """One path: ``sample_paths(model, grid, d, [seed])[0]``."""
     return sample_paths(model, grid, d, [seed])[0]
@@ -349,43 +400,22 @@ def sample_paths(model: NoiseModel, grid: np.ndarray, d: int, seeds) -> list:
     """One path of d independent coordinates per seed, each from its own
     ``PCG64(seed)`` stream; identical inputs give identical bytes.
 
-    A stable walk sums i.i.d. increments of per-step scale
-    ``gamma * dt^(1/alpha)`` and location ``delta * dt``, the self-similar
-    scaling of a stable Levy walk.  fBm on N <= ``CHOLESKY_MAX_N`` steps is
-    ``cumsum(chol @ Z)`` with one product for the normals of every seed;
-    on longer grids each coordinate is one Davies-Harte draw.
+    Each path is the zero row and the cumulative sum of the draw core's
+    increments, times the model's scale (see :func:`_sample_increments`).
     """
     if d < 1:
         raise NoiseError("dimension must be at least 1")
     if not seeds:
         return []
     grid = np.asarray(grid, dtype=float)
-    n = grid.shape[0] - 1
-    dt = float(grid[1] - grid[0])
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    if model.kind == "stable":
-        alpha = float(model.alpha)
-        blocks = [np.zeros((n + 1, d)) for _ in seeds]
-        for rng, block in zip(rngs, blocks):
-            u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(n, d))
-            w = rng.exponential(1.0, size=(n, d))
-            z = _cms_standard(alpha, float(model.beta), u, w)
-            np.cumsum(model.gamma * dt ** (1.0 / alpha) * z + model.delta * dt, axis=0, out=block[1:])
-    elif n <= CHOLESKY_MAX_N:
-        chol = _fgn_cholesky(n, dt, float(model.hurst))
-        values = np.zeros((n + 1, d * len(seeds)))
-        np.cumsum(chol @ np.hstack([rng.standard_normal((n, d)) for rng in rngs]), axis=0, out=values[1:])
-        values *= model.sigma
-        blocks = np.hsplit(values, len(seeds))
-    else:
-        blocks = [np.zeros((n + 1, d)) for _ in seeds]
-        for rng, block in zip(rngs, blocks):
-            for j in range(d):
-                np.cumsum(_sample_fgn_circulant(n, dt, float(model.hurst), rng), out=block[1:, j])
-            block *= model.sigma
-    return [
-        SamplePath(t=grid, values=block, seed=seed, holder=model.holder) for seed, block in zip(seeds, blocks)
-    ]
+    increments, scale = _sample_increments(model, grid, d, seeds)
+    paths = []
+    for seed, inc in zip(seeds, increments):
+        values = np.zeros((inc.shape[0] + 1, d))
+        np.cumsum(inc, axis=0, out=values[1:])
+        values *= scale
+        paths.append(SamplePath(t=grid, values=values, seed=seed, holder=model.holder))
+    return paths
 
 
 # ---------------------------------------------------------------------------

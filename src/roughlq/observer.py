@@ -1,8 +1,9 @@
 """Steady-state observer design under correlated rough noises.
 
-Second moments of the per-step noise increments, normalised by the step,
-give the process moment Sigma_v, the measurement moment Sigma_w and the
-cross moment R_vw.  The error second moment S solves the correlated-noise
+Second moments of the per-step noise increments, given as
+``(replications, N, d)`` arrays and normalised by the step ``dt``, give
+the process moment Sigma_v, the measurement moment Sigma_w and the cross
+moment R_vw.  The error second moment S solves the correlated-noise
 filter algebraic Riccati equation
 
     A S + S A' + Sigma_v - (S C' + R_vw) inv(Sigma_w) (C S + R_vw') = 0,
@@ -26,7 +27,6 @@ import numpy as np
 from scipy.linalg import solve_continuous_are
 from scipy.linalg.lapack import dtbtrs
 
-from .noise import SamplePath
 from .riccati import _step_band, spectral_abscissa
 
 __all__ = [
@@ -87,47 +87,54 @@ class ObserverDesign:
 
 
 def estimate_second_moments(
-    v_paths,
-    w_paths,
+    inc_v,
+    inc_w,
+    dt: float,
     truncate_quantile: float | None = None,
 ) -> NoiseSecondMoments:
     """Sample second moments of jointly sampled (v, w) increments.
 
-    Takes two sequences of :class:`SamplePath` (the paths carry the step
-    the moments are normalised by); at least 100 replications are
-    required.  When ``truncate_quantile`` is set, increments are
-    symmetrically clipped at that quantile of their absolute values
-    before the moments are formed (heavy-tailed noise has no finite raw
-    second moment; the truncated surrogate is what the design consumes),
-    and the clip level is recorded.
+    ``inc_v`` and ``inc_w`` are ``(replications, N, d)`` increment arrays
+    on a grid of step ``dt``, the step the moments are normalised by; at
+    least 100 replications are required.  When ``truncate_quantile`` is
+    set, both are symmetrically clipped at that quantile of their joint
+    absolute values before the moments are formed (heavy-tailed noise has
+    no finite raw second moment; the truncated surrogate is what the
+    design consumes), and the clip level is recorded.  The inputs are not
+    modified.
     """
-    if not all(isinstance(p, SamplePath) for p in (*v_paths, *w_paths)):
-        raise ObserverError("v and w paths must be SamplePath sequences, which carry dt")
-    reps = len(v_paths)
+    inc_v = np.asarray(inc_v, dtype=float)
+    inc_w = np.asarray(inc_w, dtype=float)
+    if inc_v.ndim != 3 or inc_w.ndim != 3:
+        raise ObserverError(
+            "v and w increments must be (replications, steps, dimension) arrays, "
+            f"got {inc_v.ndim}-d and {inc_w.ndim}-d"
+        )
+    if not 0.0 < dt < np.inf:
+        raise ObserverError(f"dt must be finite and positive, got {dt}")
+    reps = inc_v.shape[0]
     if reps < MIN_REPLICATIONS:
         raise ObserverError(f"need at least {MIN_REPLICATIONS} replications, got {reps}")
-    dt = v_paths[0].dt
-    inc_v = np.stack([p.increments for p in v_paths])
-    inc_w = np.stack([p.increments for p in w_paths])
-    if inc_w.shape[0] != reps or inc_w.shape[1] != inc_v.shape[1]:
-        raise ObserverError("v and w replication shapes disagree")
+    if inc_w.shape[:2] != inc_v.shape[:2]:
+        raise ObserverError(f"v and w replication shapes disagree: {inc_v.shape[:2]} and {inc_w.shape[:2]}")
 
     clip_level = None
     if truncate_quantile is not None:
-        level = float(
-            np.quantile(np.abs(np.concatenate([inc_v.ravel(), inc_w.ravel()])), truncate_quantile)
-        )
-        inc_v = np.clip(inc_v, -level, level)
-        inc_w = np.clip(inc_w, -level, level)
-        clip_level = level
+        both = np.empty(inc_v.size + inc_w.size)
+        head, tail = both[: inc_v.size].reshape(inc_v.shape), both[inc_v.size :].reshape(inc_w.shape)
+        np.abs(inc_v, out=head)
+        np.abs(inc_w, out=tail)
+        clip_level = float(np.quantile(both, truncate_quantile, overwrite_input=True))
+        # the partitioned buffer is free again: the clipped copies go there
+        inc_v = np.clip(inc_v, -clip_level, clip_level, out=head)
+        inc_w = np.clip(inc_w, -clip_level, clip_level, out=tail)
 
     count = reps * inc_v.shape[1]
-    flat_v = inc_v.reshape(count, -1)
-    flat_w = inc_w.reshape(count, -1)
     norm = 1.0 / (count * dt)
-    sigma_v = norm * (flat_v.T @ flat_v)
-    sigma_w = norm * (flat_w.T @ flat_w)
-    r_vw = norm * (flat_v.T @ flat_w)
+    # one Gram per replication, each a BLAS product whatever the layout
+    sigma_v = norm * np.sum(inc_v.transpose(0, 2, 1) @ inc_v, axis=0)
+    sigma_w = norm * np.sum(inc_w.transpose(0, 2, 1) @ inc_w, axis=0)
+    r_vw = norm * np.sum(inc_v.transpose(0, 2, 1) @ inc_w, axis=0)
     return NoiseSecondMoments(
         sigma_v=0.5 * (sigma_v + sigma_v.T),
         sigma_w=0.5 * (sigma_w + sigma_w.T),

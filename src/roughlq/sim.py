@@ -58,6 +58,7 @@ from .riccati import ControlDesign, _step_band
 __all__ = [
     "CONTROLLERS",
     "PREDICTORS",
+    "INFORMATION",
     "SimError",
     "StateSpaceModel",
     "SimConfig",
@@ -86,6 +87,10 @@ CONTROLLERS = ("classical", "glq")
 #: how ``glq`` forms V: ``pathwise`` reads the realised driver (the future),
 #: ``gaussian`` conditions on the past and needs Gaussian process noise
 PREDICTORS = ("pathwise", "gaussian")
+#: what a ``glq`` correction reads, by predictor: the signal (``v``, the
+#: true process noise, in observer mode too) and how far ahead; a
+#: ``classical`` run reads ``none``
+INFORMATION = {"pathwise": "v:anticipative", "gaussian": "v:causal"}
 
 
 class SimError(ValueError):
@@ -193,6 +198,11 @@ class SimConfig:
 
     def grid(self) -> np.ndarray:
         return make_grid(self.dt, self.horizon)
+
+    @property
+    def information(self) -> str:
+        """What the run's correction reads (see ``INFORMATION``)."""
+        return INFORMATION[self.predictor] if self.controller == "glq" else "none"
 
 
 @dataclass

@@ -297,12 +297,10 @@ def test_criterion_08_observer():
     dt, horizon, reps = 1e-3, 3.0, 100
     grid = make_grid(dt, horizon)
     bm = NoiseModel.brownian()
-    v_paths = [sample_path(bm, grid, d=4, seed=800 + 2 * s) for s in range(reps)]
-    w_paths = [sample_path(bm, grid, d=4, seed=800 + 2 * s + 1) for s in range(reps)]
-    mom_hat = estimate_second_moments(v_paths, w_paths)
+    v_incs = np.stack([sample_path(bm, grid, d=4, seed=800 + 2 * s).increments for s in range(reps)])
+    w_incs = np.stack([sample_path(bm, grid, d=4, seed=800 + 2 * s + 1).increments for s in range(reps)])
+    mom_hat = estimate_second_moments(v_incs, w_incs, dt)
     design_hat = solve_observer_steady_state(pm.A, pm.C, mom_hat)
-    v_incs = np.stack([p.increments for p in v_paths])
-    w_incs = np.stack([p.increments for p in w_paths])
     err = simulate_error_process(pm.A, design_hat.L, pm.C, v_incs, w_incs, dt)
     half = err.shape[1] // 2
     base = np.einsum("rki,rki->r", err[:, half:], err[:, half:]) / (err.shape[1] - half)

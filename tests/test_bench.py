@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from roughlq import bench
-from roughlq.observer import estimate_second_moments
+from roughlq.noise import CHOLESKY_MAX_N, make_grid, sample_paths
+from roughlq.observer import MIN_REPLICATIONS, estimate_second_moments
 from roughlq.sim import SimError, integrate
 
 #: one classical full-state run of 100 steps
@@ -49,6 +50,21 @@ def test_runs_csv_round_trips_through_load_report(monkeypatch, tmp_path):
     assert failed and all(r.t_diverge == 0.0 and r.mean_cost == float("inf") for r in failed)
     # dataclass equality compares the records field for field
     assert bench.load_report(tmp_path).records == report.records
+
+
+@pytest.mark.parametrize("predictor, glq_reads", [("pathwise", "v:anticipative"), ("gaussian", "v:causal")])
+def test_runs_record_what_each_correction_reads(tmp_path, predictor, glq_reads):
+    # observer-mode glq reads the true v as well, so both modes name v
+    overrides = {"simulate": {"horizon": "0.1", "predictor": predictor}}
+    report = bench.run_comparison("fbm035", seeds=[0], overrides=overrides, out_dir=tmp_path)
+    expected = {"classical": "none", "glq": glq_reads}
+    assert {(r.controller, r.mode): r.information for r in report.records} == {
+        (controller, mode): expected[controller] for controller in expected for mode in ("fullstate", "observer")
+    }
+    assert bench.load_report(tmp_path).records == report.records
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    for controller, mode in report.aggregates:
+        assert f"{controller}.{mode}.information = {expected[controller]}" in summary
 
 
 def test_repeated_seed_is_a_config_error(tmp_path):
@@ -101,9 +117,9 @@ def test_shipped_scenarios_clip_as_their_process_noise_decides(monkeypatch, scen
     # alone decided before, bit for bit
     drawn = []
 
-    def capture(v_paths, w_paths, **kwargs):
-        drawn.append((v_paths, w_paths))
-        return estimate_second_moments(v_paths, w_paths, **kwargs)
+    def capture(inc_v, inc_w, dt, **kwargs):
+        drawn.append((inc_v, inc_w, dt))
+        return estimate_second_moments(inc_v, inc_w, dt, **kwargs)
 
     monkeypatch.setattr(bench, "estimate_second_moments", capture)
     run = bench.sim_template(bench.scenario_config(scenario))
@@ -114,6 +130,51 @@ def test_shipped_scenarios_clip_as_their_process_noise_decides(monkeypatch, scen
     assert moments.truncation == expected.truncation
     for name in ("sigma_v", "sigma_w", "r_vw"):
         assert np.array_equal(getattr(moments, name), getattr(expected, name))
+
+
+def _noises(scenario):
+    run = bench.sim_template(bench.scenario_config(scenario))
+    return run.noise_v, run.noise_w
+
+
+@pytest.mark.parametrize(
+    "noise_v, noise_w, steps, reps",
+    [
+        (*_noises("fbm035"), 2000, bench.MOMENT_REPLICATIONS),
+        (*_noises("stable15"), 2000, bench.MOMENT_REPLICATIONS),
+        (_noises("stable15")[0], _noises("fbm035")[1], 2000, bench.MOMENT_REPLICATIONS),
+        (*_noises("fbm035"), CHOLESKY_MAX_N + 52, MIN_REPLICATIONS),
+    ],
+    ids=["fbm035", "stable15", "stable-v-fbm-w", "davies-harte"],
+)
+def test_observer_moments_match_stacked_path_increments(noise_v, noise_w, steps, reps):
+    # the oracle: the moments of the increments of the sampled paths, which
+    # differ from the draw core's increments by the cumsum and diff rounding
+    model = bench.build_state_space([1, 1, 1, 1], 1)
+    grid = make_grid(1e-3, steps * 1e-3)
+    seed = bench.MOMENT_SEED
+    _, moments = bench._observer_design_for(model, noise_v, noise_w, grid, replications=reps)
+    paths_v = sample_paths(noise_v, grid, 4, [seed + 2 * j for j in range(reps)])
+    paths_w = sample_paths(noise_w, grid, 4, [seed + 2 * j + 1 for j in range(reps)])
+    heavy = "stable" in (noise_v.kind, noise_w.kind)
+    oracle = estimate_second_moments(
+        np.stack([p.increments for p in paths_v]),
+        np.stack([p.increments for p in paths_w]),
+        1e-3,
+        truncate_quantile=bench.HEAVY_TAIL_QUANTILE if heavy else None,
+    )
+    assert (moments.truncation is not None) == heavy
+    if noise_v.kind == noise_w.kind:
+        assert moments.truncation == oracle.truncation
+    else:
+        # the clip level interpolates two order statistics of |increments|:
+        # where the oracle's cumsum and diff rounded one of them, the level
+        # moves by that rounding (one ulp for the mix)
+        assert moments.truncation == pytest.approx(oracle.truncation, rel=1e-13, abs=0.0)
+    assert moments.n_samples == oracle.n_samples == reps * steps
+    for name in ("sigma_v", "sigma_w", "r_vw"):
+        got, want = getattr(moments, name), getattr(oracle, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 def test_full_state_runs_draw_no_measurement_noise(monkeypatch):

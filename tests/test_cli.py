@@ -223,7 +223,7 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
 
 
 _RUNS_HEADER = (
-    "scenario,controller,mode,seed,diverged,t_diverge,mean_cost,"
+    "scenario,controller,mode,information,seed,diverged,t_diverge,mean_cost,"
     "final_norm,final_angle_deg,sat_duty,max_u_raw,trajectory_file\n"
 )
 
@@ -240,12 +240,12 @@ _RUNS_HEADER = (
         (
             ["plot-data", "--report", "BAD", "--out", "OUT"],
             {"runs.csv": _RUNS_HEADER + "fbm035,glq\n"},
-            "runs.csv line 2: expected 12 fields, got 2",
+            "runs.csv line 2: expected 13 fields, got 2",
         ),
         (
             ["plot-data", "--report", "BAD", "--out", "OUT"],
-            {"runs.csv": _RUNS_HEADER + "fbm035,glq,fullstate,0,0,,1,1,1,1,1,a.csv\n"
-             + "fbm035,glq,fullstate,x,0,,1,1,1,1,1,b.csv\n"},
+            {"runs.csv": _RUNS_HEADER + "fbm035,glq,fullstate,v:anticipative,0,0,,1,1,1,1,1,a.csv\n"
+             + "fbm035,glq,fullstate,v:anticipative,x,0,,1,1,1,1,1,b.csv\n"},
             "runs.csv line 3:",
         ),
     ],

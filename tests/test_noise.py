@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg.blas import dtrmm
 
 from roughlq.noise import (
     CHOLESKY_MAX_N,
@@ -21,7 +22,7 @@ from roughlq.noise import (
     stable_char_fn,
 )
 from roughlq.bench import noise_paths, scenario_config, sim_template
-from roughlq.noise import _fgn_cholesky, _format_rows, _sample_fgn_circulant
+from roughlq.noise import _cms_standard, _fgn_cholesky, _format_rows, _sample_fgn_circulant, _sample_increments
 from roughlq.riccati import solve_care
 from roughlq.sim import integrate, trajectory_to_csv
 
@@ -162,6 +163,36 @@ def test_sample_paths_is_sample_path_per_seed(model, n_steps):
         np.testing.assert_allclose(path.values, single.values, rtol=0.0, atol=1e-13 * scale)
 
 
+@pytest.mark.parametrize(
+    "model, n_steps",
+    [
+        (NoiseModel.stable(alpha=1.5, beta=0.3, gamma=2.0, delta=0.1), 300),
+        (NoiseModel.fbm(hurst=0.4, sigma=1.5), CHOLESKY_MAX_N + 8),
+    ],
+    ids=["stable", "circulant"],
+)
+def test_sample_paths_are_cumulative_sums_of_the_draw_core(model, n_steps):
+    # the draw core returns every seed's increments in one array; each path
+    # is its zero row and cumulative sum, times the scale, bit for bit
+    dt, seeds = 1e-3, [3, 11, 4]
+    grid = make_grid(dt, n_steps * dt)
+    increments, scale = _sample_increments(model, grid, 2, seeds)
+    assert increments.shape == (len(seeds), n_steps, 2) and scale == model.sigma
+    for seed, inc, path in zip(seeds, increments, sample_paths(model, grid, 2, seeds)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if model.kind == "stable":
+            # the per-seed draw order: all uniforms, then all exponentials
+            u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(n_steps, 2))
+            w = rng.exponential(1.0, size=(n_steps, 2))
+            drawn = model.gamma * dt ** (1.0 / model.alpha) * _cms_standard(model.alpha, model.beta, u, w)
+            drawn += model.delta * dt
+        else:
+            drawn = np.column_stack([_sample_fgn_circulant(n_steps, dt, 0.4, rng) for _ in range(2)])
+        assert inc.tobytes() == drawn.tobytes()
+        expected = np.vstack([np.zeros((1, 2)), scale * np.cumsum(inc, axis=0)])
+        assert path.values.tobytes() == expected.tobytes()
+
+
 def _values_gram(n, dt, hurst):
     # covariance of standard fBm at dt, 2*dt, ..., n*dt
     times = dt * np.arange(1, n + 1)
@@ -215,14 +246,15 @@ def test_cholesky_route_matches_dense_oracle():
 
 @pytest.mark.parametrize("n", [CHOLESKY_MAX_N, CHOLESKY_MAX_N + 1], ids=["cholesky", "circulant"])
 def test_fbm_route_follows_grid_length(n):
-    # up to CHOLESKY_MAX_N steps the Schur-Cholesky product, beyond it one
-    # Davies-Harte draw per coordinate, each bit for bit
+    # up to CHOLESKY_MAX_N steps the Schur-Cholesky factor as one triangular
+    # product, beyond it one Davies-Harte draw per coordinate, each bit for bit
     model = NoiseModel.fbm(hurst=0.4, sigma=1.5)
     grid = make_grid(1e-3, n * 1e-3)
     assert grid.size == n + 1
     rng = np.random.Generator(np.random.PCG64(7))
     if n <= CHOLESKY_MAX_N:
-        expected = model.sigma * np.cumsum(_fgn_cholesky(n, 1e-3, 0.4) @ rng.standard_normal((n, 2)), axis=0)
+        product = dtrmm(1.0, _fgn_cholesky(n, 1e-3, 0.4), rng.standard_normal((n, 2)), lower=1)
+        expected = model.sigma * np.cumsum(product, axis=0)
     else:
         expected = np.column_stack(
             [model.sigma * np.cumsum(_sample_fgn_circulant(n, 1e-3, 0.4, rng)) for _ in range(2)]

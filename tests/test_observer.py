@@ -16,9 +16,13 @@ from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care, spectral_abscissa
 
 
-def _joint_paths(model_v, model_w, grid, reps, d=4, seed0=0):
-    v = [sample_path(model_v, grid, d=d, seed=2 * s + seed0) for s in range(reps)]
-    w = [sample_path(model_w, grid, d=d, seed=2 * s + 1 + seed0) for s in range(reps)]
+def _increments(model, grid, d, seeds):
+    return np.stack([sample_path(model, grid, d=d, seed=s).increments for s in seeds])
+
+
+def _joint_increments(model_v, model_w, grid, reps, d=4, seed0=0):
+    v = _increments(model_v, grid, d, [2 * s + seed0 for s in range(reps)])
+    w = _increments(model_w, grid, d, [2 * s + 1 + seed0 for s in range(reps)])
     return v, w
 
 
@@ -28,8 +32,8 @@ def _joint_paths(model_v, model_w, grid, reps, d=4, seed0=0):
 
 def test_independent_brownian_moments():
     grid = make_grid(0.01, 2.0)
-    v, w = _joint_paths(NoiseModel.brownian(), NoiseModel.brownian(), grid, reps=120, d=2)
-    mom = estimate_second_moments(v, w)
+    v, w = _joint_increments(NoiseModel.brownian(), NoiseModel.brownian(), grid, reps=120, d=2)
+    mom = estimate_second_moments(v, w, 0.01)
     count = mom.n_samples
     se = 3.0 / np.sqrt(count)
     assert np.max(np.abs(mom.sigma_v - np.eye(2))) < 3.0 * np.sqrt(2.0 / count) + se
@@ -38,8 +42,8 @@ def test_independent_brownian_moments():
 
 def test_fully_correlated_moments():
     grid = make_grid(0.01, 1.0)
-    v = [sample_path(NoiseModel.brownian(), grid, d=2, seed=s) for s in range(110)]
-    mom = estimate_second_moments(v, v)
+    v = _increments(NoiseModel.brownian(), grid, 2, range(110))
+    mom = estimate_second_moments(v, v, 0.01)
     assert np.allclose(mom.r_vw, mom.sigma_v, atol=1e-12)
 
 
@@ -48,8 +52,8 @@ def test_fbm_moment_scaling():
     # diagonal reads dt^(2H-1)
     h, dt = 0.35, 1e-3
     grid = make_grid(dt, 0.2)
-    v, w = _joint_paths(NoiseModel.fbm(hurst=h), NoiseModel.fbm(hurst=h), grid, reps=150, d=2)
-    mom = estimate_second_moments(v, w)
+    v, w = _joint_increments(NoiseModel.fbm(hurst=h), NoiseModel.fbm(hurst=h), grid, reps=150, d=2)
+    mom = estimate_second_moments(v, w, dt)
     target = dt ** (2 * h - 1.0)
     count = mom.n_samples
     se = target * np.sqrt(2.0 / count)
@@ -58,28 +62,43 @@ def test_fbm_moment_scaling():
 
 def test_insufficient_replications_error():
     grid = make_grid(0.01, 0.5)
-    v, w = _joint_paths(NoiseModel.brownian(), NoiseModel.brownian(), grid, reps=10, d=1)
+    v, w = _joint_increments(NoiseModel.brownian(), NoiseModel.brownian(), grid, reps=10, d=1)
     with pytest.raises(ObserverError):
-        estimate_second_moments(v, w)
+        estimate_second_moments(v, w, 0.01)
 
 
-def test_raw_arrays_rejected():
-    grid = make_grid(0.01, 0.5)
-    v, w = _joint_paths(NoiseModel.brownian(), NoiseModel.brownian(), grid, reps=110, d=1)
-    raw_v, raw_w = (np.stack([p.values for p in paths]) for paths in (v, w))
-    for args in ((raw_v, raw_w), (v, raw_w)):
-        with pytest.raises(ObserverError, match="SamplePath"):
-            estimate_second_moments(*args)
+_V = np.zeros((100, 50, 2))
+
+
+@pytest.mark.parametrize(
+    "inc_v, inc_w, dt, message",
+    [
+        (_V[:99], _V[:99], 0.01, "at least 100 replications, got 99"),
+        (_V, _V[:-1], 0.01, "replication shapes disagree"),
+        (_V, _V[:, :-1], 0.01, "replication shapes disagree"),
+        (_V[:, :, 0], _V[:, :, 0], 0.01, "got 2-d and 2-d"),
+        (_V, _V[None], 0.01, "got 3-d and 4-d"),
+        (_V, _V, 0.0, "dt must be finite and positive"),
+        (_V, _V, -0.01, "dt must be finite and positive"),
+        (_V, _V, float("nan"), "dt must be finite and positive"),
+        (_V, _V, float("inf"), "dt must be finite and positive"),
+    ],
+    ids=["99-reps", "reps-mismatch", "steps-mismatch", "2-d", "4-d", "dt-zero", "dt-negative", "dt-nan", "dt-inf"],
+)
+def test_estimator_rejects_malformed_input(inc_v, inc_w, dt, message):
+    with pytest.raises(ObserverError, match=message):
+        estimate_second_moments(inc_v, inc_w, dt)
 
 
 def test_truncation_is_recorded_and_tames_tails():
     grid = make_grid(1e-3, 0.5)
     model = NoiseModel.stable(alpha=1.5)
-    v = [sample_path(model, grid, d=2, seed=2 * s) for s in range(120)]
-    w = [sample_path(model, grid, d=2, seed=2 * s + 1) for s in range(120)]
-    mom = estimate_second_moments(v, w, truncate_quantile=0.999)
+    v, w = _joint_increments(model, model, grid, reps=120, d=2)
+    kept = v.copy(), w.copy()
+    mom = estimate_second_moments(v, w, 1e-3, truncate_quantile=0.999)
     assert mom.truncation is not None and mom.truncation > 0.0
-    raw = estimate_second_moments(v, w)
+    assert np.array_equal(v, kept[0]) and np.array_equal(w, kept[1])  # the inputs are not clipped
+    raw = estimate_second_moments(v, w, 1e-3)
     assert raw.truncation is None
     assert np.trace(mom.sigma_v) < np.trace(raw.sigma_v)
 
@@ -302,12 +321,10 @@ def test_empirical_orthogonality_and_gain_optimality_smoke():
     dt, horizon, reps = 1e-3, 2.0, 120
     grid = make_grid(dt, horizon)
     model = NoiseModel.brownian()
-    v, w = _joint_paths(model, model, grid, reps=reps, d=4)
-    mom = estimate_second_moments(v, w)
+    v_incs, w_incs = _joint_increments(model, model, grid, reps=reps, d=4)
+    mom = estimate_second_moments(v_incs, w_incs, dt)
     design = solve_observer_steady_state(pm.A, pm.C, mom)
 
-    v_incs = np.stack([p.increments for p in v])
-    w_incs = np.stack([p.increments for p in w])
     err = simulate_error_process(pm.A, design.L, pm.C, v_incs, w_incs, dt)
     half = err.shape[1] // 2
     steady = err[:, half:-1]
