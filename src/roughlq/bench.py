@@ -34,6 +34,7 @@ from .sim import (
     SimConfig,
     StateSpaceModel,
     Trajectory,
+    _correction_series,
     average_cost,
     correction_to_csv,
     integrate,
@@ -367,12 +368,16 @@ def run_comparison(
     records = []
     for seed in seeds:
         v, w = noise_paths(base, seed, measured=observer is not None)
+        series = {}  # the seed's correction series, by what it reads
         for controller in controllers:
             for mode in modes:
                 run = replace(by_controller[controller], observer_enabled=(mode == "observer"))
                 tag = f"{scenario}_{controller}_{mode}_seed{seed:03d}"
+                reads = (run.predictor, run.information)
                 try:
-                    traj = integrate(run, v, w, design, observer=observer)
+                    if reads not in series:
+                        series[reads] = _correction_series(run, design, v)
+                    traj = integrate(run, v, w, design, observer=observer, v_correction=series[reads])
                 except (np.linalg.LinAlgError, ArithmeticError):
                     # a numeric failure counts as that run's divergence
                     inf = float("inf")

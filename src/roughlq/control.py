@@ -75,41 +75,93 @@ def _powers(step: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _spectral_radius_floor(step: np.ndarray) -> float:
+    """A certified lower bound on the spectral radius of ``step``, or 0.
+
+    The computed eigenpairs give ``step = D + G`` with ``D = V diag(lam) V^-1``
+    and ``||G||_2 <= ||R||_2 ||V^-1||_2`` for the residual
+    ``R = step V - V diag(lam)``.  By Bauer & Fike (1960) every eigenvalue
+    of ``step`` lies in a disc of radius ``r = kappa(V) ||G||_2`` about some
+    ``lam_i``, and each connected union of discs holds as many eigenvalues
+    as centres (grow G from 0).  So the union around the largest
+    ``|lam_i|`` holds an eigenvalue of modulus at least its smallest
+    ``|lam_i| - r``.  The residual's own rounding is added to ``R``, and
+    ``r`` is doubled against the rounding of the norms.
+    """
+    n = step.shape[0]
+    lam, vec = np.linalg.eig(step)
+    sv = np.linalg.svd(vec, compute_uv=False)
+    if not sv[-1] > 0.0:
+        return 0.0
+    residual = np.linalg.norm(step @ vec - vec * lam)
+    residual += 4 * (n + 1) * np.finfo(float).eps * np.linalg.norm(np.abs(step) @ np.abs(vec) + np.abs(vec * lam))
+    radius = 2.0 * sv[0] * residual / sv[-1] ** 2
+    near = np.abs(lam[:, None] - lam[None, :]) <= 2.0 * radius
+    joined = near[np.argmax(np.abs(lam))]
+    for _ in range(n):
+        joined = near[joined].any(axis=0)
+    return max(float(np.min(np.abs(lam[joined]))) - radius, 0.0)
+
+
 def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000) -> float:
     """Shortest horizon with ``||exp(A_cl T)||_2 < 1e-6``.
 
     Hurwitz decay makes the discarded tail of the future-noise integral
     negligible beyond this point.
 
-    The powers of ``step = exp(A_cl dt)`` come in blocks of B = 1,024
-    (``_HORIZON_BLOCK``), each one batched product ``head @ base`` with
-    ``base = step^0 .. step^(B-1)`` built once and ``head = step^(start+1)``
-    advanced by ``step^B``.  Since ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``,
-    the Frobenius norm decides every power outside ``[1e-6, sqrt(n) 1e-6]``;
-    the few inside go to one batched SVD per block.  The first crossing
-    wins, and ``max_steps`` is honoured exactly.
+    Since ``||step^k||_2 >= rho(step)^k`` for ``step = exp(A_cl dt)``, no
+    power up to ``k0 = floor(ln 1e-6 / ln rho_lo)`` can cross, with
+    ``rho_lo`` a certified lower bound on the spectral radius
+    (:func:`_spectral_radius_floor`; ``k0 = 0`` where it says nothing).  A
+    ``max_steps`` within ``k0`` is refused before any power is formed.
+    The scan starts at the last multiple of B = 1,024 (``_HORIZON_BLOCK``)
+    at or below ``k0``, with the head ``step^(start+1)`` formed by binary
+    powering, and tests the powers in blocks of B, each one batched
+    product ``head @ base`` with ``base = step^0 .. step^(B-1)`` built once
+    and ``head`` advanced by ``step^B``.  Since
+    ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the Frobenius norm decides
+    every power outside ``[1e-6, sqrt(n) 1e-6]``.  A power inside is
+    first tested against ``||M v|| <= ||M||_2`` with ``v`` the top right
+    singular vector of the block's first such power; only what that
+    leaves open takes an SVD.  The first crossing wins, and ``max_steps``
+    is honoured exactly.
 
     The block products round differently from sequential ``power @ step``
     products, so the step count equals that of a sequential scan unless
     some power's norm lies within that rounding of 1e-6.  Cost for m
-    horizon steps: O((m/1024) n^3 + m n^2) in sequential head products and
-    norms; the batched block products add O(m n^3) flops in m/1024 numpy
-    calls.
+    horizon steps: O(n^3 log m) for the skip and O((m - k0 + B) n^3) flops
+    in O((m - k0) / B + log B) numpy calls for the scan; memory O(B n^2),
+    whatever m.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise PredictorError(f"dt must be finite and positive, got {dt}")
+    if max_steps < 1:
+        raise PredictorError(f"max_steps must be at least 1, got {max_steps}")
     tol = 1e-6
     n = design.n
     # the margins keep rounding in the two norms from flipping a decision
     surely_below = tol * (1.0 - 1e-12)
     maybe_below = np.sqrt(n) * tol * (1.0 + 1e-12)
     step = expm(design.A_cl * dt)
+    rho = _spectral_radius_floor(step)
+    # rho^k >= 1e-6 for every k <= skip; the shave keeps the logarithms' rounding out
+    skip = max_steps
+    if rho < 1.0:
+        skip = 0 if rho == 0.0 else int(np.log(tol) / np.log1p(rho - 1.0) * (1.0 - 1e-6))
+    if skip >= max_steps:
+        raise PredictorError("closed loop decays too slowly for a finite horizon")
+    first = skip - skip % _HORIZON_BLOCK
     base = _powers(step, _HORIZON_BLOCK)
     stride = base[-1] @ step
-    head = step
-    for start in range(0, max_steps, _HORIZON_BLOCK):
+    head = np.linalg.matrix_power(step, first + 1)
+    for start in range(first, max_steps, _HORIZON_BLOCK):
         block = head @ base[: min(_HORIZON_BLOCK, max_steps - start)]
         fro = np.sqrt(np.einsum("kij,kij->k", block, block))
         below = fro < surely_below
         ambiguous = np.flatnonzero(~below & (fro < maybe_below))
+        if ambiguous.size:
+            top = np.linalg.svd(block[ambiguous[0]])[2][0]
+            ambiguous = ambiguous[np.linalg.norm(block[ambiguous] @ top, axis=1) < tol * (1.0 + 1e-12)]
         if ambiguous.size:
             below[ambiguous] = np.linalg.svd(block[ambiguous], compute_uv=False)[:, 0] < tol
         if below.any():
@@ -146,29 +198,48 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise PredictorError("history Gram matrix is singular") from exc
 
 
-def _lag_sums(design: ControlDesign, gamma: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. L = len(gamma) - m,
-    row l - 1 holding H[l] as a flat n x n block.
+def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int) -> np.ndarray:
+    """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. L = ``lags``,
+    row l - 1 holding H[l] as a flat n x n block, with ``gamma`` the fGn
+    autocovariance of index ``hurst``.
 
     With ``E^T = exp(A_cl^T dt)`` and ``Phi(j)^T P = (E^T)^j P``, the top lag
-    is one contraction ``H[L] = (sum_j gamma(j + L) (E^T)^j) P`` over the
-    doubled powers, and every lower lag follows from one backward step
+    is ``H[L] = (sum_b (E^T)^(B b) S_b) P``, summed by Horner over blocks of
+    B = 1,024 powers (``_HORIZON_BLOCK``).  Each
+    ``S_b = sum_{i<B} gamma(L + B b + i) (E^T)^i`` is one contraction of a
+    block of ``gamma``, evaluated for that block alone, against the shared
+    base ``(E^T)^0 .. (E^T)^(B-1)``.  Every lower lag follows from the
+    backward step
 
-        H[l] = E^T H[l + 1] + P gamma(l) - Phi(m)^T P gamma(m + l).
+        H[l] = E^T H[l + 1] + P gamma(l) - (E^T)^m P gamma(m + l),
 
-    The multiplier ``E^T`` is stable, so rounding does not grow along the
-    lags.  Cost O(m n^3 + window n^3) for a window of L lags; no m x L
-    array is formed.
+    run as a doubling scan as in :func:`_pathwise_sums`, with ``(E^T)^m``
+    formed by binary powering.  The multiplier ``E^T`` is stable, so
+    rounding does not grow along the lags.  Cost O(m n^2 + (m/B + L) n^3)
+    flops in O(m/B + log L) numpy calls; memory O((B + L) n^2), whatever m.
     """
     n = design.n
-    lags = gamma.shape[0] - m
     shift = expm(design.A_cl.T * dt)
-    powers = _powers(shift, m)
+    base = _powers(shift, _HORIZON_BLOCK)
+    jump = base[-1] @ shift
+    top = np.zeros((n, n))
+    for start in reversed(range(0, m, _HORIZON_BLOCK)):
+        count = min(_HORIZON_BLOCK, m - start)
+        gamma = fgn_autocovariance(np.arange(lags + start, lags + start + count), dt, hurst)
+        top = np.tensordot(gamma, base[:count], axes=1) + jump @ top
+    lower = np.arange(1, lags)
+    far = np.linalg.matrix_power(shift, m) @ design.P
     out = np.empty((lags, n, n))
-    out[-1] = np.tensordot(gamma[lags:], powers, axes=1) @ design.P
-    far = shift @ powers[-1] @ design.P
-    for lag in range(lags - 1, 0, -1):
-        out[lag - 1] = shift @ out[lag] + design.P * gamma[lag] - far * gamma[m + lag]
+    out[:-1] = (
+        design.P * fgn_autocovariance(lower, dt, hurst)[:, None, None]
+        - far * fgn_autocovariance(m + lower, dt, hurst)[:, None, None]
+    )
+    out[-1] = top @ design.P
+    stride = 1
+    while stride < lags:
+        out[:-stride] += shift @ out[stride:]
+        shift = shift @ shift
+        stride *= 2
     return out.reshape(lags, n * n)
 
 
@@ -181,8 +252,8 @@ def _gaussian_kernels(design: ControlDesign, hurst: float, dt: float, m: int, si
     Toeplitz solve per size.
     """
     n = design.n
-    gamma = fgn_autocovariance(np.arange(m + sizes[-1]), dt, float(hurst))
-    lag_sums = _lag_sums(design, gamma, m, dt)
+    gamma = fgn_autocovariance(np.arange(sizes[-1]), dt, float(hurst))
+    lag_sums = _lag_sums(design, float(hurst), dt, m, sizes[-1])
     p_inv = np.linalg.inv(design.P)
     taps = []
     for size in sizes:
@@ -214,11 +285,15 @@ def gaussian_correction_series(
     that size, ``V[s + r] += T_s[w] inc[r + w]``, with no copy of the
     windows; each row sums only its own past increments, in a fixed
     order, so changing an increment never moves an earlier V by rounding.
-    Cost: O(m n^3 + window n^3) for the lag sums, O(window^3) for the
-    solves, both once per key, and O(N window n^2) for the sweep.
+    Cost: O(m n^2 + (m/1024 + window) n^3) for the lag sums and
+    O(window^3) for the solves, both once per key, and O(N window n^2) for
+    the sweep.  Memory: O((1024 + window) n^2) for the build, whatever m,
+    plus O(window^2) for the solves and O(N n) for the series.
     """
     if not (0.0 < hurst < 1.0 and window >= 1):
         raise PredictorError(f"need 0 < hurst < 1 and window >= 1, got {hurst} and {window}")
+    if horizon is not None and not (np.isfinite(horizon) and horizon > 0.0):
+        raise PredictorError(f"horizon must be finite and positive, got {horizon}")
     n_steps = path.n_steps
     if hurst == 0.5:
         return np.zeros((n_steps + 1, design.n))

@@ -244,11 +244,15 @@ def integrate(
     w_path: SamplePath | None,
     design: ControlDesign,
     observer: ObserverDesign | None = None,
+    v_correction: np.ndarray | None = None,
 ) -> Trajectory:
     """Run one closed loop over the configured grid.
 
     ``v_path`` and ``w_path`` must sit on the config grid; only an
     observer run reads ``w_path``, so a full-state run may pass None.
+    A ``glq`` run may pass its correction series, as
+    :func:`_correction_series` builds it from ``v_path``, so that runs
+    which read the same series share one; by default it is built here.
     Divergence (non-finite values or state norm beyond 1e12) halts the
     run cleanly at the offending step and flags the trajectory.
     """
@@ -267,7 +271,13 @@ def integrate(
             raise SimError("w_path must live on the grid with output dimension")
 
     n_steps, n, m, sat = grid.shape[0] - 1, model.n, model.m, config.saturation
-    dv, v_corr = v_path.increments, _correction_series(config, design, v_path)
+    dv, v_corr = v_path.increments, v_correction
+    if v_corr is None:
+        v_corr = _correction_series(config, design, v_path)
+    elif config.controller != "glq":
+        raise SimError(f"a {config.controller} run reads no correction series")
+    elif v_corr.shape != (n_steps + 1, n):
+        raise SimError(f"correction series must have shape {(n_steps + 1, n)}, got {v_corr.shape}")
 
     a_dt, b_dt = np.eye(n) + model.A * config.dt, model.B * config.dt
     f, g, h, k_fb, z0 = a_dt, b_dt, dv, design.K, config.x0

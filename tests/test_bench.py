@@ -194,3 +194,47 @@ def test_full_state_runs_draw_no_measurement_noise(monkeypatch):
     for record, seed in zip(report.records, [0, 1]):
         traj = integrate(run, *bench.noise_paths(run, seed), design)
         assert record.mean_cost == bench.average_cost(traj)
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("scenario", ["fbm035", "stable15"])
+def test_one_correction_series_per_seed(monkeypatch, tmp_path, scenario):
+    # the glq runs of both modes read the same series: built once per seed,
+    # the report and every file under --out equal those of a series per run
+    from roughlq import sim
+
+    calls = []
+    real_series = sim.pathwise_correction_series
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_series(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "pathwise_correction_series", counted)
+    shared = bench.run_comparison(scenario, seeds=[0, 1, 2], out_dir=tmp_path / "shared")
+    assert len(calls) == 3
+
+    # no shared series: each run's integrate builds its own
+    monkeypatch.setattr(bench, "_correction_series", lambda *args: None)
+    alone = bench.run_comparison(scenario, seeds=[0, 1, 2], out_dir=tmp_path / "alone")
+    assert len(calls) == 3 + 6
+    assert shared.records == alone.records
+    assert repr(shared.aggregates) == repr(alone.aggregates)  # NaN where no run diverged
+    assert _tree(tmp_path / "shared") == _tree(tmp_path / "alone")
+
+
+def test_integrate_checks_a_given_correction_series():
+    run = bench.sim_template(bench.scenario_config("fbm035", SMALL))
+    design = bench.solve_care(run.model.A, run.model.B, run.model.Q, run.model.R)
+    v, w = bench.noise_paths(run, 0)
+    series = np.zeros((run.grid().size, 4))
+    with pytest.raises(SimError, match="classical run reads no correction series"):
+        integrate(run, v, w, design, v_correction=series)
+    glq = bench.replace(run, controller="glq")
+    with pytest.raises(SimError, match="correction series must have shape"):
+        integrate(glq, v, w, design, v_correction=series[1:])
+    given = integrate(glq, v, w, design, v_correction=series)
+    assert np.array_equal(given.v_correction, series)

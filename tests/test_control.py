@@ -17,7 +17,7 @@ from roughlq.control import _lag_sums, _pathwise_sums
 from roughlq.lift import lift_piecewise_linear
 from roughlq.noise import NoiseModel, SamplePath, fgn_autocovariance, make_grid, sample_path
 from roughlq.pendulum import build_pendulum
-from roughlq.riccati import solve_care
+from roughlq.riccati import ControlDesign, solve_care
 from roughlq.sim import SimConfig, SimError
 
 
@@ -178,6 +178,52 @@ def test_correction_term_memory_stays_linear_in_horizon():
     assert peak < 32 * 2**20
 
 
+def test_gaussian_series_memory_independent_of_horizon(monkeypatch):
+    # the light-cart design at dt = 0.001 scans 951,266 horizon steps: one
+    # (m, 4, 4) power array alone would take 116 MiB
+    from roughlq import control
+
+    monkeypatch.setattr(control, "_MEMO", {})
+    design = light_cart_design()
+    path = sample_path(NoiseModel.fbm(hurst=0.35), make_grid(0.001, 10.0), d=4, seed=0)
+    tracemalloc.start()
+    try:
+        series = gaussian_correction_series(design, 0.35, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(series))
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda d, p: default_horizon(d, 0.0), "dt must be finite and positive", id="dt-zero"),
+        pytest.param(lambda d, p: default_horizon(d, float("nan")), "dt must be finite and positive", id="dt-nan"),
+        pytest.param(lambda d, p: default_horizon(d, -0.01), "dt must be finite and positive", id="dt-negative"),
+        pytest.param(lambda d, p: default_horizon(d, float("inf")), "dt must be finite and positive", id="dt-inf"),
+        pytest.param(lambda d, p: default_horizon(d, 0.01, max_steps=0), "max_steps must be at least 1", id="max-steps-0"),
+        pytest.param(
+            lambda d, p: gaussian_correction_series(d, 0.35, p, horizon=float("nan")),
+            "horizon must be finite and positive", id="horizon-nan",
+        ),
+        pytest.param(
+            lambda d, p: gaussian_correction_series(d, 0.35, p, horizon=float("inf")),
+            "horizon must be finite and positive", id="horizon-inf",
+        ),
+        pytest.param(
+            lambda d, p: gaussian_correction_series(d, 0.35, p, horizon=-1.0),
+            "horizon must be finite and positive", id="horizon-negative",
+        ),
+    ],
+)
+def test_bad_horizon_arguments_are_refused(call, match):
+    path = sample_path(NoiseModel.fbm(hurst=0.35), make_grid(0.01, 0.1), d=2, seed=0)
+    with pytest.raises(PredictorError, match=match):
+        call(two_dim_design(), path)
+
+
 def _sequential_horizon(design, dt):
     # the plain scan over sequential powers of the step; the Frobenius norm
     # decides a power outside [1e-6, sqrt(n) 1e-6], and every power it
@@ -201,6 +247,21 @@ def pendulum_design():
     return solve_care(pm.A, pm.B, np.eye(4), np.array([[1.0]]))
 
 
+def light_cart_design():
+    # the cart weight lowered to 0.01 (--q-diag 0.01,1,1,1): ten times the
+    # horizon of pendulum_design
+    pm = build_pendulum()
+    return solve_care(pm.A, pm.B, np.diag([0.01, 1.0, 1.0, 1.0]), np.array([[1.0]]))
+
+
+def jordan_design(split=0.0):
+    # a Jordan-like closed loop with eigenvalues -0.5 and -0.5 - split and
+    # coupling 50: ||E^k||_2 is about 50 t e^(-t/2) at t = k dt, far above
+    # rho^k = e^(-t/2) for many steps; at split 0 it is defective
+    a_cl = np.array([[-0.5, 50.0], [0.0, -0.5 - split]])
+    return ControlDesign(P=np.eye(2), K=np.zeros((1, 2)), A_cl=a_cl, care_residual=0.0)
+
+
 def _assert_horizon_scan(design, dt):
     k, expected = _sequential_horizon(design, dt)
     assert default_horizon(design, dt) == expected
@@ -218,11 +279,55 @@ def _assert_horizon_scan(design, dt):
         pytest.param(pendulum_design, 0.01, None, id="pendulum_design"),
         # the fbm035 design on its own grid, as the causal benchmark scans it
         pytest.param(pendulum_design, 0.001, 95_536, id="pendulum_design-dt0.001"),
+        pytest.param(jordan_design, 0.01, None, id="jordan_design"),
+        pytest.param(lambda: jordan_design(0.05), 0.01, None, id="near_jordan_design"),
+        pytest.param(light_cart_design, 0.01, 95_127, id="light_cart_design"),
     ],
 )
 def test_default_horizon_equals_sequential_scan(make_design, dt, steps):
     k = _assert_horizon_scan(make_design(), dt)
     assert steps in (None, k)
+
+
+@pytest.mark.parametrize("split, bounded", [(0.0, False), (0.05, True)])
+def test_spectral_radius_floor_is_a_lower_bound(split, bounded):
+    # E = exp(A_cl dt) is triangular with spectral radius exp(-0.5 dt); a
+    # defective E may get no bound (0), a merely non-normal one gets one
+    from roughlq.control import _spectral_radius_floor
+
+    dt = 0.01
+    rho = math.exp(-0.5 * dt)
+    floor = _spectral_radius_floor(expm(jordan_design(split).A_cl * dt))
+    assert 0.0 <= floor <= rho
+    assert (floor > 0.0) == bounded
+
+
+@pytest.mark.parametrize(
+    "make_design, dt, max_steps",
+    [
+        # rho^k stays above 1e-6 for about 93,000 steps of the fbm035 design
+        pytest.param(pendulum_design, 0.001, 50_000, id="bound-past-budget"),
+        # a loop that grows, rho > 1
+        pytest.param(
+            lambda: ControlDesign(P=np.eye(1), K=np.zeros((1, 1)), A_cl=np.array([[0.1]]), care_residual=0.0),
+            0.01, 2_000_000, id="growing",
+        ),
+    ],
+)
+def test_default_horizon_refuses_before_forming_powers(monkeypatch, make_design, dt, max_steps):
+    from roughlq import control
+
+    calls = []
+    powers = control._powers
+
+    def counted(*args):
+        calls.append(args[1])
+        return powers(*args)
+
+    monkeypatch.setattr(control, "_powers", counted)
+    with pytest.raises(PredictorError, match="decays too slowly"):
+        default_horizon(make_design(), dt, max_steps=max_steps)
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1024, 1025])
@@ -260,6 +365,7 @@ def _correlated_lag_sums(design, gamma, m, dt):
         (pendulum_design, 0.01, 0.35, 256),
         (pendulum_design, 0.01, 0.7, 256),
         (two_dim_design, 0.02, 0.35, 8),
+        (light_cart_design, 0.01, 0.35, 256),
     ],
 )
 def test_lag_sums_match_correlations(make_design, dt, hurst, window):
@@ -267,7 +373,7 @@ def test_lag_sums_match_correlations(make_design, dt, hurst, window):
     m = int(round(default_horizon(design, dt) / dt))
     gamma = fgn_autocovariance(np.arange(m + window), dt, hurst)
     oracle = _correlated_lag_sums(design, gamma, m, dt)
-    got = _lag_sums(design, gamma, m, dt)
+    got = _lag_sums(design, hurst, dt, m, window)
     assert got.shape == oracle.shape == (window, design.n**2)
     scale = np.max(np.abs(oracle), axis=1, keepdims=True)
     assert np.all(np.abs(got - oracle) <= 1e-12 * scale)
