@@ -26,10 +26,10 @@ decides which mode a run's noise admits.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm, toeplitz
+from scipy.linalg import cho_solve, expm
 
 from .lift import RoughPath, rough_integral_admissible
-from .noise import SamplePath, fgn_autocovariance
+from .noise import SamplePath, _fgn_cholesky, fgn_autocovariance
 from .riccati import ControlDesign
 
 __all__ = [
@@ -48,8 +48,8 @@ INTEGRAND_HOLDER = 1.0
 #: powers of the closed-loop step whose norms are tested together
 _HORIZON_BLOCK = 1024
 
-#: default horizons and Gaussian correction kernels built in this process,
-#: by what they depend on; past ``_MEMO_ENTRIES`` the oldest entry goes
+#: Gaussian correction kernels built in this process, by what they depend
+#: on; past ``_MEMO_ENTRIES`` the oldest entry goes
 _MEMO: dict = {}
 _MEMO_ENTRIES = 16
 
@@ -170,16 +170,6 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
 
-def _memoised(key: tuple, build):
-    """``build()``, kept by ``key`` in the process-wide memo, so the runs
-    of one design share what only the design decides."""
-    if key not in _MEMO:
-        if len(_MEMO) >= _MEMO_ENTRIES:
-            del _MEMO[next(iter(_MEMO))]
-        _MEMO[key] = build()
-    return _MEMO[key]
-
-
 def _array_key(a: np.ndarray) -> tuple:
     a = np.asarray(a, dtype=float)
     return a.shape, a.tobytes()
@@ -189,13 +179,16 @@ def _array_key(a: np.ndarray) -> tuple:
 # Gaussian conditioning: one lag-sum kernel
 # ---------------------------------------------------------------------------
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``gram^{-1} rhs``.  The fGn covariance is positive definite for
-    every H in (0, 1), so a singular Gram matrix is a :class:`PredictorError`."""
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PredictorError("history Gram matrix is singular") from exc
+def _backward_scan(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``rows[k] += sum_{j>k} rows[j] (shift^T)^(j - k)`` in place, by
+    doubling: after the pass with stride s every row holds the sum over
+    its next 2s rows, so there are O(log len(rows)) numpy calls."""
+    stride = 1
+    while stride < rows.shape[0]:
+        rows[:-stride] += rows[stride:] @ shift.T
+        shift = shift @ shift
+        stride *= 2
+    return rows
 
 
 def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int) -> np.ndarray:
@@ -213,7 +206,7 @@ def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int)
 
         H[l] = E^T H[l + 1] + P gamma(l) - (E^T)^m P gamma(m + l),
 
-    run as a doubling scan as in :func:`_pathwise_sums`, with ``(E^T)^m``
+    run on the blocks ``H[l]^T`` by :func:`_backward_scan`, with ``(E^T)^m``
     formed by binary powering.  The multiplier ``E^T`` is stable, so
     rounding does not grow along the lags.  Cost O(m n^2 + (m/B + L) n^3)
     flops in O(m/B + log L) numpy calls; memory O((B + L) n^2), whatever m.
@@ -229,37 +222,40 @@ def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int)
         top = np.tensordot(gamma, base[:count], axes=1) + jump @ top
     lower = np.arange(1, lags)
     far = np.linalg.matrix_power(shift, m) @ design.P
+    # H[l]^T = H[l + 1]^T E + P gamma(l) - P E^m gamma(m + l)
     out = np.empty((lags, n, n))
     out[:-1] = (
         design.P * fgn_autocovariance(lower, dt, hurst)[:, None, None]
-        - far * fgn_autocovariance(m + lower, dt, hurst)[:, None, None]
+        - far.T * fgn_autocovariance(m + lower, dt, hurst)[:, None, None]
     )
-    out[-1] = top @ design.P
-    stride = 1
-    while stride < lags:
-        out[:-stride] += shift @ out[stride:]
-        shift = shift @ shift
-        stride *= 2
-    return out.reshape(lags, n * n)
+    out[-1] = (top @ design.P).T
+    return _backward_scan(out, shift).transpose(0, 2, 1).reshape(lags, n * n)
 
 
-def _gaussian_kernels(design: ControlDesign, hurst: float, dt: float, m: int, sizes: tuple) -> list:
+def _gaussian_kernels(design: ControlDesign, hurst: float, dt: float, horizon: float | None, sizes: tuple) -> list:
     """Per window size s the taps ``T_s[w]``, shape (s, n, n), with
-    ``V(t_k) = sum_{w<s} T_s[w] inc[k - s + w]``.
+    ``V(t_k) = sum_{w<s} T_s[w] inc[k - s + w]``, over m = round(horizon /
+    dt) steps (at least 1; ``None`` scans :func:`default_horizon`).
 
     The conditioning, the lag sums ``H[l]`` and ``P^{-1}`` collapse into
-    ``T_s = P^{-1} Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``: one
-    Toeplitz solve per size.
+    ``T_s = P^{-1} Gamma_s^{-1} G_s`` with ``G_s[i] = H[s - i]``.  Each
+    ``Gamma_s`` is a leading block of the sampler's fGn covariance, so two
+    triangular solves, O(s^2 n^2), against the leading block of its
+    Schur-built Cholesky factor (``noise._fgn_cholesky``) apply its
+    inverse; a Gram matrix that is not positive definite raises the
+    factor's ``NoiseError``.
     """
+    if horizon is None:
+        horizon = default_horizon(design, dt)
+    m = max(1, int(round(horizon / dt)))
     n = design.n
-    gamma = fgn_autocovariance(np.arange(sizes[-1]), dt, float(hurst))
-    lag_sums = _lag_sums(design, float(hurst), dt, m, sizes[-1])
+    factor = _fgn_cholesky(sizes[-1], dt, hurst)
+    lag_sums = _lag_sums(design, hurst, dt, m, sizes[-1])
     p_inv = np.linalg.inv(design.P)
-    taps = []
-    for size in sizes:
-        kernel = _solve_gram(toeplitz(gamma[:size]), lag_sums[size - 1 :: -1]).reshape(size, n, n)
-        taps.append(p_inv @ kernel)
-    return taps
+    return [
+        p_inv @ cho_solve((factor[:size, :size], True), lag_sums[size - 1 :: -1]).reshape(size, n, n)
+        for size in sizes
+    ]
 
 
 def gaussian_correction_series(
@@ -280,15 +276,17 @@ def gaussian_correction_series(
 
     Per window size the conditioning, the lag sums ``H[l]`` and ``P^{-1}``
     collapse into s taps (:func:`_gaussian_kernels`), built once per
-    design, ``dt``, Hurst index, horizon and window in a process, as is the
-    default horizon.  The sweep adds one product per tap over all rows of
+    process for each key ``(A_cl, P, dt, hurst, horizon, window sizes)``,
+    with ``horizon`` as given, so the default horizon is scanned once per
+    design and ``dt``.  The sweep adds one product per tap over all rows of
     that size, ``V[s + r] += T_s[w] inc[r + w]``, with no copy of the
     windows; each row sums only its own past increments, in a fixed
     order, so changing an increment never moves an earlier V by rounding.
     Cost: O(m n^2 + (m/1024 + window) n^3) for the lag sums and
-    O(window^3) for the solves, both once per key, and O(N window n^2) for
-    the sweep.  Memory: O((1024 + window) n^2) for the build, whatever m,
-    plus O(window^2) for the solves and O(N n) for the series.
+    O(window^2 n^2) for the factor and its solves, both once per key, and
+    O(N window n^2) for the sweep.  Memory: O((1024 + window) n^2) for the
+    build, whatever m, plus O(window^2) for the factor and O(N n) for the
+    series.
     """
     if not (0.0 < hurst < 1.0 and window >= 1):
         raise PredictorError(f"need 0 < hurst < 1 and window >= 1, got {hurst} and {window}")
@@ -297,14 +295,14 @@ def gaussian_correction_series(
     n_steps = path.n_steps
     if hurst == 0.5:
         return np.zeros((n_steps + 1, design.n))
-    dt = float(path.dt)
-    loop = _array_key(design.A_cl)
-    if horizon is None:
-        horizon = _memoised(("horizon", loop, dt), lambda: default_horizon(design, dt))
-    m = max(1, int(round(horizon / dt)))
+    dt, hurst = float(path.dt), float(hurst)
     sizes = tuple(1 << i for i in range(min(window, n_steps).bit_length()))
-    key = ("taps", loop, _array_key(design.P), dt, float(hurst), m, sizes)
-    taps = _memoised(key, lambda: _gaussian_kernels(design, hurst, dt, m, sizes))
+    key = (_array_key(design.A_cl), _array_key(design.P), dt, hurst, horizon, sizes)
+    if key not in _MEMO:
+        if len(_MEMO) >= _MEMO_ENTRIES:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = _gaussian_kernels(design, hurst, dt, horizon, sizes)
+    taps = _MEMO[key]
 
     # time runs along the rows of the transposed series: an n x n by n x rows
     # product runs about twice as fast as rows x n by n x n
@@ -327,23 +325,16 @@ def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarr
     """``raw[k] = sum_{j>=k} exp(A_cl^T (j - k) dt) W dx[j]``, shape (len(dx) + 1, n).
 
     The backward recursion ``raw[k] = W dx[k] + E raw[k + 1]`` from
-    ``raw[-1] = 0``, with ``E = exp(A_cl^T dt)``, run as a doubling scan:
-    after the pass with stride s every row holds the sum over its next 2s
-    increments, so there are O(log N) numpy calls.  The compensated weight
+    ``raw[-1] = 0``, with ``E = exp(A_cl^T dt)``, run as the doubling scan
+    :func:`_backward_scan` in O(log N) numpy calls.  The compensated weight
     ``W = P + dt/2 A_cl^T P`` contracts the integrand's time derivative
     against the lift's time-cross second-level block, which for the
     piecewise-linear geometric lift equals ``dt/2 * dX`` per step.
     """
-    shift = expm(design.A_cl.T * dt)
     weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
     raw = np.zeros((dx.shape[0] + 1, design.n))
     raw[:-1] = dx @ weight.T
-    stride = 1
-    while stride < dx.shape[0]:
-        raw[:-stride] += raw[stride:] @ shift.T
-        shift = shift @ shift
-        stride *= 2
-    return raw
+    return _backward_scan(raw, expm(design.A_cl.T * dt))
 
 
 def pathwise_correction_series(
@@ -353,9 +344,11 @@ def pathwise_correction_series(
 ) -> np.ndarray:
     """V(t_k) for every grid point of the driver, shape (N + 1, n).
 
-    One backward recursion over the whole grid; a finite horizon
-    subtracts the re-weighted tail, so the cost stays O(N).
+    One backward recursion over the whole grid; a finite positive
+    horizon subtracts the re-weighted tail, so the cost stays O(N).
     """
+    if horizon is not None and not (np.isfinite(horizon) and horizon > 0.0):
+        raise PredictorError(f"horizon must be finite and positive, got {horizon}")
     if driver.holder is not None and not rough_integral_admissible(
         INTEGRAND_HOLDER, float(driver.holder)
     ):

@@ -1,7 +1,8 @@
 """Level-2 rough-path lifts of sampled paths.
 
-A lifted path stores per-step increments and per-step second-order
-tensors; values over any grid interval follow from Chen's relation
+A lifted path stores per-step increments and derives its per-step
+second-order tensors from them; values over any grid interval follow
+from Chen's relation
 
     XX[s, t] = XX[s, u] + XX[u, t] + X[s, u] (x) X[u, t],
 
@@ -52,7 +53,8 @@ class DegeneratePathError(LiftError):
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Grid, per-step increments ``dx`` (N, d) and tensors ``area`` (N, d, d).
+    """Grid and per-step increments ``dx`` (N, d) of a piecewise-linear
+    path, whose per-step tensors ``area`` (N, d, d) follow from ``dx``.
 
     Immutable after construction.  Wider intervals are reconstructed from
     the prefix sums ``x_k = X[t_0, t_k]`` and ``S_k = XX[t_0, t_k]``, built
@@ -61,21 +63,18 @@ class RoughPath:
 
     t: np.ndarray
     dx: np.ndarray
-    area: np.ndarray
     holder: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         dx = np.asarray(self.dx, dtype=float)
-        area = np.asarray(self.area, dtype=float)
         n = t.shape[0] - 1
         if n < 1:
             raise LiftError("a rough path needs at least one step")
-        if dx.shape != (n, dx.shape[1]) or area.shape != (n, dx.shape[1], dx.shape[1]):
-            raise LiftError("inconsistent increment/tensor shapes")
+        if dx.ndim != 2 or dx.shape[0] != n:
+            raise LiftError("increments do not match the grid")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "area", area)
 
     @property
     def d(self) -> int:
@@ -94,6 +93,12 @@ class RoughPath:
         return k
 
     @cached_property
+    def area(self) -> np.ndarray:
+        """``0.5 * dx_k (x) dx_k`` per step, the iterated integral of the
+        linear interpolant; built on first use."""
+        return 0.5 * np.einsum("ki,kj->kij", self.dx, self.dx)
+
+    @cached_property
     def _prefix_sums(self):
         """``(x, S)`` of shapes (N + 1, d) and (N + 1, d, d), from Chen:
         ``x_{k+1} = x_k + dx_k`` and ``S_{k+1} = S_k + area_k + x_k (x) dx_k``."""
@@ -109,11 +114,10 @@ def lift_piecewise_linear(path: SamplePath) -> RoughPath:
     """Lift a sampled path through its piecewise-linear interpolant.
 
     Level 1 keeps the raw increments; the per-step level-2 tensor is the
-    iterated integral of the linear interpolant, ``0.5 * dX (x) dX``.
+    iterated integral of the linear interpolant, ``0.5 * dX (x) dX``
+    (:attr:`RoughPath.area`).
     """
-    dx = path.increments
-    area = 0.5 * np.einsum("ki,kj->kij", dx, dx)
-    return RoughPath(t=path.t, dx=dx, area=area, holder=path.holder)
+    return RoughPath(t=path.t, dx=path.increments, holder=path.holder)
 
 
 def reconstruct(rp: RoughPath, s: float, t: float):

@@ -216,6 +216,22 @@ def test_gaussian_series_memory_independent_of_horizon(monkeypatch):
             lambda d, p: gaussian_correction_series(d, 0.35, p, horizon=-1.0),
             "horizon must be finite and positive", id="horizon-negative",
         ),
+        pytest.param(
+            lambda d, p: pathwise_correction_series(d, lift_piecewise_linear(p), horizon=float("nan")),
+            "horizon must be finite and positive", id="pathwise-horizon-nan",
+        ),
+        pytest.param(
+            lambda d, p: pathwise_correction_series(d, lift_piecewise_linear(p), horizon=float("inf")),
+            "horizon must be finite and positive", id="pathwise-horizon-inf",
+        ),
+        pytest.param(
+            lambda d, p: pathwise_correction_series(d, lift_piecewise_linear(p), horizon=-1.0),
+            "horizon must be finite and positive", id="pathwise-horizon-negative",
+        ),
+        pytest.param(
+            lambda d, p: pathwise_correction_series(d, lift_piecewise_linear(p), horizon=0.0),
+            "horizon must be finite and positive", id="pathwise-horizon-zero",
+        ),
     ],
 )
 def test_bad_horizon_arguments_are_refused(call, match):
@@ -570,6 +586,7 @@ def test_gaussian_series_matches_single_calls_at_pow2_windows():
     [
         (0.05, 1.2, 32, 1.0, 0.35),  # path of 24 steps, shorter than the window
         (0.02, 2.0, 8, 0.08, 0.7),  # correction horizon of 4 steps, shorter than the window
+        (0.01, 2.8, 256, 0.2, 0.35),  # the default window of 256 on a 280-step path
     ],
 )
 def test_gaussian_series_matches_single_calls_short_path_or_horizon(

@@ -123,7 +123,7 @@ def test_rough_paths_keep_their_own_prefix_sums():
     x2, xx2 = reconstruct(second, 0.0, 2.0)
     assert np.allclose(x2, 2.0 * x1) and np.allclose(xx2, 4.0 * xx1)
     # a copy built after the sums were taken computes its own
-    scaled = replace(first, dx=3.0 * first.dx, area=9.0 * first.area)
+    scaled = replace(first, dx=3.0 * first.dx)
     x3, xx3 = reconstruct(scaled, 0.0, 2.0)
     assert np.allclose(x3, 3.0 * x1) and np.allclose(xx3, 9.0 * xx1)
     # returned arrays are the caller's: writing to them leaves the path intact
