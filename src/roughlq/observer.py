@@ -210,16 +210,31 @@ def simulate_error_process(a, l_gain, c, v_incs, w_incs, dt: float, e0=None) -> 
 
     ``v_incs``/``w_incs`` have shape ``(reps, N, d)``; returns the error
     history ``(reps, N + 1, n)`` under the error recursion
-    ``e[k+1] = (I + (A - LC) dt) e[k] + dv[k] - L dw[k]``.  The recursion
+    ``e[k+1] = (I + (A - LC) dt) e[k] + dv[k] - L dw[k]`` from ``e0``, of
+    shape ``(n,)`` or ``(reps, n)`` (zero by default).  The recursion
     has no saturation, so the whole history is one banded triangular
     solve (LAPACK ``dtbtrs``) with the replications as right-hand sides.
     """
-    a_err = np.atleast_2d(a) - np.atleast_2d(l_gain) @ np.atleast_2d(c)
+    l_gain = np.atleast_2d(l_gain)
+    a_err = np.atleast_2d(a) - l_gain @ np.atleast_2d(c)
+    v_incs, w_incs = np.asarray(v_incs, dtype=float), np.asarray(w_incs, dtype=float)
+    if v_incs.ndim != 3 or w_incs.ndim != 3:
+        raise ObserverError(
+            "v and w increments must be (replications, steps, dimension) arrays, "
+            f"got {v_incs.ndim}-d and {w_incs.ndim}-d"
+        )
     reps, n_steps, _ = v_incs.shape
     n = a_err.shape[0]
+    if w_incs.shape[:2] != (reps, n_steps):
+        raise ObserverError(f"v and w replication shapes disagree: {v_incs.shape[:2]} and {w_incs.shape[:2]}")
+    if v_incs.shape[2] != n or w_incs.shape[2] != l_gain.shape[1]:
+        raise ObserverError(f"v and w dimensions {v_incs.shape[2]} and {w_incs.shape[2]} do not fit L {l_gain.shape}")
+    e0 = np.zeros(n) if e0 is None else np.asarray(e0, dtype=float)
+    if e0.shape not in ((n,), (reps, n)):
+        raise ObserverError(f"e0 must have shape ({n},) or ({reps}, {n}), got {e0.shape}")
     e = np.empty((reps, n_steps + 1, n))
-    e[:, 0] = 0.0 if e0 is None else e0
-    e[:, 1:] = v_incs - w_incs @ np.atleast_2d(l_gain).T
+    e[:, 0] = e0
+    e[:, 1:] = v_incs - w_incs @ l_gain.T
     band = _step_band(np.eye(n) + a_err * dt, n_steps + 1)
     # one column per replication: the transposed view is already in Fortran order
     x, info = dtbtrs(band, e.reshape(reps, -1).T, uplo="L", diag="U", overwrite_b=1)

@@ -12,13 +12,14 @@ equation solution because the noise enters additively: a constant
 diffusion coefficient makes the second-level driver terms multiply a
 vanishing derivative (a step-halving self-convergence test checks the rate).
 
-With u_raw[k] = -K (xhat[k] + V[k]) the loop is affine in w = (z, u_raw),
-z = (x, xhat), or z = x without the observer (xhat is x):
+No input enters e: an observer run solves it before the loop and forms
+xhat = x - e after it.  With u_raw[k] = -K x[k] + K (e[k] - V[k]), e = 0
+without the observer, the loop is affine in w = (x, u_raw):
 
     w[k+1] = M clip(w[k]) + c[k],
 
 where ``clip`` bounds the u_raw coordinates by the saturation level, and c
-holds what does not depend on the state (dv, L dw and -K V), built once
+holds what does not depend on the state (dv and K (e - V)), built once
 per run.
 
 A mode says, for each input, whether it is free or railed at +saturation
@@ -35,11 +36,11 @@ tests them for divergence and starts again from the last kept row.  A
 window is 64 rows after a mode change and doubles up to 1024 while the
 mode holds.  Where the input chatters, a mode change within the first 16
 rows of a window sends the next 256 rows through the per-row loop: one
-explicit step z[k+1] = F z[k] + G clip(u) + h[k] each, one BLAS
+explicit step w[k+1] = M clip(w[k]) + c[k] each, one BLAS
 matrix-vector product.  The band solve multiplies a NaN or inf by the
 band's structural zeros, so the halt row is recomputed as one explicit
-step from the row before it.  The clipped inputs and the running cost are
-formed after the loop.
+step from the row before it, and xhat there too.  The clipped inputs and
+the running cost are formed after the loop.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from scipy.linalg.blas import dgemv, dtbsv
 from .control import gaussian_correction_series, pathwise_correction_series
 from .lift import lift_piecewise_linear
 from .noise import NoiseModel, SamplePath, _write_table, make_grid
-from .observer import ObserverDesign
+from .observer import ObserverDesign, simulate_error_process
 from .riccati import ControlDesign, _step_band
 
 __all__ = [
@@ -248,8 +249,8 @@ def integrate(
 ) -> Trajectory:
     """Run one closed loop over the configured grid.
 
-    ``v_path`` and ``w_path`` must sit on the config grid; only an
-    observer run reads ``w_path``, so a full-state run may pass None.
+    Both paths must sit on the config grid.  Only an observer run reads
+    ``w_path``, to solve its estimation error first; others may pass None.
     A ``glq`` run may pass its correction series, as
     :func:`_correction_series` builds it from ``v_path``, so that runs
     which read the same series share one; by default it is built here.
@@ -267,8 +268,10 @@ def integrate(
             raise SimError("observer run requested without an observer design")
         if w_path is None:
             raise SimError("observer run requested without a measurement noise path")
-        if w_path.t.shape != grid.shape or w_path.d != model.p:
-            raise SimError("w_path must live on the grid with output dimension")
+        if w_path.t.shape != grid.shape or abs(w_path.t[-1] - grid[-1]) > 1e-9:
+            raise SimError("w_path grid does not match the configured grid")
+        if w_path.d != model.p:
+            raise SimError("measurement noise dimension must equal the output dimension")
 
     n_steps, n, m, sat = grid.shape[0] - 1, model.n, model.m, config.saturation
     dv, v_corr = v_path.increments, v_correction
@@ -280,36 +283,31 @@ def integrate(
         raise SimError(f"correction series must have shape {(n_steps + 1, n)}, got {v_corr.shape}")
 
     a_dt, b_dt = np.eye(n) + model.A * config.dt, model.B * config.dt
-    f, g, h, k_fb, z0 = a_dt, b_dt, dv, design.K, config.x0
-    if config.observer_enabled:
-        lc = observer.L @ model.C * config.dt
-        f = np.block([[a_dt, np.zeros((n, n))], [lc, a_dt - lc]])
-        g = np.vstack([b_dt, b_dt])
-        h = np.hstack([dv, w_path.increments @ observer.L.T])
-        k_fb = np.hstack([np.zeros((m, n)), design.K])
-        z0 = np.concatenate([config.x0, config.xhat0])
-    nz = z0.shape[0]
     bias = np.zeros((n_steps + 1, m)) if v_corr is None else -v_corr @ design.K.T
-    # u_raw[k] = bias[k] - K_fb z[k], so M = [F G; -K_fb F  -K_fb G]
-    top = np.hstack([f, g])
-    m_step = np.asfortranarray(np.vstack([top, -k_fb @ top]))
-    c = np.hstack([h, bias[1:] - h @ k_fb.T])
-    hi = np.r_[np.full(nz, np.inf), np.full(m, sat)]  # clip bounds on w
+    if config.observer_enabled:  # -K xhat = -K x + K e, and no input enters e: solve it first
+        dw, e0 = w_path.increments, config.x0 - config.xhat0
+        e = simulate_error_process(model.A, observer.L, model.C, dv[None], dw[None], config.dt, e0=e0)[0]
+        bias += e @ design.K.T
+    # u_raw[k] = bias[k] - K x[k], so M = [F G; -K F  -K G]
+    top = np.hstack([a_dt, b_dt])
+    m_step = np.asfortranarray(np.vstack([top, -design.K @ top]))
+    c = np.hstack([dv, bias[1:] - dv @ design.K.T])
+    hi = np.r_[np.full(n, np.inf), np.full(m, sat)]  # clip bounds on w
     lo = -hi
-    d = nz + m
+    d = n + m
     w = np.empty((n_steps + 1, d))
-    w[0] = np.r_[z0, bias[0] - k_fb @ z0]
+    w[0] = np.r_[config.x0, bias[0] - design.K @ config.x0]
 
     def rails(rows):
         """Mode of each row: per input, +1 or -1 railed at that bound, 0 free."""
-        u = rows[..., nz:]
+        u = rows[..., n:]
         return (u > sat).view(np.int8) - (u < -sat).view(np.int8)
 
     def step_rows(k0, k1):
         """Rows k0 + 1 .. k1, one explicit step each."""
         wk = w[k0]
         for k, ck in enumerate(c[k0:k1], k0 + 1):
-            if max(map(abs, wk[nz:].tolist())) > sat:
+            if max(map(abs, wk[n:].tolist())) > sat:
                 wk = np.minimum(np.maximum(wk, lo), hi)
             w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
 
@@ -319,7 +317,7 @@ def integrate(
         """Rows k0 + 1 .. k1, assuming rows k0 .. k1 - 1 all hold ``mode``."""
         key = mode.tobytes()
         if key not in bands:
-            railed = nz + np.flatnonzero(mode)
+            railed = n + np.flatnonzero(mode)
             m_mode = m_step.copy()
             m_mode[:, railed] = 0.0
             const = m_step[:, railed] @ (sat * mode[mode != 0])
@@ -361,16 +359,19 @@ def integrate(
     live = end if halt is not None else end + 1  # rows that carry a cost rate
     w = w[: end + 1]
     x = w[:, :n]
-    u_raw = w[:, nz:].copy()
+    u_raw = w[:, n:].copy()
     u_raw[live:] = 0.0  # the halt row records no input
     u_sat = np.clip(u_raw, -sat, sat)
+    xhat = x - e[: end + 1] if config.observer_enabled else x
+    if config.observer_enabled and halt is not None:  # e[halt] took dv[halt - 1], maybe non-finite; xhat did not
+        xhat[-1] = a_dt @ xhat[-2] + b_dt @ u_sat[-2] + observer.L @ (model.C @ e[halt - 1] * config.dt + dw[halt - 1])
     rate = np.einsum("ki,ki->k", x[:live] @ model.Q, x[:live])
     rate += np.einsum("ki,ki->k", u_sat[:live] @ model.R, u_sat[:live])
     cost = np.zeros(end + 1)
     cost[1:live] = np.cumsum(0.5 * config.dt * (rate[:-1] + rate[1:]))
     cost[live:] = cost[live - 1]  # the halt row carries the last accumulated cost
     return Trajectory(
-        t=grid[: end + 1], x=x, xhat=w[:, n:nz] if config.observer_enabled else x,
+        t=grid[: end + 1], x=x, xhat=xhat,
         u_raw=u_raw, u_sat=u_sat, cost_running=cost,
         diverged=halt is not None, t_diverge=None if halt is None else grid[halt],
         v_correction=None if v_corr is None else v_corr[: end + 1], v_increments=dv,

@@ -90,6 +90,39 @@ def test_estimator_rejects_malformed_input(inc_v, inc_w, dt, message):
         estimate_second_moments(inc_v, inc_w, dt)
 
 
+_E = np.zeros((3, 50, 4))
+_L4 = np.eye(4)
+
+
+@pytest.mark.parametrize(
+    "v_incs, w_incs, e0, message",
+    [
+        (_E[0], _E[0], None, "got 2-d and 2-d"),
+        (_E, _E[None], None, "got 3-d and 4-d"),
+        (_E, _E[:1], None, "replication shapes disagree"),
+        (_E, _E[:, :-1], None, "replication shapes disagree"),
+        (_E[:, :, :3], _E, None, "dimensions 3 and 4 do not fit"),
+        (_E, _E[:, :, :3], None, "dimensions 4 and 3 do not fit"),
+        (_E, _E, np.zeros(3), "e0 must have shape"),
+        (_E, _E, np.zeros((2, 4)), "e0 must have shape"),
+    ],
+    ids=["2-d", "4-d", "one-w-rep-for-three", "steps-mismatch", "v-dimension", "w-dimension", "e0-length", "e0-reps"],
+)
+def test_error_process_rejects_malformed_input(v_incs, w_incs, e0, message):
+    with pytest.raises(ObserverError, match=message):
+        simulate_error_process(np.zeros((4, 4)), _L4, _L4, v_incs, w_incs, 1e-3, e0=e0)
+
+
+def test_error_process_takes_one_start_per_replication():
+    rng = np.random.Generator(np.random.PCG64(5))
+    v_incs, w_incs, e0 = rng.standard_normal((3, 20, 4)), rng.standard_normal((3, 20, 4)), rng.standard_normal((3, 4))
+    a = np.array([[0.0, 1.0, 0.0, 0.0], [-2.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.5], [0.0, 0.0, 0.0, -3.0]])
+    batch = simulate_error_process(a, 0.5 * _L4, _L4, v_incs, w_incs, 1e-2, e0=e0)
+    for r in range(3):
+        one = simulate_error_process(a, 0.5 * _L4, _L4, v_incs[r : r + 1], w_incs[r : r + 1], 1e-2, e0=e0[r])
+        np.testing.assert_allclose(batch[r], one[0], rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(one)))))
+
+
 def test_truncation_is_recorded_and_tames_tails():
     grid = make_grid(1e-3, 0.5)
     model = NoiseModel.stable(alpha=1.5)

@@ -10,7 +10,7 @@ from roughlq import sim
 from roughlq.bench import SCENARIOS, _parse_floats, noise_paths, scenario_config, sim_template
 from roughlq.control import completion_of_squares_gap, pathwise_cost
 from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_path
-from roughlq.observer import NoiseSecondMoments, solve_observer_steady_state
+from roughlq.observer import NoiseSecondMoments, simulate_error_process, solve_observer_steady_state
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 from roughlq.sim import (
@@ -310,6 +310,63 @@ def test_observer_requires_design():
     )
 
 
+@pytest.mark.parametrize(
+    "path, dt, horizon, d, message",
+    [
+        ("v", 2e-3, 2.0, 4, "v_path grid does not match"),
+        ("w", 2e-3, 2.0, 4, "w_path grid does not match"),
+        ("w", 1e-3, 0.5, 4, "w_path grid does not match"),
+        ("w", 1e-3, 1.0, 3, "measurement noise dimension"),
+    ],
+    ids=["v-2s-at-2e-3", "w-2s-at-2e-3", "w-short", "w-dimension"],
+)
+def test_integrate_rejects_paths_off_the_grid(path, dt, horizon, d, message):
+    # a 2 s path at dt 2e-3 has as many points as the 1 s grid at dt 1e-3
+    model = pendulum_model()
+    cfg = SimConfig(
+        model=model,
+        noise_v=NoiseModel.brownian(),
+        noise_w=NoiseModel.brownian(),
+        observer_enabled=True,
+        dt=1e-3,
+        horizon=1.0,
+    )
+    v, w = zero_paths(cfg.grid(), 4, 4)
+    grid = make_grid(dt, horizon)
+    off = SamplePath(t=grid, values=np.zeros((grid.size, d)))
+    paths = {"v": off, "w": w} if path == "v" else {"v": v, "w": off}
+    with pytest.raises(SimError, match=message):
+        integrate(cfg, paths["v"], paths["w"], pendulum_design(model), observer=_observer_for(model))
+
+
+def test_estimation_error_is_the_same_under_every_controller():
+    # separation: no input enters e = x - xhat, so classical and glq runs of
+    # one seed share it, and it is the error recursion of the seed's
+    # increments.  The runs saturate and the glq input chatters between the
+    # rails; x - xhat is a difference of states up to ~1e8, so it is compared
+    # at 1e-12 of the largest of x, xhat and e.
+    cfg = scenario_config("fbm035", {"simulate": {"horizon": "2.0"}})
+    run = replace(sim_template(cfg), observer_enabled=True)
+    model = run.model
+    design = pendulum_design(model)
+    observer = _observer_for(model)
+    for seed in (0, 1, 2):
+        v, w = noise_paths(run, seed)
+        e = simulate_error_process(
+            model.A, observer.L, model.C, v.increments[None], w.increments[None], run.dt, e0=run.x0 - run.xhat0
+        )[0]
+        trajs = [integrate(replace(run, controller=c), v, w, design, observer=observer) for c in ("classical", "glq")]
+        rows = min(t.x.shape[0] - t.diverged for t in trajs)  # the rows before either halts
+        for traj in trajs:
+            railed = np.abs(traj.u_raw[:rows, 0]) > run.saturation
+            assert 0 < railed.sum() < rows
+            x, xhat = traj.x[:rows], traj.xhat[:rows]
+            scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(xhat))), float(np.max(np.abs(e[:rows]))))
+            np.testing.assert_allclose(x - xhat, e[:rows], rtol=0.0, atol=1e-12 * scale, err_msg=f"seed {seed}")
+        glq_switches = np.count_nonzero(np.diff(np.abs(trajs[1].u_raw[:rows, 0]) > run.saturation))
+        assert glq_switches > 16
+
+
 # ---------------------------------------------------------------------------
 # integrate against a step-by-step oracle
 # ---------------------------------------------------------------------------
@@ -557,38 +614,56 @@ def test_integrate_matches_reference_on_a_chattering_observer_run(monkeypatch):
     _assert_same_run(traj, ref)
 
 
+_NAN_ROWS = {
+    "block-boundary": _BLOCK,
+    "inside-a-block": _BLOCK + 45,
+    "last-step": 1000,
+    "window-edge": _WINDOW,
+    "inside-a-long-free-segment": 700,
+}
+
+
 @pytest.mark.parametrize(
-    "row",
-    [_BLOCK, _BLOCK + 45, 1000, _WINDOW, 700],
-    ids=["block-boundary", "inside-a-block", "last-step", "window-edge", "inside-a-long-free-segment"],
+    "noise, observer_enabled, row",
+    [
+        pytest.param("v", enabled, row, id=f"{mode}-{name}")
+        for mode, enabled in (("fullstate", False), ("observer", True))
+        for name, row in _NAN_ROWS.items()
+    ]
+    # a NaN in dw[row - 1] reaches x through xhat one step later, so the
+    # last step has no row to halt on
+    + [pytest.param("w", True, row, id=f"observer-dw-{name}") for name, row in _NAN_ROWS.items() if row < 1000],
 )
-@pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
-def test_nan_increment_halts_at_its_step(row, observer_enabled):
+def test_nan_increment_halts_at_its_step(noise, observer_enabled, row):
     model = pendulum_model()
     design = pendulum_design(model)
-    noise = NoiseModel.brownian(sigma=0.1)
+    noise_model = NoiseModel.brownian(sigma=0.1)
     cfg = SimConfig(
         model=model,
-        noise_v=noise,
-        noise_w=noise,
+        noise_v=noise_model,
+        noise_w=noise_model,
         observer_enabled=observer_enabled,
         dt=1e-3,
         horizon=1.0,
     )
     grid = cfg.grid()
-    v = sample_path(noise, grid, d=4, seed=5)
-    w = sample_path(noise, grid, d=4, seed=6)
-    values = v.values.copy()
-    values[row, 2] = np.nan  # dv[row - 1] is NaN in one coordinate
-    v = SamplePath(t=grid, values=values)
+    paths = {"v": sample_path(noise_model, grid, d=4, seed=5), "w": sample_path(noise_model, grid, d=4, seed=6)}
+    values = paths[noise].values.copy()
+    values[row, 2] = np.nan  # dv[row - 1] or dw[row - 1] is NaN in one coordinate
+    paths[noise] = SamplePath(t=grid, values=values)
+    v, w = paths["v"], paths["w"]
+    halt = row if noise == "v" else row + 1
     observer = _observer_for(model) if observer_enabled else None
     traj = integrate(cfg, v, w, design, observer=observer)
     ref = _reference_integrate(cfg, v, w, design, observer=observer)
-    assert traj.diverged and traj.t_diverge == grid[row]
-    assert traj.x.shape[0] == row + 1
+    assert traj.diverged and traj.t_diverge == grid[halt]
+    assert traj.x.shape[0] == halt + 1
     assert np.isnan(traj.x[-1, 2]) and np.all(np.isfinite(traj.x[:-1]))
     assert np.all(traj.u_raw[-1] == 0.0) and np.all(traj.u_sat[-1] == 0.0)
-    assert traj.cost_running[-1] == traj.cost_running[-2]
+    if noise == "v":
+        assert traj.cost_running[-1] == traj.cost_running[-2]
+    else:  # the row before the halt already took the NaN input, and its cost rate with it
+        assert np.isnan(traj.cost_running[-2:]).all()
     _assert_same_run(traj, ref)
 
 
