@@ -19,8 +19,10 @@ Optim. 2013) through the lag sums ``H[l] = sum_j Phi(j)^T P gamma(j + l)``
 of the fGn autocovariance ``gamma``; at H = 1/2 it is 0, and the law is LQR.
 :func:`pathwise_correction_series` evaluates the realised-path integral
 against a fixed rough driver (it reads the future) by one backward
-recursion with compensated (level-2 aware) Riemann sums.  ``roughlq.sim``
-decides which mode a run's noise admits.
+recursion with compensated (level-2 aware) Riemann sums.  Every linear
+recursion here, and the blocks of closed-loop powers, is one banded solve
+(``riccati._solve_steps``).  ``roughlq.sim`` decides which mode a run's
+noise admits.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from scipy.linalg import cho_solve, expm
 
 from .lift import RoughPath, rough_integral_admissible
 from .noise import SamplePath, _fgn_cholesky, fgn_autocovariance
-from .riccati import ControlDesign
+from .riccati import ControlDesign, _solve_steps
 
 __all__ = [
     "PredictorError",
@@ -56,23 +58,6 @@ _MEMO_ENTRIES = 16
 
 class PredictorError(ValueError):
     """Raised for invalid correction inputs."""
-
-
-def _powers(step: np.ndarray, count: int) -> np.ndarray:
-    """``step^0 .. step^(count - 1)``, shape (count, n, n), filled by
-    doubling: each pass multiplies the powers filled so far by the next
-    power of two of ``step``, so there are O(log count) numpy calls."""
-    n = step.shape[0]
-    out = np.empty((count, n, n))
-    out[0] = np.eye(n)
-    shift = step
-    filled = 1
-    while filled < count:
-        take = min(filled, count - filled)
-        np.matmul(shift, out[:take], out=out[filled : filled + take])
-        shift = shift @ shift
-        filled += take
-    return out
 
 
 def _spectral_radius_floor(step: np.ndarray) -> float:
@@ -118,7 +103,8 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     at or below ``k0``, with the head ``step^(start+1)`` formed by binary
     powering, and tests the powers in blocks of B, each one batched
     product ``head @ base`` with ``base = step^0 .. step^(B-1)`` built once
-    and ``head`` advanced by ``step^B``.  Since
+    by one banded solve (:func:`riccati._solve_steps`) and ``head``
+    advanced by ``step^B``.  Since
     ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the Frobenius norm decides
     every power outside ``[1e-6, sqrt(n) 1e-6]``.  A power inside is
     first tested against ``||M v|| <= ||M||_2`` with ``v`` the top right
@@ -130,8 +116,8 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     products, so the step count equals that of a sequential scan unless
     some power's norm lies within that rounding of 1e-6.  Cost for m
     horizon steps: O(n^3 log m) for the skip and O((m - k0 + B) n^3) flops
-    in O((m - k0) / B + log B) numpy calls for the scan; memory O(B n^2),
-    whatever m.
+    in O((m - k0) / B) numpy calls for the scan; memory O(B n^2), whatever
+    m.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise PredictorError(f"dt must be finite and positive, got {dt}")
@@ -151,7 +137,8 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     if skip >= max_steps:
         raise PredictorError("closed loop decays too slowly for a finite horizon")
     first = skip - skip % _HORIZON_BLOCK
-    base = _powers(step, _HORIZON_BLOCK)
+    # step^k solves z[k] = step z[k-1] from z[0] = I
+    base = _solve_steps(step, np.eye(_HORIZON_BLOCK * n, n).reshape(-1, n, n))
     stride = base[-1] @ step
     head = np.linalg.matrix_power(step, first + 1)
     for start in range(first, max_steps, _HORIZON_BLOCK):
@@ -179,18 +166,6 @@ def _array_key(a: np.ndarray) -> tuple:
 # Gaussian conditioning: one lag-sum kernel
 # ---------------------------------------------------------------------------
 
-def _backward_scan(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``rows[k] += sum_{j>k} rows[j] (shift^T)^(j - k)`` in place, by
-    doubling: after the pass with stride s every row holds the sum over
-    its next 2s rows, so there are O(log len(rows)) numpy calls."""
-    stride = 1
-    while stride < rows.shape[0]:
-        rows[:-stride] += rows[stride:] @ shift.T
-        shift = shift @ shift
-        stride *= 2
-    return rows
-
-
 def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int) -> np.ndarray:
     """``H[l] = sum_{j<m} Phi(j)^T P gamma(j + l)`` for l = 1 .. L = ``lags``,
     row l - 1 holding H[l] as a flat n x n block, with ``gamma`` the fGn
@@ -201,19 +176,20 @@ def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int)
     B = 1,024 powers (``_HORIZON_BLOCK``).  Each
     ``S_b = sum_{i<B} gamma(L + B b + i) (E^T)^i`` is one contraction of a
     block of ``gamma``, evaluated for that block alone, against the shared
-    base ``(E^T)^0 .. (E^T)^(B-1)``.  Every lower lag follows from the
-    backward step
+    base ``(E^T)^0 .. (E^T)^(B-1)``, one banded solve.  Every lower lag
+    follows from the backward step
 
         H[l] = E^T H[l + 1] + P gamma(l) - (E^T)^m P gamma(m + l),
 
-    run on the blocks ``H[l]^T`` by :func:`_backward_scan`, with ``(E^T)^m``
-    formed by binary powering.  The multiplier ``E^T`` is stable, so
-    rounding does not grow along the lags.  Cost O(m n^2 + (m/B + L) n^3)
-    flops in O(m/B + log L) numpy calls; memory O((B + L) n^2), whatever m.
+    one backward banded solve (:func:`riccati._solve_steps`) with the n
+    columns of ``H[l]`` as right-hand sides, and ``(E^T)^m`` formed by
+    binary powering.  The multiplier ``E^T`` is stable, so rounding does
+    not grow along the lags.  Cost O(m n^2 + (m/B + B + L) n^3) flops in
+    O(m/B) numpy calls; memory O((B + L) n^2), whatever m.
     """
     n = design.n
     shift = expm(design.A_cl.T * dt)
-    base = _powers(shift, _HORIZON_BLOCK)
+    base = _solve_steps(shift, np.eye(_HORIZON_BLOCK * n, n).reshape(-1, n, n))
     jump = base[-1] @ shift
     top = np.zeros((n, n))
     for start in reversed(range(0, m, _HORIZON_BLOCK)):
@@ -222,14 +198,13 @@ def _lag_sums(design: ControlDesign, hurst: float, dt: float, m: int, lags: int)
         top = np.tensordot(gamma, base[:count], axes=1) + jump @ top
     lower = np.arange(1, lags)
     far = np.linalg.matrix_power(shift, m) @ design.P
-    # H[l]^T = H[l + 1]^T E + P gamma(l) - P E^m gamma(m + l)
     out = np.empty((lags, n, n))
     out[:-1] = (
         design.P * fgn_autocovariance(lower, dt, hurst)[:, None, None]
-        - far.T * fgn_autocovariance(m + lower, dt, hurst)[:, None, None]
+        - far * fgn_autocovariance(m + lower, dt, hurst)[:, None, None]
     )
-    out[-1] = (top @ design.P).T
-    return _backward_scan(out, shift).transpose(0, 2, 1).reshape(lags, n * n)
+    out[-1] = top @ design.P
+    return _solve_steps(shift, out, backward=True).reshape(lags, n * n)
 
 
 def _gaussian_kernels(design: ControlDesign, hurst: float, dt: float, horizon: float | None, sizes: tuple) -> list:
@@ -282,7 +257,7 @@ def gaussian_correction_series(
     that size, ``V[s + r] += T_s[w] inc[r + w]``, with no copy of the
     windows; each row sums only its own past increments, in a fixed
     order, so changing an increment never moves an earlier V by rounding.
-    Cost: O(m n^2 + (m/1024 + window) n^3) for the lag sums and
+    Cost: O(m n^2 + (m/1024 + 1024 + window) n^3) for the lag sums and
     O(window^2 n^2) for the factor and its solves, both once per key, and
     O(N window n^2) for the sweep.  Memory: O((1024 + window) n^2) for the
     build, whatever m, plus O(window^2) for the factor and O(N n) for the
@@ -325,8 +300,8 @@ def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarr
     """``raw[k] = sum_{j>=k} exp(A_cl^T (j - k) dt) W dx[j]``, shape (len(dx) + 1, n).
 
     The backward recursion ``raw[k] = W dx[k] + E raw[k + 1]`` from
-    ``raw[-1] = 0``, with ``E = exp(A_cl^T dt)``, run as the doubling scan
-    :func:`_backward_scan` in O(log N) numpy calls.  The compensated weight
+    ``raw[-1] = 0``, with ``E = exp(A_cl^T dt)``, is one backward banded
+    solve (:func:`riccati._solve_steps`).  The compensated weight
     ``W = P + dt/2 A_cl^T P`` contracts the integrand's time derivative
     against the lift's time-cross second-level block, which for the
     piecewise-linear geometric lift equals ``dt/2 * dX`` per step.
@@ -334,7 +309,7 @@ def _pathwise_sums(design: ControlDesign, dx: np.ndarray, dt: float) -> np.ndarr
     weight = design.P + 0.5 * dt * design.A_cl.T @ design.P
     raw = np.zeros((dx.shape[0] + 1, design.n))
     raw[:-1] = dx @ weight.T
-    return _backward_scan(raw, expm(design.A_cl.T * dt))
+    return _solve_steps(expm(design.A_cl.T * dt), raw, backward=True)
 
 
 def pathwise_correction_series(
@@ -371,17 +346,14 @@ def pathwise_correction_series(
 # pathwise cost
 # ---------------------------------------------------------------------------
 
-def pathwise_cost(traj, q: np.ndarray, r: np.ndarray, horizon: float | None = None) -> float:
+def pathwise_cost(traj, q: np.ndarray, r: np.ndarray) -> float:
     """Trapezoidal integral of x'Qx + u'Ru along one trajectory."""
     t, x, u = traj.t, traj.x, traj.u_sat
-    if horizon is not None:
-        keep = t <= horizon + 1e-12
-        t, x, u = t[keep], x[keep], u[keep]
     integrand = np.einsum("ki,ij,kj->k", x, q, x) + np.einsum("ki,ij,kj->k", u, r, u)
     return float(np.trapezoid(integrand, t))
 
 
-def completion_of_squares_gap(traj_u, traj_ustar, design: ControlDesign, q, r, horizon=None):
+def completion_of_squares_gap(traj_u, traj_ustar, design: ControlDesign, q, r):
     """Excess cost of ``traj_u`` versus the R-weighted control deviation.
 
     Returns ``(lhs, rhs)`` with ``lhs = J(u) - J(u*)`` and
@@ -401,13 +373,9 @@ def completion_of_squares_gap(traj_u, traj_ustar, design: ControlDesign, q, r, h
     if v_series is None:
         raise PredictorError("no correction series recorded on either trajectory")
 
-    lhs = pathwise_cost(traj_u, q, r, horizon) - pathwise_cost(traj_ustar, q, r, horizon)
+    lhs = pathwise_cost(traj_u, q, r) - pathwise_cost(traj_ustar, q, r)
 
-    t = traj_u.t
     dev = traj_u.u_raw + (traj_u.x + v_series) @ design.K.T
     integrand = np.einsum("ki,ij,kj->k", dev, np.atleast_2d(r), dev)
-    if horizon is not None:
-        keep = t <= horizon + 1e-12
-        t, integrand = t[keep], integrand[keep]
-    rhs = float(np.trapezoid(integrand, t))
+    rhs = float(np.trapezoid(integrand, traj_u.t))
     return lhs, rhs

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_are
-from scipy.linalg.lapack import dtbtrs
 
-from .riccati import _step_band, spectral_abscissa
+from .riccati import _solve_steps, spectral_abscissa
 
 __all__ = [
     "ObserverError",
@@ -211,9 +210,10 @@ def simulate_error_process(a, l_gain, c, v_incs, w_incs, dt: float, e0=None) -> 
     ``v_incs``/``w_incs`` have shape ``(reps, N, d)``; returns the error
     history ``(reps, N + 1, n)`` under the error recursion
     ``e[k+1] = (I + (A - LC) dt) e[k] + dv[k] - L dw[k]`` from ``e0``, of
-    shape ``(n,)`` or ``(reps, n)`` (zero by default).  The recursion
-    has no saturation, so the whole history is one banded triangular
-    solve (LAPACK ``dtbtrs``) with the replications as right-hand sides.
+    shape ``(n,)`` or ``(reps, n)`` (zero by default), on a step ``dt``
+    that is finite and positive.  The recursion has no saturation, so the
+    whole history is one banded solve (``riccati._solve_steps``) with the
+    replications as right-hand sides.
     """
     l_gain = np.atleast_2d(l_gain)
     a_err = np.atleast_2d(a) - l_gain @ np.atleast_2d(c)
@@ -223,6 +223,8 @@ def simulate_error_process(a, l_gain, c, v_incs, w_incs, dt: float, e0=None) -> 
             "v and w increments must be (replications, steps, dimension) arrays, "
             f"got {v_incs.ndim}-d and {w_incs.ndim}-d"
         )
+    if not 0.0 < dt < np.inf:
+        raise ObserverError(f"dt must be finite and positive, got {dt}")
     reps, n_steps, _ = v_incs.shape
     n = a_err.shape[0]
     if w_incs.shape[:2] != (reps, n_steps):
@@ -235,9 +237,5 @@ def simulate_error_process(a, l_gain, c, v_incs, w_incs, dt: float, e0=None) -> 
     e = np.empty((reps, n_steps + 1, n))
     e[:, 0] = e0
     e[:, 1:] = v_incs - w_incs @ l_gain.T
-    band = _step_band(np.eye(n) + a_err * dt, n_steps + 1)
-    # one column per replication: the transposed view is already in Fortran order
-    x, info = dtbtrs(band, e.reshape(reps, -1).T, uplo="L", diag="U", overwrite_b=1)
-    if info != 0:
-        raise ObserverError(f"banded error solve failed: dtbtrs info {info}")
-    return x.T.reshape(reps, n_steps + 1, n)
+    # one column per replication, the rows along the steps
+    return _solve_steps(np.eye(n) + a_err * dt, e.transpose(1, 2, 0)).transpose(2, 0, 1)

@@ -6,6 +6,10 @@ one Newton (Kleinman) step: with ``K0 = R^{-1} B^T P0``, P solves the
 Lyapunov equation of ``A - B K0`` with weight ``Q + K0^T R K0``.  The
 step moves P only at rounding level; on the pendulum with unit weights
 it halves the CARE residual.
+
+The module also holds the banded solve behind the package's linear
+recursions ``z[k] = step z[k-1] + r[k]``: :func:`_step_band` lays one out
+for LAPACK ``dtbtrs``, and :func:`_solve_steps` solves it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg.lapack import dtbtrs
 
 __all__ = [
     "RiccatiError",
@@ -40,10 +45,10 @@ def _step_band(step: np.ndarray, blocks: int) -> np.ndarray:
     The matrix is ``blocks`` x ``blocks`` d x d blocks: identity on the
     diagonal, ``-step`` below it.  Stacking the rows z[0], z[1], ... into
     one vector, the recursion from ``z[0] = r[0]`` is this unit
-    lower-triangular system with ``2 d - 1`` subdiagonals; ``dtbsv`` or
-    ``dtbtrs`` (lower, unit diagonal) solve it by forward substitution.
-    Column ``b`` of a block holds ``-step[:, b]`` in band rows ``d - b``
-    to ``2 d - 1 - b``; the band is returned in Fortran order.
+    lower-triangular system with ``2 d - 1`` subdiagonals, which ``dtbtrs``
+    (lower, unit diagonal) solves by forward substitution.  Column ``b`` of
+    a block holds ``-step[:, b]`` in band rows ``d - b`` to ``2 d - 1 - b``;
+    the band is returned in Fortran order.
     """
     d = step.shape[0]
     column = np.zeros((d, 2 * d))  # the transpose of one block's band columns
@@ -52,6 +57,24 @@ def _step_band(step: np.ndarray, blocks: int) -> np.ndarray:
     band = np.empty((blocks, d, 2 * d))
     band[:] = column
     return band.reshape(-1, 2 * d).T  # Fortran order: one band column per row of ``band``
+
+
+def _solve_steps(step: np.ndarray, rows: np.ndarray, backward: bool = False) -> np.ndarray:
+    """``z[k] = step z[k-1] + r[k]`` from ``z[0] = r[0]``, for ``r = rows``.
+
+    ``rows`` has shape (K, d), or (K, d, c) for c right-hand sides, and
+    the result has its shape, in C order.  ``backward`` runs from the last
+    row, ``z[k] = step z[k+1] + r[k]`` from ``z[K-1] = r[K-1]``.  Either
+    way it is one LAPACK ``dtbtrs`` call on a :func:`_step_band`: the band
+    of ``step`` forward, or the transposed band of ``step^T``, whose blocks
+    above the diagonal are ``-step``, backward.  O(K d^2 c) flops.
+    """
+    blocks, d = rows.shape[:2]
+    band = _step_band(step.T if backward else step, blocks)
+    # a unit diagonal cannot be singular, so info is 0
+    z, _ = dtbtrs(band, rows.reshape(blocks * d, -1), uplo="L", trans="T" if backward else "N", diag="U")
+    # LAPACK leaves the c columns apart; C order keeps a row's block together
+    return np.ascontiguousarray(z.reshape(rows.shape))
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -71,10 +94,6 @@ class ControlDesign:
     @property
     def n(self) -> int:
         return self.P.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.K.shape[0]
 
 
 def care_residual(p: np.ndarray, a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:

@@ -30,17 +30,19 @@ or -saturation.  While the mode mu holds the loop is linear,
 with M_mu the matrix M with the railed input columns zeroed and const_mu
 their +-saturation contribution.  Stacked over a window of rows that is a
 unit lower-triangular block-bidiagonal system, and one banded forward
-substitution (BLAS ``dtbsv``) solves it.  The window is speculative: the
-loop keeps the rows up to and including the first row in a new mode,
-tests them for divergence and starts again from the last kept row.  A
-window is 64 rows after a mode change and doubles up to 1024 while the
-mode holds.  Where the input chatters, a mode change within the first 16
-rows of a window sends the next 256 rows through the per-row loop: one
-explicit step w[k+1] = M clip(w[k]) + c[k] each, one BLAS
-matrix-vector product.  The band solve multiplies a NaN or inf by the
+substitution (LAPACK ``dtbtrs`` on ``riccati._step_band``, the solve
+behind every linear recursion in the package) solves it in place.  The
+window is speculative: the loop keeps the rows up to and including the
+first row in a new mode, tests them for divergence and starts again from
+the last kept row.  A window is 64 rows after a mode change and doubles
+up to 1024 while the mode holds.  Where the input chatters, a mode change
+within the first 16 rows of a window sends the next 256 rows through the
+per-row loop: one explicit step w[k+1] = M clip(w[k]) + c[k] each, one
+BLAS matrix-vector product.  The band solve multiplies a NaN or inf by the
 band's structural zeros, so the halt row is recomputed as one explicit
-step from the row before it, and xhat there too.  The clipped inputs and
-the running cost are formed after the loop.
+step from the row before it, and xhat there too.  No state takes the last
+row's input, so a non-finite one halts the run at that row.  The clipped
+inputs and the running cost are formed after the loop.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dtbsv
+from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dtbtrs
 
 from .control import gaussian_correction_series, pathwise_correction_series
 from .lift import lift_piecewise_linear
@@ -294,8 +297,7 @@ def integrate(
     c = np.hstack([dv, bias[1:] - dv @ design.K.T])
     hi = np.r_[np.full(n, np.inf), np.full(m, sat)]  # clip bounds on w
     lo = -hi
-    d = n + m
-    w = np.empty((n_steps + 1, d))
+    w = np.empty((n_steps + 1, n + m))
     w[0] = np.r_[config.x0, bias[0] - design.K @ config.x0]
 
     def rails(rows):
@@ -325,8 +327,8 @@ def integrate(
         band, const = bands[key]
         rows = w[k0 : k1 + 1]
         np.add(c[k0:k1], const, out=rows[1:])
-        # overwrite_x: the solve runs in place on the contiguous rows
-        dtbsv(2 * d - 1, band[:, : rows.size], rows.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        # overwrite_b: the solve runs in place on the contiguous rows
+        dtbtrs(band[:, : rows.size], rows.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
 
     halt, k0, window = None, 0, _WINDOW
     with np.errstate(over="ignore", invalid="ignore"):  # rows past a halt may overflow
@@ -354,6 +356,8 @@ def integrate(
                     step_rows(halt - 1, halt)
                     break
             k0 = k1
+    if halt is None and not np.isfinite(w[n_steps, n:]).all():  # no state takes the last input
+        halt = n_steps
 
     end = n_steps if halt is None else halt
     live = end if halt is not None else end + 1  # rows that carry a cost rate

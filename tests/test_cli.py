@@ -296,6 +296,21 @@ def test_cli_lift_check_short_path_has_no_holder_estimate(capsys):
     assert "holder_estimate unavailable: need at least 64 steps" in capsys.readouterr().out
 
 
+def test_cli_lift_check_writes_the_lift(tmp_path, capsys):
+    # a 2-d path of 10 steps: one row per step, and each area is half the
+    # outer product of its increment, exactly on the values read back
+    out = tmp_path / "out"
+    assert main(["lift-check", "--dt", "0.1", "--horizon", "1.0", "--dim", "2", "--triples", "0", "--out", str(out)]) == 0
+    assert f"wrote {out / 'lift.csv'}" in capsys.readouterr().out
+    lines = (out / "lift.csv").read_text().splitlines()
+    assert lines[0] == "k,dx1,dx2,xx11,xx12,xx21,xx22"
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    assert table.shape == (10, 7)
+    assert np.array_equal(table[:, 0], np.arange(10))
+    dx, xx = table[:, 1:3], table[:, 3:].reshape(10, 2, 2)
+    assert np.array_equal(xx, 0.5 * dx[:, :, None] * dx[:, None, :])
+
+
 def test_cli_lift_check_reports_a_nan_defect(monkeypatch, capsys):
     import roughlq.cli
 

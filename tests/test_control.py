@@ -334,13 +334,13 @@ def test_default_horizon_refuses_before_forming_powers(monkeypatch, make_design,
     from roughlq import control
 
     calls = []
-    powers = control._powers
+    solve = control._solve_steps
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1])
-        return powers(*args)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(control, "_powers", counted)
+    monkeypatch.setattr(control, "_solve_steps", counted)
     with pytest.raises(PredictorError, match="decays too slowly"):
         default_horizon(make_design(), dt, max_steps=max_steps)
     assert calls == []

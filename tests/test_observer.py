@@ -95,22 +95,29 @@ _L4 = np.eye(4)
 
 
 @pytest.mark.parametrize(
-    "v_incs, w_incs, e0, message",
+    "v_incs, w_incs, e0, dt, message",
     [
-        (_E[0], _E[0], None, "got 2-d and 2-d"),
-        (_E, _E[None], None, "got 3-d and 4-d"),
-        (_E, _E[:1], None, "replication shapes disagree"),
-        (_E, _E[:, :-1], None, "replication shapes disagree"),
-        (_E[:, :, :3], _E, None, "dimensions 3 and 4 do not fit"),
-        (_E, _E[:, :, :3], None, "dimensions 4 and 3 do not fit"),
-        (_E, _E, np.zeros(3), "e0 must have shape"),
-        (_E, _E, np.zeros((2, 4)), "e0 must have shape"),
+        (_E[0], _E[0], None, 1e-3, "got 2-d and 2-d"),
+        (_E, _E[None], None, 1e-3, "got 3-d and 4-d"),
+        (_E, _E[:1], None, 1e-3, "replication shapes disagree"),
+        (_E, _E[:, :-1], None, 1e-3, "replication shapes disagree"),
+        (_E[:, :, :3], _E, None, 1e-3, "dimensions 3 and 4 do not fit"),
+        (_E, _E[:, :, :3], None, 1e-3, "dimensions 4 and 3 do not fit"),
+        (_E, _E, np.zeros(3), 1e-3, "e0 must have shape"),
+        (_E, _E, np.zeros((2, 4)), 1e-3, "e0 must have shape"),
+        (_E, _E, None, float("nan"), "dt must be finite and positive"),
+        (_E, _E, None, float("inf"), "dt must be finite and positive"),
+        (_E, _E, None, 0.0, "dt must be finite and positive"),
+        (_E, _E, None, -1.0, "dt must be finite and positive"),
     ],
-    ids=["2-d", "4-d", "one-w-rep-for-three", "steps-mismatch", "v-dimension", "w-dimension", "e0-length", "e0-reps"],
+    ids=[
+        "2-d", "4-d", "one-w-rep-for-three", "steps-mismatch", "v-dimension", "w-dimension", "e0-length", "e0-reps",
+        "dt-nan", "dt-inf", "dt-zero", "dt-negative",
+    ],
 )
-def test_error_process_rejects_malformed_input(v_incs, w_incs, e0, message):
+def test_error_process_rejects_malformed_input(v_incs, w_incs, e0, dt, message):
     with pytest.raises(ObserverError, match=message):
-        simulate_error_process(np.zeros((4, 4)), _L4, _L4, v_incs, w_incs, 1e-3, e0=e0)
+        simulate_error_process(np.zeros((4, 4)), _L4, _L4, v_incs, w_incs, dt, e0=e0)
 
 
 def test_error_process_takes_one_start_per_replication():

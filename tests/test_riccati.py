@@ -7,6 +7,7 @@ from roughlq.pendulum import build_pendulum
 from roughlq.riccati import (
     ControlDesign,
     RiccatiError,
+    _solve_steps,
     care_residual,
     solve_care,
     solve_lyapunov,
@@ -153,3 +154,25 @@ def test_lyapunov_solver_residual():
     q = np.eye(4)
     x = solve_lyapunov(a, q)
     assert np.max(np.abs(a.T @ x + x @ a + q)) < 1e-12
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("shape", [(40, 3), (40, 3, 2), (1, 3), (1, 3, 2)], ids=["vectors", "columns", "one-vector", "one-block"])
+def test_step_solve_matches_a_step_by_step_loop(shape, backward):
+    # z[k] = S z[k -/+ 1] + r[k] one row at a time, against one banded solve;
+    # S has spectral radius 0.9, so the rounding of both stays near eps |z|
+    rng = np.random.Generator(np.random.PCG64(3))
+    step = rng.standard_normal((3, 3))
+    step *= 0.9 / np.max(np.abs(np.linalg.eigvals(step)))
+    rows = rng.standard_normal(shape)
+    given = rows.copy()
+    want = np.empty_like(rows)
+    order = range(shape[0] - 1, -1, -1) if backward else range(shape[0])
+    prev = None
+    for k in order:
+        want[k] = rows[k] if prev is None else step @ want[prev] + rows[k]
+        prev = k
+    got = _solve_steps(step, rows, backward=backward)
+    assert got.shape == shape and got.flags.c_contiguous
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
+    assert np.array_equal(rows, given)  # the rows are read, not overwritten

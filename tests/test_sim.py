@@ -399,6 +399,12 @@ def _reference_integrate(cfg, v, w, design, observer=None, offset=None):
         if v_corr is not None:
             fb = fb + v_corr[k]
         u_raw[k] = -design.K @ fb + (0.0 if offset is None else offset[k])
+        if k == n_steps and not np.all(np.isfinite(u_raw[k])):
+            # no state takes the last input: a non-finite one halts the run here
+            halt = k
+            u_raw[k] = 0.0
+            cost[k] = cost[k - 1]
+            break
         u_sat[k] = np.clip(u_raw[k], -cfg.saturation, cfg.saturation)
         rate = float(x[k] @ model.Q @ x[k] + u_sat[k] @ model.R @ u_sat[k])
         if k > 0:
@@ -595,7 +601,7 @@ def test_integrate_matches_reference_on_a_chattering_observer_run(monkeypatch):
     design = pendulum_design(model)
     observer = _observer_for(model)
     v, w = noise_paths(run, 0)
-    calls = {"dtbsv": 0, "dgemv": 0}
+    calls = {"dtbtrs": 0, "dgemv": 0}
 
     def counted(name):
         inner = getattr(sim, name)
@@ -609,7 +615,7 @@ def test_integrate_matches_reference_on_a_chattering_observer_run(monkeypatch):
     for name in calls:
         monkeypatch.setattr(sim, name, counted(name))
     traj = integrate(run, v, w, design, observer=observer)
-    assert calls["dtbsv"] > 0 and calls["dgemv"] >= _BLOCK
+    assert calls["dtbtrs"] > 0 and calls["dgemv"] >= _BLOCK
     ref = _reference_integrate(run, v, w, design, observer=observer)
     _assert_same_run(traj, ref)
 
@@ -630,9 +636,9 @@ _NAN_ROWS = {
         for mode, enabled in (("fullstate", False), ("observer", True))
         for name, row in _NAN_ROWS.items()
     ]
-    # a NaN in dw[row - 1] reaches x through xhat one step later, so the
-    # last step has no row to halt on
-    + [pytest.param("w", True, row, id=f"observer-dw-{name}") for name, row in _NAN_ROWS.items() if row < 1000],
+    # a NaN in dw[row - 1] reaches x through xhat one step later; in
+    # dw[999] it reaches only the last row's input, which halts the run
+    + [pytest.param("w", True, row, id=f"observer-dw-{name}") for name, row in _NAN_ROWS.items()],
 )
 def test_nan_increment_halts_at_its_step(noise, observer_enabled, row):
     model = pendulum_model()
@@ -652,15 +658,19 @@ def test_nan_increment_halts_at_its_step(noise, observer_enabled, row):
     values[row, 2] = np.nan  # dv[row - 1] or dw[row - 1] is NaN in one coordinate
     paths[noise] = SamplePath(t=grid, values=values)
     v, w = paths["v"], paths["w"]
-    halt = row if noise == "v" else row + 1
+    last_input = noise == "w" and row == grid.size - 1
+    halt = row if noise == "v" or last_input else row + 1
     observer = _observer_for(model) if observer_enabled else None
     traj = integrate(cfg, v, w, design, observer=observer)
     ref = _reference_integrate(cfg, v, w, design, observer=observer)
     assert traj.diverged and traj.t_diverge == grid[halt]
     assert traj.x.shape[0] == halt + 1
-    assert np.isnan(traj.x[-1, 2]) and np.all(np.isfinite(traj.x[:-1]))
+    if last_input:  # the state never takes the NaN; the estimate does
+        assert np.all(np.isfinite(traj.x)) and np.isnan(traj.xhat[-1]).any()
+    else:
+        assert np.isnan(traj.x[-1, 2]) and np.all(np.isfinite(traj.x[:-1]))
     assert np.all(traj.u_raw[-1] == 0.0) and np.all(traj.u_sat[-1] == 0.0)
-    if noise == "v":
+    if noise == "v" or last_input:
         assert traj.cost_running[-1] == traj.cost_running[-2]
     else:  # the row before the halt already took the NaN input, and its cost rate with it
         assert np.isnan(traj.cost_running[-2:]).all()
