@@ -60,64 +60,33 @@ class PredictorError(ValueError):
     """Raised for invalid correction inputs."""
 
 
-def _spectral_radius_floor(step: np.ndarray) -> float:
-    """A certified lower bound on the spectral radius of ``step``, or 0.
-
-    The computed eigenpairs give ``step = D + G`` with ``D = V diag(lam) V^-1``
-    and ``||G||_2 <= ||R||_2 ||V^-1||_2`` for the residual
-    ``R = step V - V diag(lam)``.  By Bauer & Fike (1960) every eigenvalue
-    of ``step`` lies in a disc of radius ``r = kappa(V) ||G||_2`` about some
-    ``lam_i``, and each connected union of discs holds as many eigenvalues
-    as centres (grow G from 0).  So the union around the largest
-    ``|lam_i|`` holds an eigenvalue of modulus at least its smallest
-    ``|lam_i| - r``.  The residual's own rounding is added to ``R``, and
-    ``r`` is doubled against the rounding of the norms.
-    """
-    n = step.shape[0]
-    lam, vec = np.linalg.eig(step)
-    sv = np.linalg.svd(vec, compute_uv=False)
-    if not sv[-1] > 0.0:
-        return 0.0
-    residual = np.linalg.norm(step @ vec - vec * lam)
-    residual += 4 * (n + 1) * np.finfo(float).eps * np.linalg.norm(np.abs(step) @ np.abs(vec) + np.abs(vec * lam))
-    radius = 2.0 * sv[0] * residual / sv[-1] ** 2
-    near = np.abs(lam[:, None] - lam[None, :]) <= 2.0 * radius
-    joined = near[np.argmax(np.abs(lam))]
-    for _ in range(n):
-        joined = near[joined].any(axis=0)
-    return max(float(np.min(np.abs(lam[joined]))) - radius, 0.0)
-
-
 def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000) -> float:
     """Shortest horizon with ``||exp(A_cl T)||_2 < 1e-6``.
 
     Hurwitz decay makes the discarded tail of the future-noise integral
     negligible beyond this point.
 
-    Since ``||step^k||_2 >= rho(step)^k`` for ``step = exp(A_cl dt)``, no
-    power up to ``k0 = floor(ln 1e-6 / ln rho_lo)`` can cross, with
-    ``rho_lo`` a certified lower bound on the spectral radius
-    (:func:`_spectral_radius_floor`; ``k0 = 0`` where it says nothing).  A
-    ``max_steps`` within ``k0`` is refused before any power is formed.
-    The scan starts at the last multiple of B = 1,024 (``_HORIZON_BLOCK``)
-    at or below ``k0``, with the head ``step^(start+1)`` formed by binary
-    powering, and tests the powers in blocks of B, each one batched
-    product ``head @ base`` with ``base = step^0 .. step^(B-1)`` built once
-    by one banded solve (:func:`riccati._solve_steps`) and ``head``
-    advanced by ``step^B``.  Since
-    ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the Frobenius norm decides
-    every power outside ``[1e-6, sqrt(n) 1e-6]``.  A power inside is
-    first tested against ``||M v|| <= ||M||_2`` with ``v`` the top right
-    singular vector of the block's first such power; only what that
-    leaves open takes an SVD.  The first crossing wins, and ``max_steps``
-    is honoured exactly.
+    Every power of ``step = exp(A_cl dt)`` is tested, from the first, in
+    blocks ``head @ base`` of B = 1,024 (``_HORIZON_BLOCK``), with ``base =
+    step^0 .. step^(B-1)`` from one banded solve (:func:`riccati._solve_steps`)
+    and ``head = step^(start+1)`` advanced by ``step^B``.  A block is passed
+    over unformed when ``||head base_i||_F^2 = <head^T head, base_i base_i^T>``,
+    one (B x n^2) by n^2 product against grams built once, less its rounding
+    bound ``2 n^2 eps ||head^T head||_F ||base_i base_i^T||_F``, is at least
+    ``n 1e-12`` for every i, so that every power's 2-norm is at least 1e-6.
+    In a formed block, since ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the
+    Frobenius norm decides every power outside ``[1e-6, sqrt(n) 1e-6]``.  A
+    power inside is first tested against ``||M v|| <= ||M||_2`` with ``v``
+    the top right singular vector of the block's first such power; only
+    what that leaves open takes an SVD.  The first crossing wins,
+    ``max_steps`` is honoured exactly, and powers that stop being finite
+    are refused.
 
-    The block products round differently from sequential ``power @ step``
+    Block products round differently from sequential ``power @ step``
     products, so the step count equals that of a sequential scan unless
     some power's norm lies within that rounding of 1e-6.  Cost for m
-    horizon steps: O(n^3 log m) for the skip and O((m - k0 + B) n^3) flops
-    in O((m - k0) / B) numpy calls for the scan; memory O(B n^2), whatever
-    m.
+    horizon steps: O(m n^2 + (m/B) n^3) flops in O(m/B) numpy calls, plus
+    O(B n^3) for the base and each formed block; memory O(B n^2), whatever m.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise PredictorError(f"dt must be finite and positive, got {dt}")
@@ -129,31 +98,32 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     surely_below = tol * (1.0 - 1e-12)
     maybe_below = np.sqrt(n) * tol * (1.0 + 1e-12)
     step = expm(design.A_cl * dt)
-    rho = _spectral_radius_floor(step)
-    # rho^k >= 1e-6 for every k <= skip; the shave keeps the logarithms' rounding out
-    skip = max_steps
-    if rho < 1.0:
-        skip = 0 if rho == 0.0 else int(np.log(tol) / np.log1p(rho - 1.0) * (1.0 - 1e-6))
-    if skip >= max_steps:
-        raise PredictorError("closed loop decays too slowly for a finite horizon")
-    first = skip - skip % _HORIZON_BLOCK
     # step^k solves z[k] = step z[k-1] from z[0] = I
     base = _solve_steps(step, np.eye(_HORIZON_BLOCK * n, n).reshape(-1, n, n))
+    grams = (base @ base.transpose(0, 2, 1)).reshape(_HORIZON_BLOCK, n * n)
+    slack = 2 * n * n * np.finfo(float).eps * np.linalg.norm(grams, axis=1)
     stride = base[-1] @ step
-    head = np.linalg.matrix_power(step, first + 1)
-    for start in range(first, max_steps, _HORIZON_BLOCK):
-        block = head @ base[: min(_HORIZON_BLOCK, max_steps - start)]
-        fro = np.sqrt(np.einsum("kij,kij->k", block, block))
-        below = fro < surely_below
-        ambiguous = np.flatnonzero(~below & (fro < maybe_below))
-        if ambiguous.size:
-            top = np.linalg.svd(block[ambiguous[0]])[2][0]
-            ambiguous = ambiguous[np.linalg.norm(block[ambiguous] @ top, axis=1) < tol * (1.0 + 1e-12)]
-        if ambiguous.size:
-            below[ambiguous] = np.linalg.svd(block[ambiguous], compute_uv=False)[:, 0] < tol
-        if below.any():
-            return (start + int(np.argmax(below)) + 1) * dt
-        head = head @ stride
+    head = step
+    with np.errstate(over="ignore", invalid="ignore"):  # a loop that grows overflows
+        for start in range(0, max_steps, _HORIZON_BLOCK):
+            if not np.isfinite(head).all():
+                break
+            count = min(_HORIZON_BLOCK, max_steps - start)
+            gram = head.T @ head
+            floor = grams[:count] @ gram.ravel() - slack[:count] * np.linalg.norm(gram)
+            if not floor.min() >= maybe_below**2:  # a NaN from overflow forms the block too
+                block = head @ base[:count]
+                fro = np.sqrt(np.einsum("kij,kij->k", block, block))
+                below = fro < surely_below
+                ambiguous = np.flatnonzero(~below & (fro < maybe_below))
+                if ambiguous.size:
+                    top = np.linalg.svd(block[ambiguous[0]])[2][0]
+                    ambiguous = ambiguous[np.linalg.norm(block[ambiguous] @ top, axis=1) < tol * (1.0 + 1e-12)]
+                if ambiguous.size:
+                    below[ambiguous] = np.linalg.svd(block[ambiguous], compute_uv=False)[:, 0] < tol
+                if below.any():
+                    return (start + int(np.argmax(below)) + 1) * dt
+            head = head @ stride
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
 
@@ -257,11 +227,11 @@ def gaussian_correction_series(
     that size, ``V[s + r] += T_s[w] inc[r + w]``, with no copy of the
     windows; each row sums only its own past increments, in a fixed
     order, so changing an increment never moves an earlier V by rounding.
-    Cost: O(m n^2 + (m/1024 + 1024 + window) n^3) for the lag sums and
-    O(window^2 n^2) for the factor and its solves, both once per key, and
-    O(N window n^2) for the sweep.  Memory: O((1024 + window) n^2) for the
-    build, whatever m, plus O(window^2) for the factor and O(N n) for the
-    series.
+    Cost: O(m n^2 + (m/1024 + 1024 + window) n^3) for the default
+    horizon's scan and the lag sums and O(window^2 n^2) for the factor and
+    its solves, all once per key, and O(N window n^2) for the sweep.
+    Memory: O((1024 + window) n^2) for the build, whatever m, plus
+    O(window^2) for the factor and O(N n) for the series.
     """
     if not (0.0 < hurst < 1.0 and window >= 1):
         raise PredictorError(f"need 0 < hurst < 1 and window >= 1, got {hurst} and {window}")

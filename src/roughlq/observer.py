@@ -85,6 +85,23 @@ class ObserverDesign:
     residual: float
 
 
+def _increment_batches(inc_v, inc_w, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(inc_v, inc_w)`` as float arrays, checked to be ``(replications,
+    steps, dimension)`` batches of one shape ``(reps, N)`` on a finite
+    positive step ``dt``."""
+    inc_v, inc_w = np.asarray(inc_v, dtype=float), np.asarray(inc_w, dtype=float)
+    if inc_v.ndim != 3 or inc_w.ndim != 3:
+        raise ObserverError(
+            "v and w increments must be (replications, steps, dimension) arrays, "
+            f"got {inc_v.ndim}-d and {inc_w.ndim}-d"
+        )
+    if not 0.0 < dt < np.inf:
+        raise ObserverError(f"dt must be finite and positive, got {dt}")
+    if inc_w.shape[:2] != inc_v.shape[:2]:
+        raise ObserverError(f"v and w replication shapes disagree: {inc_v.shape[:2]} and {inc_w.shape[:2]}")
+    return inc_v, inc_w
+
+
 def estimate_second_moments(
     inc_v,
     inc_w,
@@ -102,20 +119,10 @@ def estimate_second_moments(
     design consumes), and the clip level is recorded.  The inputs are not
     modified.
     """
-    inc_v = np.asarray(inc_v, dtype=float)
-    inc_w = np.asarray(inc_w, dtype=float)
-    if inc_v.ndim != 3 or inc_w.ndim != 3:
-        raise ObserverError(
-            "v and w increments must be (replications, steps, dimension) arrays, "
-            f"got {inc_v.ndim}-d and {inc_w.ndim}-d"
-        )
-    if not 0.0 < dt < np.inf:
-        raise ObserverError(f"dt must be finite and positive, got {dt}")
+    inc_v, inc_w = _increment_batches(inc_v, inc_w, dt)
     reps = inc_v.shape[0]
     if reps < MIN_REPLICATIONS:
         raise ObserverError(f"need at least {MIN_REPLICATIONS} replications, got {reps}")
-    if inc_w.shape[:2] != inc_v.shape[:2]:
-        raise ObserverError(f"v and w replication shapes disagree: {inc_v.shape[:2]} and {inc_w.shape[:2]}")
 
     clip_level = None
     if truncate_quantile is not None:
@@ -213,29 +220,28 @@ def simulate_error_process(a, l_gain, c, v_incs, w_incs, dt: float, e0=None) -> 
     shape ``(n,)`` or ``(reps, n)`` (zero by default), on a step ``dt``
     that is finite and positive.  The recursion has no saturation, so the
     whole history is one banded solve (``riccati._solve_steps``) with the
-    replications as right-hand sides.
+    replications as right-hand sides.  The solve multiplies an inf by the
+    band's structural zeros, so each replication's first non-finite row is
+    redone as one step, and holds what the recursion gives there.
     """
     l_gain = np.atleast_2d(l_gain)
     a_err = np.atleast_2d(a) - l_gain @ np.atleast_2d(c)
-    v_incs, w_incs = np.asarray(v_incs, dtype=float), np.asarray(w_incs, dtype=float)
-    if v_incs.ndim != 3 or w_incs.ndim != 3:
-        raise ObserverError(
-            "v and w increments must be (replications, steps, dimension) arrays, "
-            f"got {v_incs.ndim}-d and {w_incs.ndim}-d"
-        )
-    if not 0.0 < dt < np.inf:
-        raise ObserverError(f"dt must be finite and positive, got {dt}")
+    v_incs, w_incs = _increment_batches(v_incs, w_incs, dt)
     reps, n_steps, _ = v_incs.shape
     n = a_err.shape[0]
-    if w_incs.shape[:2] != (reps, n_steps):
-        raise ObserverError(f"v and w replication shapes disagree: {v_incs.shape[:2]} and {w_incs.shape[:2]}")
     if v_incs.shape[2] != n or w_incs.shape[2] != l_gain.shape[1]:
         raise ObserverError(f"v and w dimensions {v_incs.shape[2]} and {w_incs.shape[2]} do not fit L {l_gain.shape}")
     e0 = np.zeros(n) if e0 is None else np.asarray(e0, dtype=float)
     if e0.shape not in ((n,), (reps, n)):
         raise ObserverError(f"e0 must have shape ({n},) or ({reps}, {n}), got {e0.shape}")
-    e = np.empty((reps, n_steps + 1, n))
-    e[:, 0] = e0
-    e[:, 1:] = v_incs - w_incs @ l_gain.T
+    step = np.eye(n) + a_err * dt
+    rhs = np.empty((reps, n_steps + 1, n))
+    rhs[:, 0] = e0
+    rhs[:, 1:] = v_incs - w_incs @ l_gain.T
     # one column per replication, the rows along the steps
-    return _solve_steps(np.eye(n) + a_err * dt, e.transpose(1, 2, 0)).transpose(2, 0, 1)
+    e = _solve_steps(step, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
+    bad = ~np.isfinite(e[:, 1:]).all(axis=2)
+    runs = np.flatnonzero(bad.any(axis=1))
+    rows = bad[runs].argmax(axis=1) + 1
+    e[runs, rows] = e[runs, rows - 1] @ step.T + rhs[runs, rows]
+    return e

@@ -270,11 +270,11 @@ def light_cart_design():
     return solve_care(pm.A, pm.B, np.diag([0.01, 1.0, 1.0, 1.0]), np.array([[1.0]]))
 
 
-def jordan_design(split=0.0):
-    # a Jordan-like closed loop with eigenvalues -0.5 and -0.5 - split and
-    # coupling 50: ||E^k||_2 is about 50 t e^(-t/2) at t = k dt, far above
+def jordan_design(split=0.0, coupling=50.0):
+    # a Jordan-like closed loop with eigenvalues -0.5 and -0.5 - split:
+    # ||E^k||_2 is about coupling t e^(-t/2) at t = k dt, far above
     # rho^k = e^(-t/2) for many steps; at split 0 it is defective
-    a_cl = np.array([[-0.5, 50.0], [0.0, -0.5 - split]])
+    a_cl = np.array([[-0.5, coupling], [0.0, -0.5 - split]])
     return ControlDesign(P=np.eye(2), K=np.zeros((1, 2)), A_cl=a_cl, care_residual=0.0)
 
 
@@ -297,6 +297,11 @@ def _assert_horizon_scan(design, dt):
         pytest.param(pendulum_design, 0.001, 95_536, id="pendulum_design-dt0.001"),
         pytest.param(jordan_design, 0.01, None, id="jordan_design"),
         pytest.param(lambda: jordan_design(0.05), 0.01, None, id="near_jordan_design"),
+        # transients up to about 7e3 and 7e7: at coupling 1e8 the Gram
+        # estimates' rounding bound exceeds the estimates in blocks 1-5, so
+        # blocks that hold no crossing are formed and passed over too
+        pytest.param(lambda: jordan_design(0.05, coupling=1e4), 0.01, None, id="high_transient_design"),
+        pytest.param(lambda: jordan_design(0.05, coupling=1e8), 0.01, None, id="extreme_transient_design"),
         pytest.param(light_cart_design, 0.01, 95_127, id="light_cart_design"),
     ],
 )
@@ -305,45 +310,21 @@ def test_default_horizon_equals_sequential_scan(make_design, dt, steps):
     assert steps in (None, k)
 
 
-@pytest.mark.parametrize("split, bounded", [(0.0, False), (0.05, True)])
-def test_spectral_radius_floor_is_a_lower_bound(split, bounded):
-    # E = exp(A_cl dt) is triangular with spectral radius exp(-0.5 dt); a
-    # defective E may get no bound (0), a merely non-normal one gets one
-    from roughlq.control import _spectral_radius_floor
-
-    dt = 0.01
-    rho = math.exp(-0.5 * dt)
-    floor = _spectral_radius_floor(expm(jordan_design(split).A_cl * dt))
-    assert 0.0 <= floor <= rho
-    assert (floor > 0.0) == bounded
-
-
 @pytest.mark.parametrize(
     "make_design, dt, max_steps",
     [
-        # rho^k stays above 1e-6 for about 93,000 steps of the fbm035 design
+        # the fbm035 design crosses 1e-6 only at step 95,536
         pytest.param(pendulum_design, 0.001, 50_000, id="bound-past-budget"),
-        # a loop that grows, rho > 1
+        # a loop that grows: its powers overflow near step 709,000
         pytest.param(
             lambda: ControlDesign(P=np.eye(1), K=np.zeros((1, 1)), A_cl=np.array([[0.1]]), care_residual=0.0),
             0.01, 2_000_000, id="growing",
         ),
     ],
 )
-def test_default_horizon_refuses_before_forming_powers(monkeypatch, make_design, dt, max_steps):
-    from roughlq import control
-
-    calls = []
-    solve = control._solve_steps
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(control, "_solve_steps", counted)
+def test_default_horizon_refuses_a_loop_too_slow_for_its_budget(make_design, dt, max_steps):
     with pytest.raises(PredictorError, match="decays too slowly"):
         default_horizon(make_design(), dt, max_steps=max_steps)
-    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1024, 1025])

@@ -629,18 +629,22 @@ _NAN_ROWS = {
 }
 
 
+# a bad dw[row - 1] reaches x through xhat one step later; in dw[999] it
+# reaches only the last row's input, which halts the run
+_BAD_CASES = [
+    ("v", enabled, row, f"{mode}-{name}")
+    for mode, enabled in (("fullstate", False), ("observer", True))
+    for name, row in _NAN_ROWS.items()
+] + [("w", True, row, f"observer-dw-{name}") for name, row in _NAN_ROWS.items()]
+
+
 @pytest.mark.parametrize(
-    "noise, observer_enabled, row",
-    [
-        pytest.param("v", enabled, row, id=f"{mode}-{name}")
-        for mode, enabled in (("fullstate", False), ("observer", True))
-        for name, row in _NAN_ROWS.items()
-    ]
-    # a NaN in dw[row - 1] reaches x through xhat one step later; in
-    # dw[999] it reaches only the last row's input, which halts the run
-    + [pytest.param("w", True, row, id=f"observer-dw-{name}") for name, row in _NAN_ROWS.items()],
+    "noise, observer_enabled, row, bad",
+    [pytest.param(noise, enabled, row, np.nan, id=case) for noise, enabled, row, case in _BAD_CASES]
+    + [pytest.param(noise, enabled, row, np.inf, id=f"{case}-inf") for noise, enabled, row, case in _BAD_CASES],
 )
-def test_nan_increment_halts_at_its_step(noise, observer_enabled, row):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_increment_halts_at_its_step(noise, observer_enabled, row, bad):
     model = pendulum_model()
     design = pendulum_design(model)
     noise_model = NoiseModel.brownian(sigma=0.1)
@@ -655,25 +659,26 @@ def test_nan_increment_halts_at_its_step(noise, observer_enabled, row):
     grid = cfg.grid()
     paths = {"v": sample_path(noise_model, grid, d=4, seed=5), "w": sample_path(noise_model, grid, d=4, seed=6)}
     values = paths[noise].values.copy()
-    values[row, 2] = np.nan  # dv[row - 1] or dw[row - 1] is NaN in one coordinate
+    values[row, 2] = bad  # dv[row - 1] or dw[row - 1] is not finite in one coordinate
     paths[noise] = SamplePath(t=grid, values=values)
     v, w = paths["v"], paths["w"]
     last_input = noise == "w" and row == grid.size - 1
     halt = row if noise == "v" or last_input else row + 1
     observer = _observer_for(model) if observer_enabled else None
     traj = integrate(cfg, v, w, design, observer=observer)
-    ref = _reference_integrate(cfg, v, w, design, observer=observer)
+    with np.errstate(invalid="ignore"):  # the step-by-step oracle may warn; integrate may not
+        ref = _reference_integrate(cfg, v, w, design, observer=observer)
     assert traj.diverged and traj.t_diverge == grid[halt]
     assert traj.x.shape[0] == halt + 1
-    if last_input:  # the state never takes the NaN; the estimate does
-        assert np.all(np.isfinite(traj.x)) and np.isnan(traj.xhat[-1]).any()
+    if last_input:  # the state never takes the bad value; the estimate does
+        assert np.all(np.isfinite(traj.x)) and not np.isfinite(traj.xhat[-1]).all()
     else:
-        assert np.isnan(traj.x[-1, 2]) and np.all(np.isfinite(traj.x[:-1]))
+        assert not np.isfinite(traj.x[-1, 2]) and np.all(np.isfinite(traj.x[:-1]))
     assert np.all(traj.u_raw[-1] == 0.0) and np.all(traj.u_sat[-1] == 0.0)
     if noise == "v" or last_input:
         assert traj.cost_running[-1] == traj.cost_running[-2]
-    else:  # the row before the halt already took the NaN input, and its cost rate with it
-        assert np.isnan(traj.cost_running[-2:]).all()
+    else:  # the row before the halt already took the bad input, and its cost rate with it
+        assert not np.isfinite(traj.cost_running[-2:]).any()
     _assert_same_run(traj, ref)
 
 
