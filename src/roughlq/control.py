@@ -67,26 +67,23 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     negligible beyond this point.
 
     Every power of ``step = exp(A_cl dt)`` is tested, from the first, in
-    blocks ``head @ base`` of B = 1,024 (``_HORIZON_BLOCK``), with ``base =
+    blocks ``base @ head`` of B = 1,024 (``_HORIZON_BLOCK``), with ``base =
     step^0 .. step^(B-1)`` from one banded solve (:func:`riccati._solve_steps`)
-    and ``head = step^(start+1)`` advanced by ``step^B``.  A block is passed
-    over unformed when ``||head base_i||_F^2 = <head^T head, base_i base_i^T>``,
-    one (B x n^2) by n^2 product against grams built once, less its rounding
-    bound ``2 n^2 eps ||head^T head||_F ||base_i base_i^T||_F``, is at least
-    ``n 1e-12`` for every i, so that every power's 2-norm is at least 1e-6.
-    In a formed block, since ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the
-    Frobenius norm decides every power outside ``[1e-6, sqrt(n) 1e-6]``.  A
-    power inside is first tested against ``||M v|| <= ||M||_2`` with ``v``
-    the top right singular vector of the block's first such power; only
-    what that leaves open takes an SVD.  The first crossing wins,
-    ``max_steps`` is honoured exactly, and powers that stop being finite
-    are refused.
+    and ``head = step^(start+1)`` advanced by ``step^B``; powers of one
+    matrix commute, so a block is one (B n x n) by (n x n) product.  Since
+    ``||M||_2 <= ||M||_F <= sqrt(n) ||M||_2``, the Frobenius norm decides
+    every power outside ``[1e-6, sqrt(n) 1e-6]``.  A power inside is first
+    tested against ``||M v|| <= ||M||_2`` with ``v`` the top right singular
+    vector of the block's first such power; only what that leaves open
+    takes an SVD.  The first crossing wins, ``max_steps`` is honoured
+    exactly, and powers that stop being finite are refused.
 
     Block products round differently from sequential ``power @ step``
     products, so the step count equals that of a sequential scan unless
     some power's norm lies within that rounding of 1e-6.  Cost for m
-    horizon steps: O(m n^2 + (m/B) n^3) flops in O(m/B) numpy calls, plus
-    O(B n^3) for the base and each formed block; memory O(B n^2), whatever m.
+    horizon steps: O(m n^3) flops in O(m/B) numpy calls; memory O(B n^2),
+    whatever m.  A loop that neither decays nor overflows is refused only
+    at ``max_steps``, after about 2,000 blocks at the default.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise PredictorError(f"dt must be finite and positive, got {dt}")
@@ -100,8 +97,7 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
     step = expm(design.A_cl * dt)
     # step^k solves z[k] = step z[k-1] from z[0] = I
     base = _solve_steps(step, np.eye(_HORIZON_BLOCK * n, n).reshape(-1, n, n))
-    grams = (base @ base.transpose(0, 2, 1)).reshape(_HORIZON_BLOCK, n * n)
-    slack = 2 * n * n * np.finfo(float).eps * np.linalg.norm(grams, axis=1)
+    rows = base.reshape(-1, n)  # the base stacked, step^i in rows i n .. i n + n - 1
     stride = base[-1] @ step
     head = step
     with np.errstate(over="ignore", invalid="ignore"):  # a loop that grows overflows
@@ -109,20 +105,19 @@ def default_horizon(design: ControlDesign, dt: float, max_steps: int = 2_000_000
             if not np.isfinite(head).all():
                 break
             count = min(_HORIZON_BLOCK, max_steps - start)
-            gram = head.T @ head
-            floor = grams[:count] @ gram.ravel() - slack[:count] * np.linalg.norm(gram)
-            if not floor.min() >= maybe_below**2:  # a NaN from overflow forms the block too
-                block = head @ base[:count]
-                fro = np.sqrt(np.einsum("kij,kij->k", block, block))
-                below = fro < surely_below
-                ambiguous = np.flatnonzero(~below & (fro < maybe_below))
-                if ambiguous.size:
-                    top = np.linalg.svd(block[ambiguous[0]])[2][0]
-                    ambiguous = ambiguous[np.linalg.norm(block[ambiguous] @ top, axis=1) < tol * (1.0 + 1e-12)]
-                if ambiguous.size:
-                    below[ambiguous] = np.linalg.svd(block[ambiguous], compute_uv=False)[:, 0] < tol
-                if below.any():
-                    return (start + int(np.argmax(below)) + 1) * dt
+            # powers of step commute, so step^(start+1+i) = step^i head: one product
+            flat = (rows[: count * n] @ head).reshape(count, n * n)
+            block = flat.reshape(count, n, n)
+            fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+            below = fro < surely_below
+            ambiguous = np.flatnonzero(~below & (fro < maybe_below))
+            if ambiguous.size:
+                top = np.linalg.svd(block[ambiguous[0]])[2][0]
+                ambiguous = ambiguous[np.linalg.norm(block[ambiguous] @ top, axis=1) < tol * (1.0 + 1e-12)]
+            if ambiguous.size:
+                below[ambiguous] = np.linalg.svd(block[ambiguous], compute_uv=False)[:, 0] < tol
+            if below.any():
+                return (start + int(np.argmax(below)) + 1) * dt
             head = head @ stride
     raise PredictorError("closed loop decays too slowly for a finite horizon")
 
@@ -227,9 +222,10 @@ def gaussian_correction_series(
     that size, ``V[s + r] += T_s[w] inc[r + w]``, with no copy of the
     windows; each row sums only its own past increments, in a fixed
     order, so changing an increment never moves an earlier V by rounding.
-    Cost: O(m n^2 + (m/1024 + 1024 + window) n^3) for the default
-    horizon's scan and the lag sums and O(window^2 n^2) for the factor and
-    its solves, all once per key, and O(N window n^2) for the sweep.
+    Cost: O(m n^3) for the default horizon's scan, O(m n^2 + (m/1024 +
+    1024 + window) n^3) for the lag sums and O(window^2 n^2) for the
+    factor and its solves, all once per key, and O(N window n^2) for the
+    sweep.
     Memory: O((1024 + window) n^2) for the build, whatever m, plus
     O(window^2) for the factor and O(N n) for the series.
     """

@@ -285,54 +285,54 @@ def integrate(
     elif v_corr.shape != (n_steps + 1, n):
         raise SimError(f"correction series must have shape {(n_steps + 1, n)}, got {v_corr.shape}")
 
-    # a non-finite noise value spreads through e, the rows and xhat, and rows past a halt may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_dt, b_dt = np.eye(n) + model.A * config.dt, model.B * config.dt
-        bias = np.zeros((n_steps + 1, m)) if v_corr is None else -v_corr @ design.K.T
+    a_dt, b_dt = np.eye(n) + model.A * config.dt, model.B * config.dt
+    bias = np.zeros((n_steps + 1, m)) if v_corr is None else -v_corr @ design.K.T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dv or dw spreads through e and c
         if config.observer_enabled:  # -K xhat = -K x + K e, and no input enters e: solve it first
             dw, e0 = w_path.increments, config.x0 - config.xhat0
             e = simulate_error_process(model.A, observer.L, model.C, dv[None], dw[None], config.dt, e0=e0)[0]
             bias += e @ design.K.T
-        # u_raw[k] = bias[k] - K x[k], so M = [F G; -K F  -K G]
-        top = np.hstack([a_dt, b_dt])
-        m_step = np.asfortranarray(np.vstack([top, -design.K @ top]))
+        # u_raw[k] = bias[k] - K x[k], so M = [F G; -K F  -K G] and c = [dv, bias[1:] - K dv]
         c = np.hstack([dv, bias[1:] - dv @ design.K.T])
-        hi = np.r_[np.full(n, np.inf), np.full(m, sat)]  # clip bounds on w
-        lo = -hi
-        w = np.empty((n_steps + 1, n + m))
-        w[0] = np.r_[config.x0, bias[0] - design.K @ config.x0]
+    top = np.hstack([a_dt, b_dt])
+    m_step = np.asfortranarray(np.vstack([top, -design.K @ top]))
+    hi = np.r_[np.full(n, np.inf), np.full(m, sat)]  # clip bounds on w
+    lo = -hi
+    w = np.empty((n_steps + 1, n + m))
+    w[0] = np.r_[config.x0, bias[0] - design.K @ config.x0]
 
-        def rails(rows):
-            """Mode of each row: per input, +1 or -1 railed at that bound, 0 free."""
-            u = rows[..., n:]
-            return (u > sat).view(np.int8) - (u < -sat).view(np.int8)
+    def rails(rows):
+        """Mode of each row: per input, +1 or -1 railed at that bound, 0 free."""
+        u = rows[..., n:]
+        return (u > sat).view(np.int8) - (u < -sat).view(np.int8)
 
-        def step_rows(k0, k1):
-            """Rows k0 + 1 .. k1, one explicit step each."""
-            wk = w[k0]
-            for k, ck in enumerate(c[k0:k1], k0 + 1):
-                if max(map(abs, wk[n:].tolist())) > sat:
-                    wk = np.minimum(np.maximum(wk, lo), hi)
-                w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
+    def step_rows(k0, k1):
+        """Rows k0 + 1 .. k1, one explicit step each."""
+        wk = w[k0]
+        for k, ck in enumerate(c[k0:k1], k0 + 1):
+            if max(map(abs, wk[n:].tolist())) > sat:
+                wk = np.minimum(np.maximum(wk, lo), hi)
+            w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
 
-        bands = {}  # mode -> (band of the windowed system, constant input of the railed inputs)
+    bands = {}  # mode -> (band of the windowed system, constant input of the railed inputs)
 
-        def solve_rows(k0, k1, mode):
-            """Rows k0 + 1 .. k1, assuming rows k0 .. k1 - 1 all hold ``mode``."""
-            key = mode.tobytes()
-            if key not in bands:
-                railed = n + np.flatnonzero(mode)
-                m_mode = m_step.copy()
-                m_mode[:, railed] = 0.0
-                const = m_step[:, railed] @ (sat * mode[mode != 0])
-                bands[key] = _step_band(m_mode, min(_MAX_WINDOW, n_steps) + 1), const
-            band, const = bands[key]
-            rows = w[k0 : k1 + 1]
-            np.add(c[k0:k1], const, out=rows[1:])
-            # overwrite_b: the solve runs in place on the contiguous rows
-            dtbtrs(band[:, : rows.size], rows.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
+    def solve_rows(k0, k1, mode):
+        """Rows k0 + 1 .. k1, assuming rows k0 .. k1 - 1 all hold ``mode``."""
+        key = mode.tobytes()
+        if key not in bands:
+            railed = n + np.flatnonzero(mode)
+            m_mode = m_step.copy()
+            m_mode[:, railed] = 0.0
+            const = m_step[:, railed] @ (sat * mode[mode != 0])
+            bands[key] = _step_band(m_mode, min(_MAX_WINDOW, n_steps) + 1), const
+        band, const = bands[key]
+        rows = w[k0 : k1 + 1]
+        np.add(c[k0:k1], const, out=rows[1:])
+        # overwrite_b: the solve runs in place on the contiguous rows
+        dtbtrs(band[:, : rows.size], rows.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
 
-        halt, k0, window = None, 0, _WINDOW
+    halt, k0, window = None, 0, _WINDOW
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past a halt may overflow
         while k0 < n_steps:
             mode = rails(w[k0])
             k1 = min(k0 + window, n_steps)
@@ -357,20 +357,20 @@ def integrate(
                     step_rows(halt - 1, halt)
                     break
             k0 = k1
-        if halt is None and not np.isfinite(w[n_steps, n:]).all():  # no state takes the last input
-            halt = n_steps
+    if halt is None and not np.isfinite(w[n_steps, n:]).all():  # no state takes the last input
+        halt = n_steps
 
-        end = n_steps if halt is None else halt
-        live = end if halt is not None else end + 1  # rows that carry a cost rate
-        w = w[: end + 1]
-        x = w[:, :n]
-        u_raw = w[:, n:].copy()
-        u_raw[live:] = 0.0  # the halt row records no input
-        u_sat = np.clip(u_raw, -sat, sat)
+    end = n_steps if halt is None else halt
+    live = end if halt is not None else end + 1  # rows that carry a cost rate
+    w = w[: end + 1]
+    x = w[:, :n]
+    u_raw = w[:, n:].copy()
+    u_raw[live:] = 0.0  # the halt row records no input
+    u_sat = np.clip(u_raw, -sat, sat)
+    with np.errstate(over="ignore", invalid="ignore"):  # e may hold the non-finite noise
         xhat = x - e[: end + 1] if config.observer_enabled else x
         if config.observer_enabled and halt is not None:  # e[halt] took dv[halt - 1], maybe non-finite; xhat did not
-            innovation = model.C @ e[halt - 1] * config.dt + dw[halt - 1]
-            xhat[-1] = a_dt @ xhat[-2] + b_dt @ u_sat[-2] + observer.L @ innovation
+            xhat[-1] = a_dt @ xhat[-2] + b_dt @ u_sat[-2] + observer.L @ (model.C @ e[halt - 1] * config.dt + dw[halt - 1])
     rate = np.einsum("ki,ki->k", x[:live] @ model.Q, x[:live])
     rate += np.einsum("ki,ki->k", u_sat[:live] @ model.R, u_sat[:live])
     cost = np.zeros(end + 1)

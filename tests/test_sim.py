@@ -643,7 +643,6 @@ _BAD_CASES = [
     [pytest.param(noise, enabled, row, np.nan, id=case) for noise, enabled, row, case in _BAD_CASES]
     + [pytest.param(noise, enabled, row, np.inf, id=f"{case}-inf") for noise, enabled, row, case in _BAD_CASES],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_increment_halts_at_its_step(noise, observer_enabled, row, bad):
     model = pendulum_model()
     design = pendulum_design(model)
