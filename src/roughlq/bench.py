@@ -14,7 +14,9 @@ path (the pathwise mode).  Angles are simulated as deviations; reports
 quote ``180 + theta`` degrees so the upright equilibrium reads 180.
 
 Every aggregate in a report is recomputable from the stored per-seed
-trajectory CSVs.
+trajectory CSVs.  Every observer run, in ``compare`` and ``simulate``
+alike, and the ``observer`` subcommand take their observer from
+``_observer_design_for``, whose moments depend only on the noises and dt.
 """
 
 from __future__ import annotations
@@ -277,31 +279,23 @@ def _final_window(traj: Trajectory, grid_size: int):
     return slice(k0, traj.t.shape[0])
 
 
-def _moment_grid(dt: float) -> np.ndarray:
-    """Grid the observer moments are estimated on: 2000 steps, at least 0.5 s."""
-    return make_grid(dt, max(0.5, 2000 * dt))
+def _observer_design_for(model, noise_v, noise_w, dt: float):
+    """Estimate the noise moments for run step ``dt`` and solve the observer
+    of ``model``, which supplies only ``A`` and ``C``: the observer every
+    observer run, and the ``observer`` subcommand, uses.
 
-
-def _observer_design_for(
-    model,
-    noise_v,
-    noise_w,
-    grid,
-    replications: int = MOMENT_REPLICATIONS,
-    seed: int = MOMENT_SEED,
-):
-    """Estimate the noise moments on ``grid`` and solve the observer of
-    ``model``, which supplies only ``A`` and ``C``.
-
-    Replication j draws its process noise from ``seed + 2j`` and its
-    measurement noise from ``seed + 2j + 1``.  When either noise is
-    heavy-tailed (stable with alpha < 2) both are clipped at the
-    ``HEAVY_TAIL_QUANTILE`` of their joint absolute increments.  Returns
-    ``(design, moments)``.
+    The moments are estimated on 2000 steps of ``dt``, at least 0.5 s.
+    Replication j < ``MOMENT_REPLICATIONS`` draws its process noise from
+    stream ``MOMENT_SEED + 2j`` and its measurement noise from
+    ``MOMENT_SEED + 2j + 1``.  When either noise is heavy-tailed (stable
+    with alpha < 2) both are clipped at the ``HEAVY_TAIL_QUANTILE`` of
+    their joint absolute increments.  Returns ``(design, moments)``.
     """
+    grid = make_grid(dt, max(0.5, 2000 * dt))
     increments = []
     for noise, d, stream in ((noise_v, model.A.shape[0], 0), (noise_w, model.C.shape[0], 1)):
-        inc, scale = _sample_increments(noise, grid, d, [seed + 2 * j + stream for j in range(replications)])
+        seeds = [MOMENT_SEED + 2 * j + stream for j in range(MOMENT_REPLICATIONS)]
+        inc, scale = _sample_increments(noise, grid, d, seeds)
         inc *= scale
         increments.append(inc)
     heavy = any(noise.kind == "stable" and noise.alpha < 2.0 for noise in (noise_v, noise_w))
@@ -356,7 +350,7 @@ def run_comparison(
 
     observer = None
     if "observer" in modes:
-        observer, _ = _observer_design_for(model, base.noise_v, base.noise_w, _moment_grid(base.dt))
+        observer, _ = _observer_design_for(model, base.noise_v, base.noise_w, base.dt)
 
     grid = base.grid()
     out_path = None
@@ -523,7 +517,7 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list:
         if not rec.trajectory_file:
             continue
         data = np.genfromtxt(src / rec.trajectory_file, delimiter=",", names=True)
-        tag = f"{rec.scenario}_{rec.controller}_{rec.mode}_seed{rec.seed:03d}"
+        tag = Path(rec.trajectory_file).stem
         t = np.atleast_1d(data["t"])
         states = np.column_stack(
             [

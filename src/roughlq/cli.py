@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``care``, ``noise-gen``, ``lift-check``, ``observer``,
-``simulate``, ``compare``, ``plot-data``.  Exit codes: 0 on success, 2
-for configuration errors, 3 for a numeric failure in single-run mode.
+``simulate``, ``compare``, ``plot-data``.  ``observer`` prints the
+observer that ``simulate --observer`` and ``compare`` run with for the
+same noises and dt.  Exit codes: 0 on success, 2 for configuration
+errors, 3 for a numeric failure in single-run mode.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .bench import (
     BASE_CONFIG,
     MOMENT_REPLICATIONS,
     SCENARIOS,
-    _moment_grid,
     _noise_from,
     _observer_design_for,
     _parse_floats,
@@ -34,9 +35,9 @@ from .config import ALLOWED_KEYS, ConfigError, format_config, merge, parse_confi
 from .control import PredictorError
 from .lift import LiftError, chen_defect, holder_estimate, lift_piecewise_linear, lift_to_csv
 from .noise import NoiseError, _format_rows, make_grid, path_from_csv, path_to_csv, sample_path
-from .observer import MIN_REPLICATIONS, ObserverError
+from .observer import ObserverError
 from .pendulum import build_pendulum
-from .riccati import RiccatiError, solve_care
+from .riccati import RiccatiError, solve_care, spectral_abscissa
 from .sim import CONTROLLERS, PREDICTORS, SimError, average_cost, correction_to_csv, integrate, trajectory_to_csv
 
 EXIT_OK = 0
@@ -109,7 +110,7 @@ def cmd_care(args) -> int:
     model = build_state_space(_read(vars(args), "model", "q_diag", _parse_floats), args.r)
     design = solve_care(model.A, model.B, model.Q, model.R)
     print(f"care_residual = {design.care_residual:.17g}")
-    print(f"closed_loop_abscissa = {np.max(np.linalg.eigvals(design.A_cl).real):.17g}")
+    print(f"closed_loop_abscissa = {spectral_abscissa(design.A_cl):.17g}")
     if args.out:
         out = _out_dir(args)
         _write_matrix(out / "P.csv", design.P)
@@ -160,21 +161,14 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_observer(args) -> int:
-    if args.replications < MIN_REPLICATIONS:
-        raise ConfigError(f"--replications must be at least {MIN_REPLICATIONS}, got {args.replications}")
     design, moments = _observer_design_for(
-        build_pendulum(),
-        _noise_from(vars(args)),
-        _noise_from(vars(args), prefix="w_"),
-        make_grid(args.dt, args.moment_horizon),
-        replications=args.replications,
-        seed=args.seed,
+        build_pendulum(), _noise_from(vars(args)), _noise_from(vars(args), prefix="w_"), args.dt
     )
-    print(f"replications = {args.replications}, dt = {args.dt:.17g}, samples = {moments.n_samples}")
+    print(f"replications = {MOMENT_REPLICATIONS}, dt = {args.dt:.17g}, samples = {moments.n_samples}")
     if moments.truncation is not None:
         print(f"truncation_level = {moments.truncation:.17g}")
     print(f"modified_are_residual = {design.residual:.3e}")
-    print(f"error_abscissa = {np.max(np.linalg.eigvals(design.A_err).real):.17g}")
+    print(f"error_abscissa = {spectral_abscissa(design.A_err):.17g}")
     if args.out:
         out = _out_dir(args)
         _write_matrix(out / "S.csv", design.S)
@@ -196,7 +190,7 @@ def cmd_simulate(args) -> int:
     v, w = noise_paths(run, args.seed, measured=run.observer_enabled)
     observer = None
     if run.observer_enabled:
-        observer, _ = _observer_design_for(model, run.noise_v, run.noise_w, _moment_grid(run.dt))
+        observer, _ = _observer_design_for(model, run.noise_v, run.noise_w, run.dt)
     design = solve_care(model.A, model.B, model.Q, model.R)
     traj = integrate(run, v, w, design, observer=observer)
     out = _out_dir(args)
@@ -279,12 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", type=int, default=200)
     p.set_defaults(func=cmd_lift_check)
 
+    # the observer the runs use, with the noise defaults of simulate
     p = sub.add_parser("observer", help="estimate moments and solve the observer design", allow_abbrev=False)
-    common(p, ("seed", "dt"))
-    _add_noise_args(p, default_kind="fbm")
-    _add_noise_args(p, prefix="w_", default_kind="fbm")
-    p.add_argument("--replications", type=int, default=MOMENT_REPLICATIONS)
-    p.add_argument("--moment-horizon", type=float, default=2.0)
+    common(p, ("dt",))
+    _add_noise_args(p, default_kind=SIMULATE_BASE["noise"]["kind"])
+    _add_noise_args(p, prefix="w_", default_kind=SIMULATE_BASE["noise"]["w_kind"])
     p.set_defaults(func=cmd_observer)
 
     # simulate and compare flags default to None: a flag given on the command

@@ -175,7 +175,6 @@ class SimConfig:
     horizon: float = 10.0
     saturation: float = 1000.0
     x0: np.ndarray | None = None
-    xhat0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
@@ -192,13 +191,11 @@ class SimConfig:
             raise SimError("saturation must be positive")
         n = self.model.n
         x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        xh = np.zeros(n) if self.xhat0 is None else np.asarray(self.xhat0, dtype=float)
-        if x0.shape != (n,) or xh.shape != (n,):
-            raise SimError(f"x0 and xhat0 must have shape ({n},), got {x0.shape} and {xh.shape}")
-        if not (np.isfinite(x0).all() and np.isfinite(xh).all()):
-            raise SimError(f"x0 and xhat0 must be finite, got {x0} and {xh}")
+        if x0.shape != (n,):
+            raise SimError(f"x0 must have shape ({n},), got {x0.shape}")
+        if not np.isfinite(x0).all():
+            raise SimError(f"x0 must be finite, got {x0}")
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "xhat0", xh)
 
     def grid(self) -> np.ndarray:
         return make_grid(self.dt, self.horizon)
@@ -289,8 +286,8 @@ def integrate(
     bias = np.zeros((n_steps + 1, m)) if v_corr is None else -v_corr @ design.K.T
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dv or dw spreads through e and c
         if config.observer_enabled:  # -K xhat = -K x + K e, and no input enters e: solve it first
-            dw, e0 = w_path.increments, config.x0 - config.xhat0
-            e = simulate_error_process(model.A, observer.L, model.C, dv[None], dw[None], config.dt, e0=e0)[0]
+            dw = w_path.increments  # xhat starts at 0, so e starts at x0
+            e = simulate_error_process(model.A, observer.L, model.C, dv[None], dw[None], config.dt, e0=config.x0)[0]
             bias += e @ design.K.T
         # u_raw[k] = bias[k] - K x[k], so M = [F G; -K F  -K G] and c = [dv, bias[1:] - K dv]
         c = np.hstack([dv, bias[1:] - dv @ design.K.T])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from roughlq import bench
-from roughlq.noise import CHOLESKY_MAX_N, make_grid, sample_paths
-from roughlq.observer import MIN_REPLICATIONS, estimate_second_moments
+from roughlq.noise import make_grid, sample_paths
+from roughlq.observer import estimate_second_moments
 from roughlq.sim import SimError, integrate
 
 #: one classical full-state run of 100 steps
@@ -123,7 +123,7 @@ def test_shipped_scenarios_clip_as_their_process_noise_decides(monkeypatch, scen
 
     monkeypatch.setattr(bench, "estimate_second_moments", capture)
     run = bench.sim_template(bench.scenario_config(scenario))
-    _, moments = bench._observer_design_for(run.model, run.noise_v, run.noise_w, bench._moment_grid(run.dt))
+    _, moments = bench._observer_design_for(run.model, run.noise_v, run.noise_w, run.dt)
     heavy = run.noise_v.kind == "stable" and run.noise_v.alpha < 2.0
     assert heavy == (scenario == "stable15")
     expected = estimate_second_moments(*drawn[0], truncate_quantile=bench.HEAVY_TAIL_QUANTILE if heavy else None)
@@ -138,29 +138,29 @@ def _noises(scenario):
 
 
 @pytest.mark.parametrize(
-    "noise_v, noise_w, steps, reps",
+    "noise_v, noise_w, dt, steps",
     [
-        (*_noises("fbm035"), 2000, bench.MOMENT_REPLICATIONS),
-        (*_noises("stable15"), 2000, bench.MOMENT_REPLICATIONS),
-        (_noises("stable15")[0], _noises("fbm035")[1], 2000, bench.MOMENT_REPLICATIONS),
-        (*_noises("fbm035"), CHOLESKY_MAX_N + 52, MIN_REPLICATIONS),
+        (*_noises("fbm035"), 1e-3, 2000),
+        (*_noises("stable15"), 1e-3, 2000),
+        (_noises("stable15")[0], _noises("fbm035")[1], 1e-3, 2000),
+        (*_noises("fbm035"), 2e-4, 2500),  # the 0.5 s floor, above CHOLESKY_MAX_N steps
     ],
     ids=["fbm035", "stable15", "stable-v-fbm-w", "davies-harte"],
 )
-def test_observer_moments_match_stacked_path_increments(noise_v, noise_w, steps, reps):
+def test_observer_moments_match_stacked_path_increments(noise_v, noise_w, dt, steps):
     # the oracle: the moments of the increments of the sampled paths, which
     # differ from the draw core's increments by the cumsum and diff rounding
     model = bench.build_state_space([1, 1, 1, 1], 1)
-    grid = make_grid(1e-3, steps * 1e-3)
-    seed = bench.MOMENT_SEED
-    _, moments = bench._observer_design_for(model, noise_v, noise_w, grid, replications=reps)
+    grid = make_grid(dt, steps * dt)
+    seed, reps = bench.MOMENT_SEED, bench.MOMENT_REPLICATIONS
+    _, moments = bench._observer_design_for(model, noise_v, noise_w, dt)
     paths_v = sample_paths(noise_v, grid, 4, [seed + 2 * j for j in range(reps)])
     paths_w = sample_paths(noise_w, grid, 4, [seed + 2 * j + 1 for j in range(reps)])
     heavy = "stable" in (noise_v.kind, noise_w.kind)
     oracle = estimate_second_moments(
         np.stack([p.increments for p in paths_v]),
         np.stack([p.increments for p in paths_w]),
-        1e-3,
+        dt,
         truncate_quantile=bench.HEAVY_TAIL_QUANTILE if heavy else None,
     )
     assert (moments.truncation is not None) == heavy

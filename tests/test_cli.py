@@ -85,6 +85,9 @@ def test_cli_simulate_rejects_run_section(tmp_path, capsys):
         ["lift-check", "--config", "c.cfg"],
         ["observer", "--r", "2"],
         ["observer", "--q-diag", "1,1,1,1"],
+        ["observer", "--seed", "1"],
+        ["observer", "--replications", "120"],
+        ["observer", "--moment-horizon", "2.0"],
     ],
 )
 def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_path, monkeypatch):
@@ -98,8 +101,12 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
     [
         (["simulate", "--controller", "glq", "--predictor", "zero_mean", "--horizon", "0.1"], 2),
         (["simulate", "--controller", "glq", "--predictor", "gaussian", "--kind", "stable", "--horizon", "0.1"], 2),
-        (["observer", "--replications", "100", "--moment-horizon", "0.1", "--dt", "0.01"], 3),
-        (["observer", "--replications", "50", "--moment-horizon", "0.1", "--dt", "0.01"], 2),
+        (["observer", "--dt", "0.01"], 3),
+        pytest.param(
+            ["observer", "--seed", "1", "--replications", "120", "--moment-horizon", "2.0"],
+            2,
+            id="observer-moment-flags",
+        ),
         (["simulate", "--horizon", "0.1", "--sat", "nan"], 2),
         (["simulate", "--dt", "nan"], 2),
         (["simulate", "--horizon", "inf"], 2),
@@ -132,7 +139,6 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         pytest.param(["simulate", "--seed", "-1"], 2, id="simulate-negative-seed"),
         pytest.param(["noise-gen", "--seed", "-1"], 2, id="noise-gen-negative-seed"),
         pytest.param(["lift-check", "--seed", "-1"], 2, id="lift-check-negative-seed"),
-        pytest.param(["observer", "--seed", "-1"], 2, id="observer-negative-seed"),
         pytest.param(
             ["compare", "--scenario", "stable15", "--seeds", "0", "--horizon", "0.1", "--config", "gaussian.cfg"],
             2,
@@ -158,7 +164,7 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
     # an unknown predictor or one the noise does not admit, a SimError, a
-    # NoiseError, too few observer replications, a non-finite grid, plant
+    # NoiseError, a moment flag observer does not take, a non-finite grid, plant
     # weight or initial state, an indefinite or undetectable plant weight,
     # a malformed number list, a negative triple count, an empty seed
     # range, a repeated or negative seed and a repeated, unknown or empty
@@ -492,13 +498,12 @@ def test_cli_observer_exports(tmp_path, capsys):
         [
             "observer", "--kind", "fbm", "--hurst", "0.35", "--sigma", "1.0",
             "--w-kind", "brownian", "--w-sigma", "1.0",
-            "--dt", "0.001", "--moment-horizon", "0.5",
-            "--replications", "100", "--out", str(tmp_path),
+            "--dt", "0.001", "--out", str(tmp_path),
         ]
     )
     assert code == 0
     printed = capsys.readouterr().out
-    assert "replications = 100" in printed  # estimation metadata echoed
+    assert "replications = 120, dt = 0.001, samples = 240000" in printed  # estimation metadata echoed
     assert "modified_are_residual" in printed
     s = np.loadtxt(tmp_path / "S.csv", delimiter=",")
     sw = np.loadtxt(tmp_path / "sigma_w.csv", delimiter=",")
@@ -507,11 +512,8 @@ def test_cli_observer_exports(tmp_path, capsys):
     assert (tmp_path / "L.csv").exists() and (tmp_path / "r_vw.csv").exists()
 
 
-def test_cli_observer_matches_compare_observer(tmp_path, monkeypatch):
-    # `observer` with the fbm035 noise, the compare moment seed, replication
-    # count and grid builds the very observer `compare` runs with
-    from roughlq import bench
-
+def _captured_designs(monkeypatch):
+    """The observer designs solved from here on, in the order solved."""
     designs = []
     solve = bench.solve_observer_steady_state
 
@@ -520,19 +522,39 @@ def test_cli_observer_matches_compare_observer(tmp_path, monkeypatch):
         return designs[-1]
 
     monkeypatch.setattr(bench, "solve_observer_steady_state", capture)
-    bench.run_comparison("fbm035", seeds=[], overrides={"run": {"observer": "observer"}})
+    return designs
+
+
+@pytest.mark.parametrize("dt", ["0.001", "0.002"])
+def test_cli_observer_matches_compare_observer(tmp_path, monkeypatch, dt):
+    # `observer` with the fbm035 noise builds the very observer `compare`
+    # runs with at the same dt
+    designs = _captured_designs(monkeypatch)
+    overrides = {"run": {"observer": "observer"}, "simulate": {"dt": dt}}
+    bench.run_comparison("fbm035", seeds=[], overrides=overrides)
     assert len(designs) == 1
     code = main(
         [
             "observer", "--kind", "fbm", "--hurst", "0.35", "--sigma", "100.0",
             "--w-kind", "fbm", "--w-hurst", "0.35", "--w-sigma", "1.0",
-            "--seed", "10000019", "--replications", "120", "--moment-horizon", "2.0",
-            "--dt", "0.001", "--out", str(tmp_path),
+            "--dt", dt, "--out", str(tmp_path),
         ]
     )
     assert code == 0
     assert len(designs) == 2
     s = np.loadtxt(tmp_path / "S.csv", delimiter=",")
+    assert np.array_equal(s, designs[0].S)
+
+
+def test_cli_observer_defaults_match_simulate_observer(tmp_path, monkeypatch):
+    # `observer` with no flags builds the observer `simulate --observer`
+    # runs with when no noise or dt flag is given
+    designs = _captured_designs(monkeypatch)
+    assert main(["simulate", "--observer", "--horizon", "0.1", "--out", str(tmp_path / "sim")]) == 0
+    assert len(designs) == 1
+    assert main(["observer", "--out", str(tmp_path / "obs")]) == 0
+    assert len(designs) == 2
+    s = np.loadtxt(tmp_path / "obs" / "S.csv", delimiter=",")
     assert np.array_equal(s, designs[0].S)
 
 
@@ -542,7 +564,7 @@ def test_cli_observer_clips_heavy_tailed_measurement_noise(tmp_path, capsys):
     code = main(
         [
             "observer", "--kind", "fbm", "--hurst", "0.35", "--sigma", "100",
-            "--w-kind", "stable", "--w-alpha", "1.5", "--moment-horizon", "2", "--out", str(tmp_path),
+            "--w-kind", "stable", "--w-alpha", "1.5", "--out", str(tmp_path),
         ]
     )
     assert code == 0

@@ -268,7 +268,6 @@ def test_observer_loop_tracks_state():
         dt=1e-3,
         horizon=4.0,
         x0=np.array([0.2, 0.1, 0.0, 0.0]),
-        xhat0=np.zeros(4),
     )
     traj = integrate(cfg, v, w, design, observer=obs)
     assert not traj.diverged
@@ -353,7 +352,7 @@ def test_estimation_error_is_the_same_under_every_controller():
     for seed in (0, 1, 2):
         v, w = noise_paths(run, seed)
         e = simulate_error_process(
-            model.A, observer.L, model.C, v.increments[None], w.increments[None], run.dt, e0=run.x0 - run.xhat0
+            model.A, observer.L, model.C, v.increments[None], w.increments[None], run.dt, e0=run.x0
         )[0]
         trajs = [integrate(replace(run, controller=c), v, w, design, observer=observer) for c in ("classical", "glq")]
         rows = min(t.x.shape[0] - t.diverged for t in trajs)  # the rows before either halts
@@ -392,7 +391,7 @@ def _reference_integrate(cfg, v, w, design, observer=None, offset=None):
     u_sat = np.zeros((n_steps + 1, model.m))
     cost = np.zeros(n_steps + 1)
     x[0] = cfg.x0
-    xhat[0] = cfg.xhat0 if cfg.observer_enabled else cfg.x0
+    xhat[0] = 0.0 if cfg.observer_enabled else cfg.x0  # the observer starts at 0
     halt, prev = None, None
     for k in range(n_steps + 1):
         fb = xhat[k] if cfg.observer_enabled else x[k]
@@ -474,7 +473,6 @@ def test_integrate_matches_reference_loop(controller, observer_enabled):
         horizon=1.5,
         saturation=20.0,
         x0=np.array([0.0, 0.3, 0.0, 0.0]),
-        xhat0=np.array([0.0, 0.2, 0.0, 0.0]),
     )
     grid = cfg.grid()
     v = sample_path(noise_v, grid, d=4, seed=3)
