@@ -102,11 +102,7 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         (["simulate", "--controller", "glq", "--predictor", "zero_mean", "--horizon", "0.1"], 2),
         (["simulate", "--controller", "glq", "--predictor", "gaussian", "--kind", "stable", "--horizon", "0.1"], 2),
         (["observer", "--dt", "0.01"], 3),
-        pytest.param(
-            ["observer", "--seed", "1", "--replications", "120", "--moment-horizon", "2.0"],
-            2,
-            id="observer-moment-flags",
-        ),
+        (["observer", "--w-sigma", "nan"], 2),
         (["simulate", "--horizon", "0.1", "--sat", "nan"], 2),
         (["simulate", "--dt", "nan"], 2),
         (["simulate", "--horizon", "inf"], 2),
@@ -139,6 +135,7 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
         pytest.param(["simulate", "--seed", "-1"], 2, id="simulate-negative-seed"),
         pytest.param(["noise-gen", "--seed", "-1"], 2, id="noise-gen-negative-seed"),
         pytest.param(["lift-check", "--seed", "-1"], 2, id="lift-check-negative-seed"),
+        pytest.param(["observer", "--seed", "-1"], 2, id="observer-negative-seed"),
         pytest.param(
             ["compare", "--scenario", "stable15", "--seeds", "0", "--horizon", "0.1", "--config", "gaussian.cfg"],
             2,
@@ -164,7 +161,7 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
     # an unknown predictor or one the noise does not admit, a SimError, a
-    # NoiseError, a moment flag observer does not take, a non-finite grid, plant
+    # NoiseError, a seed observer does not take, a non-finite grid, plant
     # weight or initial state, an indefinite or undetectable plant weight,
     # a malformed number list, a negative triple count, an empty seed
     # range, a repeated or negative seed and a repeated, unknown or empty
