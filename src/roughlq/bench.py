@@ -33,7 +33,9 @@ from .observer import estimate_second_moments, solve_observer_steady_state
 from .pendulum import build_pendulum
 from .riccati import solve_care
 from .sim import (
+    LAWS,
     SimConfig,
+    SimError,
     StateSpaceModel,
     Trajectory,
     _correction_series,
@@ -121,8 +123,8 @@ SCENARIOS = {
 @dataclass(frozen=True)
 class RunRecord:
     """Per-(controller, mode, seed) outcome row; its fields, in order, are
-    the columns of ``runs.csv``.  ``information`` is what the run's
-    correction reads (``sim.INFORMATION``)."""
+    the columns of ``runs.csv``.  ``controller`` is the run-list entry and
+    ``information`` what its law's correction reads (``sim.LAWS``)."""
 
     scenario: str
     controller: str
@@ -218,6 +220,16 @@ def build_state_space(q_diag, r) -> StateSpaceModel:
     return StateSpaceModel(A=pm.A, B=pm.B, C=pm.C, Q=np.diag(q_diag), R=[[float(r)]])
 
 
+def _law(controller: str, cfg: dict) -> str:
+    """The ``sim.LAWS`` name of a controller and ``[simulate] predictor``, checked for classical too."""
+    if controller not in ("classical", "glq"):
+        raise SimError(f"unknown controller {controller!r}")
+    predictor = cfg["simulate"]["predictor"]
+    if f"glq:{predictor}" not in LAWS:
+        raise SimError(f"unknown predictor {predictor!r}")
+    return f"glq:{predictor}" if controller == "glq" else controller
+
+
 def sim_template(cfg: dict) -> SimConfig:
     """The run that every seed, controller and mode of ``cfg`` shares.
 
@@ -231,8 +243,7 @@ def sim_template(cfg: dict) -> SimConfig:
         ),
         noise_v=_noise_from(cfg["noise"]),
         noise_w=_noise_from(cfg["noise"], prefix="w_"),
-        controller=sim_cfg.get("controller", "classical"),
-        predictor=sim_cfg.get("predictor", "pathwise"),
+        law=_law(sim_cfg.get("controller", "classical"), cfg),
         dt=_read(sim_cfg, "simulate", "dt"),
         horizon=_read(sim_cfg, "simulate", "horizon"),
         saturation=_read(sim_cfg, "simulate", "saturation"),
@@ -343,8 +354,8 @@ def run_comparison(
     if "controller" in cfg["simulate"]:
         raise ConfigError("compare reads [run] controllers; [simulate] controller is not read")
     base = sim_template(cfg)
-    # SimConfig rejects an unknown controller or inadmissible predictor before anything is written
-    by_controller = {controller: replace(base, controller=controller) for controller in controllers}
+    # an unknown controller or predictor, or one the noise does not admit, is refused before anything is written
+    by_controller = {controller: replace(base, law=_law(controller, cfg)) for controller in controllers}
     model = base.model
     design = solve_care(model.A, model.B, model.Q, model.R)
 
@@ -362,16 +373,16 @@ def run_comparison(
     records = []
     for seed in seeds:
         v, w = noise_paths(base, seed, measured=observer is not None)
-        series = {}  # the seed's correction series, by what it reads
+        series = {}  # the seed's correction series, by law
         for controller in controllers:
+            run = by_controller[controller]
             for mode in modes:
-                run = replace(by_controller[controller], observer_enabled=(mode == "observer"))
                 tag = f"{scenario}_{controller}_{mode}_seed{seed:03d}"
-                reads = (run.predictor, run.information)
                 try:
-                    if reads not in series:
-                        series[reads] = _correction_series(run, design, v)
-                    traj = integrate(run, v, w, design, observer=observer, v_correction=series[reads])
+                    if run.law not in series:
+                        series[run.law] = _correction_series(run, design, v)
+                    fed_back = observer if mode == "observer" else None
+                    traj = integrate(run, v, w, design, observer=fed_back, v_correction=series[run.law])
                 except (np.linalg.LinAlgError, ArithmeticError):
                     # a numeric failure counts as that run's divergence
                     inf = float("inf")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .noise import NoiseError, _format_rows, make_grid, path_from_csv, path_to_c
 from .observer import ObserverError
 from .pendulum import build_pendulum
 from .riccati import RiccatiError, solve_care, spectral_abscissa
-from .sim import CONTROLLERS, PREDICTORS, SimError, average_cost, correction_to_csv, integrate, trajectory_to_csv
+from .sim import SimError, average_cost, correction_to_csv, integrate, trajectory_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,6 +160,8 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_observer(args) -> int:
+    if not 0.0 < args.dt < float("inf"):
+        raise ConfigError(f"--dt must be finite and positive, got {args.dt}")
     design, moments = _observer_design_for(
         build_pendulum(), _noise_from(vars(args)), _noise_from(vars(args), prefix="w_"), args.dt
     )
@@ -185,11 +186,11 @@ def cmd_simulate(args) -> int:
     if "run" in overrides:
         raise ConfigError("simulate reads no [run] section; its seed is --seed")
     cfg = merge(SIMULATE_BASE, overrides)
-    run = replace(sim_template(cfg), observer_enabled=args.observer_enabled)
+    run = sim_template(cfg)
     model = run.model
-    v, w = noise_paths(run, args.seed, measured=run.observer_enabled)
+    v, w = noise_paths(run, args.seed, measured=args.observer_enabled)
     observer = None
-    if run.observer_enabled:
+    if args.observer_enabled:
         observer, _ = _observer_design_for(model, run.noise_v, run.noise_w, run.dt)
     design = solve_care(model.A, model.B, model.Q, model.R)
     traj = integrate(run, v, w, design, observer=observer)
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise_args(p, prefix="w_")
     p.add_argument("--q-diag", default=None)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--controller", default=None, choices=CONTROLLERS)
-    p.add_argument("--predictor", default=None, choices=PREDICTORS)
+    p.add_argument("--controller", default=None)
+    p.add_argument("--predictor", default=None)
     p.add_argument("--observer", dest="observer_enabled", action="store_true")
     p.add_argument("--sat", dest="saturation", type=float, default=None)
     p.add_argument("--x0", default=None)

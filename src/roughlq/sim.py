@@ -12,9 +12,10 @@ equation solution because the noise enters additively: a constant
 diffusion coefficient makes the second-level driver terms multiply a
 vanishing derivative (a step-halving self-convergence test checks the rate).
 
-No input enters e: an observer run solves it before the loop and forms
-xhat = x - e after it.  With u_raw[k] = -K x[k] + K (e[k] - V[k]), e = 0
-without the observer, the loop is affine in w = (x, u_raw):
+No input enters e: a run given an observer design solves it before the
+loop and forms xhat = x - e after it.  With u_raw[k] = -K x[k] +
+K (e[k] - V[k]), e = 0 without the observer and V as the run's law
+(``LAWS``) builds it, the loop is affine in w = (x, u_raw):
 
     w[k+1] = M clip(w[k]) + c[k],
 
@@ -60,9 +61,7 @@ from .observer import ObserverDesign, simulate_error_process
 from .riccati import ControlDesign, _step_band
 
 __all__ = [
-    "CONTROLLERS",
-    "PREDICTORS",
-    "INFORMATION",
+    "LAWS",
     "SimError",
     "StateSpaceModel",
     "SimConfig",
@@ -86,15 +85,15 @@ _BLOCK = 256
 #: per-row loop
 _WINDOW, _MAX_WINDOW, _CHATTER = 64, 1024, 16
 
-#: the laws: ``classical`` is u = -K x, ``glq`` is u = -K (x + V)
-CONTROLLERS = ("classical", "glq")
-#: how ``glq`` forms V: ``pathwise`` reads the realised driver (the future),
-#: ``gaussian`` conditions on the past and needs Gaussian process noise
-PREDICTORS = ("pathwise", "gaussian")
-#: what a ``glq`` correction reads, by predictor: the signal (``v``, the
-#: true process noise, in observer mode too) and how far ahead; a
-#: ``classical`` run reads ``none``
-INFORMATION = {"pathwise": "v:anticipative", "gaussian": "v:causal"}
+#: the laws u = -K (xhat + V): what V reads (``v``, the true process noise
+#: in observer runs too, and how far ahead; ``none``: no V) and how a run
+#: builds V from the path of v.  Each series is looked up when it is built,
+#: so a rebinding of this module's names reaches every run.
+LAWS = {
+    "classical": ("none", lambda run, design, v: None),
+    "glq:pathwise": ("v:anticipative", lambda run, design, v: pathwise_correction_series(design, lift_piecewise_linear(v))),
+    "glq:gaussian": ("v:causal", lambda run, design, v: gaussian_correction_series(design, run.noise_v.hurst, v)),
+}
 
 
 class SimError(ValueError):
@@ -163,25 +162,21 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One closed-loop run: plant, noises, controller and grid settings."""
+    """One closed-loop run: plant, noises, law and grid; see :func:`integrate` for observer runs."""
 
     model: StateSpaceModel
     noise_v: NoiseModel
     noise_w: NoiseModel
-    controller: str = "classical"  # one of CONTROLLERS
-    predictor: str = "pathwise"  # one of PREDICTORS; read by glq only
-    observer_enabled: bool = False
+    law: str = "classical"  # a key of LAWS
     dt: float = 1e-3
     horizon: float = 10.0
     saturation: float = 1000.0
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.controller not in CONTROLLERS:
-            raise SimError(f"unknown controller {self.controller!r}")
-        if self.predictor not in PREDICTORS:
-            raise SimError(f"unknown predictor {self.predictor!r}")
-        if self.controller == "glq" and self.predictor == "gaussian" and self.noise_v.kind == "stable":
+        if self.law not in LAWS:
+            raise SimError(f"unknown law {self.law!r}")
+        if self.law == "glq:gaussian" and self.noise_v.kind == "stable":
             raise SimError("the gaussian predictor needs Gaussian process noise, not stable")
         if not np.isfinite([self.dt, self.horizon]).all():
             raise SimError(f"dt and horizon must be finite, got {self.dt} and {self.horizon}")
@@ -202,8 +197,8 @@ class SimConfig:
 
     @property
     def information(self) -> str:
-        """What the run's correction reads (see ``INFORMATION``)."""
-        return INFORMATION[self.predictor] if self.controller == "glq" else "none"
+        """What the run's correction reads (see ``LAWS``)."""
+        return LAWS[self.law][0]
 
 
 @dataclass
@@ -232,11 +227,7 @@ class Trajectory:
 
 
 def _correction_series(config: SimConfig, design: ControlDesign, v_path: SamplePath):
-    if config.controller != "glq":
-        return None
-    if config.predictor == "pathwise":
-        return pathwise_correction_series(design, lift_piecewise_linear(v_path))
-    return gaussian_correction_series(design, config.noise_v.hurst, v_path)
+    return LAWS[config.law][1](config, design, v_path)
 
 
 def integrate(
@@ -249,9 +240,10 @@ def integrate(
 ) -> Trajectory:
     """Run one closed loop over the configured grid.
 
-    Both paths must sit on the config grid.  Only an observer run reads
-    ``w_path``, to solve its estimation error first; others may pass None.
-    A ``glq`` run may pass its correction series, as
+    Both paths must sit on the config grid.  A run given ``observer`` is an
+    observer run: it feeds back xhat and reads ``w_path``, to solve its
+    estimation error first; others may pass None.  A run whose law has a V
+    may pass its correction series, as
     :func:`_correction_series` builds it from ``v_path``, so that runs
     which read the same series share one; by default it is built here.
     Divergence (non-finite values or state norm beyond 1e12) halts the
@@ -263,9 +255,7 @@ def integrate(
         raise SimError("v_path grid does not match the configured grid")
     if v_path.d != model.n:
         raise SimError("process noise dimension must equal the state dimension")
-    if config.observer_enabled:
-        if observer is None:
-            raise SimError("observer run requested without an observer design")
+    if observer is not None:
         if w_path is None:
             raise SimError("observer run requested without a measurement noise path")
         if w_path.t.shape != grid.shape or abs(w_path.t[-1] - grid[-1]) > 1e-9:
@@ -277,15 +267,15 @@ def integrate(
     dv, v_corr = v_path.increments, v_correction
     if v_corr is None:
         v_corr = _correction_series(config, design, v_path)
-    elif config.controller != "glq":
-        raise SimError(f"a {config.controller} run reads no correction series")
+    elif config.information == "none":
+        raise SimError(f"a {config.law} run reads no correction series")
     elif v_corr.shape != (n_steps + 1, n):
         raise SimError(f"correction series must have shape {(n_steps + 1, n)}, got {v_corr.shape}")
 
     a_dt, b_dt = np.eye(n) + model.A * config.dt, model.B * config.dt
     bias = np.zeros((n_steps + 1, m)) if v_corr is None else -v_corr @ design.K.T
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dv or dw spreads through e and c
-        if config.observer_enabled:  # -K xhat = -K x + K e, and no input enters e: solve it first
+        if observer is not None:  # -K xhat = -K x + K e, and no input enters e: solve it first
             dw = w_path.increments  # xhat starts at 0, so e starts at x0
             e = simulate_error_process(model.A, observer.L, model.C, dv[None], dw[None], config.dt, e0=config.x0)[0]
             bias += e @ design.K.T
@@ -365,8 +355,8 @@ def integrate(
     u_raw[live:] = 0.0  # the halt row records no input
     u_sat = np.clip(u_raw, -sat, sat)
     with np.errstate(over="ignore", invalid="ignore"):  # e may hold the non-finite noise
-        xhat = x - e[: end + 1] if config.observer_enabled else x
-        if config.observer_enabled and halt is not None:  # e[halt] took dv[halt - 1], maybe non-finite; xhat did not
+        xhat = x - e[: end + 1] if observer is not None else x
+        if observer is not None and halt is not None:  # e[halt] took dv[halt - 1], maybe non-finite; xhat did not
             xhat[-1] = a_dt @ xhat[-2] + b_dt @ u_sat[-2] + observer.L @ (model.C @ e[halt - 1] * config.dt + dw[halt - 1])
     rate = np.einsum("ki,ki->k", x[:live] @ model.Q, x[:live])
     rate += np.einsum("ki,ki->k", u_sat[:live] @ model.R, u_sat[:live])

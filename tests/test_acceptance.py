@@ -198,8 +198,8 @@ def test_criterion_06_brownian_reduction():
     w = sample_path(noise, grid, d=4, seed=41)
     base = dict(model=model, noise_v=noise, noise_w=noise, dt=1e-3, horizon=3.0,
                 x0=np.array([0.05, 0.05, 0.0, 0.0]))
-    classical = integrate(SimConfig(controller="classical", **base), v, w, design)
-    glq = integrate(SimConfig(controller="glq", predictor="gaussian", **base), v, w, design)
+    classical = integrate(SimConfig(law="classical", **base), v, w, design)
+    glq = integrate(SimConfig(law="glq:gaussian", **base), v, w, design)
     v_max = float(np.max(np.abs(glq.v_correction)))
     diff = float(np.max(np.abs(glq.x - classical.x)))
     udiff = float(np.max(np.abs(glq.u_sat - classical.u_sat)))
@@ -254,7 +254,7 @@ def test_criterion_07_completion_of_squares():
     w = SamplePath(t=grid, values=np.zeros((grid.size, 4)))
 
     cfg = SimConfig(model=model, noise_v=NoiseModel.fbm(hurst=0.35, sigma=3e-3),
-                    noise_w=NoiseModel.brownian(), controller="glq", predictor="pathwise",
+                    noise_w=NoiseModel.brownian(), law="glq:pathwise",
                     dt=dt, horizon=horizon)
     opt = _offset_run(cfg, v, w, design, np.zeros((grid.size, 1)))
     terminal = float(np.linalg.norm(opt.x[-1]))
@@ -387,7 +387,7 @@ def test_criterion_11_continuity_probe():
     model = StateSpaceModel(A=pm.A, B=pm.B, C=pm.C, Q=np.eye(4), R=[[1.0]])
     design = solve_care(model.A, model.B, model.Q, model.R)
     cfg = SimConfig(model=model, noise_v=NoiseModel.fbm(hurst=0.35, sigma=0.5),
-                    noise_w=NoiseModel.brownian(), controller="glq", predictor="pathwise",
+                    noise_w=NoiseModel.brownian(), law="glq:pathwise",
                     dt=1e-3, horizon=2.0)
     grid = cfg.grid()
     v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=110)

@@ -93,6 +93,12 @@ def test_repeated_seed_is_a_config_error(tmp_path):
             "the gaussian predictor needs Gaussian process noise",
             id="gaussian-predictor-on-stable-noise",
         ),
+        pytest.param(
+            {"seeds": [0], "controllers": ["classical"], "overrides": {"simulate": {"predictor": "typo"}}},
+            SimError,
+            "unknown predictor 'typo'",
+            id="unknown-predictor-no-glq-run-reads",
+        ),
     ],
 )
 def test_run_list_is_checked_before_out_is_created(tmp_path, kwargs, error, message):
@@ -233,7 +239,7 @@ def test_integrate_checks_a_given_correction_series():
     series = np.zeros((run.grid().size, 4))
     with pytest.raises(SimError, match="classical run reads no correction series"):
         integrate(run, v, w, design, v_correction=series)
-    glq = bench.replace(run, controller="glq")
+    glq = bench.replace(run, law="glq:pathwise")
     with pytest.raises(SimError, match="correction series must have shape"):
         integrate(glq, v, w, design, v_correction=series[1:])
     given = integrate(glq, v, w, design, v_correction=series)

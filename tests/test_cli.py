@@ -157,6 +157,11 @@ def test_cli_flags_a_subcommand_does_not_read_are_rejected(argv, capsys, tmp_pat
             2,
             id="compare-q-undetectable",
         ),
+        pytest.param(
+            ["simulate", "--controller", "classical", "--predictor", "zero_mean", "--horizon", "0.1"],
+            2,
+            id="simulate-classical-unknown-predictor",
+        ),
     ],
 )
 def test_cli_package_errors_map_to_exit_codes(tmp_path, monkeypatch, argv, code):
@@ -424,18 +429,28 @@ def test_cli_simulate_noise_section_applies_and_flags_override_it(tmp_path):
     assert (tmp_path / "flag/trajectory.csv").read_bytes() == default
 
 
-@pytest.mark.parametrize("controller, mode", [("classical", "fullstate"), ("glq", "observer")])
-def test_cli_simulate_seed_reproduces_compare_seed(tmp_path, controller, mode):
+@pytest.mark.parametrize(
+    "controller, predictor, mode",
+    [
+        pytest.param("classical", "pathwise", "fullstate", id="classical-fullstate"),
+        pytest.param("glq", "pathwise", "observer", id="glq-observer"),
+        pytest.param("glq", "gaussian", "fullstate", id="glq-gaussian-fullstate"),
+    ],
+)
+def test_cli_simulate_seed_reproduces_compare_seed(tmp_path, controller, predictor, mode):
+    # both subcommands resolve the law from the controller and the predictor alike
     cfg = tmp_path / "fbm035.cfg"
     cfg.write_text(format_config({s: kv for s, kv in SCENARIOS["fbm035"].items() if s != "run"}))
+    predictor_cfg = tmp_path / "predictor.cfg"
+    predictor_cfg.write_text(f"[simulate]\npredictor = {predictor}\n")
     grid = ["--horizon", "0.5"]
     assert main(
         ["compare", "--scenario", "fbm035", "--seeds", "3", "--controllers", controller,
-         "--observer", mode, "--out", str(tmp_path / "cmp")] + grid
+         "--observer", mode, "--config", str(predictor_cfg), "--out", str(tmp_path / "cmp")] + grid
     ) == 0
     observer = ["--observer"] if mode == "observer" else []
     assert main(
-        ["simulate", "--config", str(cfg), "--seed", "3", "--controller", controller,
+        ["simulate", "--config", str(cfg), "--seed", "3", "--controller", controller, "--predictor", predictor,
          "--out", str(tmp_path / "sim")] + grid + observer
     ) == 0
     tag = tmp_path / f"cmp/trajectories/fbm035_{controller}_{mode}_seed003"
@@ -553,6 +568,14 @@ def test_cli_observer_defaults_match_simulate_observer(tmp_path, monkeypatch):
     assert len(designs) == 2
     s = np.loadtxt(tmp_path / "obs" / "S.csv", delimiter=",")
     assert np.array_equal(s, designs[0].S)
+
+
+@pytest.mark.parametrize("dt", ["nan", "0", "-1", "inf"])
+def test_cli_observer_names_a_bad_dt(capsys, dt):
+    # the message names the flag and its value, not the moment grid's horizon
+    assert main(["observer", f"--dt={dt}"]) == 2
+    err = capsys.readouterr().err
+    assert "--dt" in err and "0.5" not in err
 
 
 def test_cli_observer_clips_heavy_tailed_measurement_noise(tmp_path, capsys):

@@ -68,11 +68,11 @@ def _dense_gaussian_correction(design, hurst, increments, dt, horizon):
 def test_gaussian_conditioning_rejected_for_stable():
     # a glq run may not condition stable noise as if it were Gaussian; a
     # classical run reads no predictor
-    run = dict(model=build_state_space([1, 1, 1, 1], 1), noise_w=NoiseModel.brownian(), predictor="gaussian")
+    run = dict(model=build_state_space([1, 1, 1, 1], 1), noise_w=NoiseModel.brownian())
     with pytest.raises(SimError, match="Gaussian process noise"):
-        SimConfig(noise_v=NoiseModel.stable(alpha=1.5), controller="glq", **run)
-    SimConfig(noise_v=NoiseModel.stable(alpha=1.5), controller="classical", **run)
-    SimConfig(noise_v=NoiseModel.brownian(), controller="glq", **run)
+        SimConfig(noise_v=NoiseModel.stable(alpha=1.5), law="glq:gaussian", **run)
+    SimConfig(noise_v=NoiseModel.stable(alpha=1.5), law="classical", **run)
+    SimConfig(noise_v=NoiseModel.brownian(), law="glq:gaussian", **run)
 
 
 @pytest.mark.parametrize("hurst, window", [(0.0, 8), (1.0, 8), (float("nan"), 8), (0.35, 0)])

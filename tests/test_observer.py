@@ -270,8 +270,7 @@ def test_cost_separation_across_seeds():
     grid = make_grid(dt, horizon)
     noise = NoiseModel.brownian(sigma=0.3)
     cfg = SimConfig(
-        model=model, noise_v=noise, noise_w=noise, controller="classical",
-        observer_enabled=True, dt=dt, horizon=horizon,
+        model=model, noise_v=noise, noise_w=noise, law="classical", dt=dt, horizon=horizon,
     )
     cross_terms, residuals = [], []
     for seed in range(reps):

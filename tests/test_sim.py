@@ -59,7 +59,7 @@ def test_zero_noise_lqr_stabilizes_pendulum():
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        controller="classical",
+        law="classical",
         dt=1e-3,
         horizon=10.0,
         x0=np.array([0.02, 0.02, 0.0, 0.0]),
@@ -84,7 +84,7 @@ def test_scalar_decay_against_exponential():
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        controller="classical",
+        law="classical",
         dt=1e-3,
         horizon=5.0,
         x0=np.array([1.0]),
@@ -110,9 +110,9 @@ def test_brownian_reduction_glq_equals_classical():
         horizon=2.0,
         x0=np.array([0.1, 0.05, 0.0, 0.0]),
     )
-    classical = integrate(SimConfig(controller="classical", **base), v, w, design)
+    classical = integrate(SimConfig(law="classical", **base), v, w, design)
     glq = integrate(
-        SimConfig(controller="glq", predictor="gaussian", **base), v, w, design
+        SimConfig(law="glq:gaussian", **base), v, w, design
     )
     assert np.max(np.abs(glq.v_correction)) < 1e-12
     assert np.max(np.abs(glq.x - classical.x)) < 1e-10
@@ -126,7 +126,7 @@ def test_saturation_exact_and_raw_logged():
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        controller="classical",
+        law="classical",
         dt=1e-3,
         horizon=1.0,
         saturation=5.0,
@@ -146,7 +146,7 @@ def test_divergence_detection_halts_cleanly():
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        controller="classical",
+        law="classical",
         dt=1e-3,
         horizon=10.0,
         saturation=1e-9,  # effectively uncontrolled: the upright mode escapes
@@ -171,8 +171,7 @@ def test_running_cost_nondecreasing():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.35, sigma=0.2),
         noise_w=NoiseModel.brownian(),
-        controller="glq",
-        predictor="pathwise",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=1.0,
     )
@@ -203,7 +202,7 @@ def test_average_cost_ergodic_under_doubled_horizon():
     for horizon in (8.0, 16.0):
         grid = make_grid(1e-3, horizon)
         cfg = SimConfig(
-            model=model, noise_v=noise, noise_w=noise, controller="classical",
+            model=model, noise_v=noise, noise_w=noise, law="classical",
             dt=1e-3, horizon=horizon,
         )
         costs = [
@@ -228,8 +227,7 @@ def test_determinism_byte_identical_csv():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.4, sigma=0.3),
         noise_w=NoiseModel.brownian(),
-        controller="glq",
-        predictor="pathwise",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=1.0,
     )
@@ -263,8 +261,7 @@ def test_observer_loop_tracks_state():
         model=model,
         noise_v=NoiseModel.brownian(sigma=0.2),
         noise_w=NoiseModel.brownian(sigma=0.2),
-        controller="classical",
-        observer_enabled=True,
+        law="classical",
         dt=1e-3,
         horizon=4.0,
         x0=np.array([0.2, 0.1, 0.0, 0.0]),
@@ -291,22 +288,16 @@ def test_observer_requires_design():
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        observer_enabled=True,
         dt=1e-3,
         horizon=1.0,
     )
     grid = cfg.grid()
     v, w = zero_paths(grid, 4, 4)
-    with pytest.raises(SimError):
-        integrate(cfg, v, w, design, observer=None)
     # a full-state run needs no measurement noise; an observer run does
     observer = _observer_for(model)
     with pytest.raises(SimError, match="without a measurement noise path"):
         integrate(cfg, v, None, design, observer=observer)
-    assert np.array_equal(
-        integrate(replace(cfg, observer_enabled=False), v, None, design).x,
-        integrate(replace(cfg, observer_enabled=False), v, w, design).x,
-    )
+    assert np.array_equal(integrate(cfg, v, None, design).x, integrate(cfg, v, w, design).x)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +317,6 @@ def test_integrate_rejects_paths_off_the_grid(path, dt, horizon, d, message):
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        observer_enabled=True,
         dt=1e-3,
         horizon=1.0,
     )
@@ -345,7 +335,7 @@ def test_estimation_error_is_the_same_under_every_controller():
     # rails; x - xhat is a difference of states up to ~1e8, so it is compared
     # at 1e-12 of the largest of x, xhat and e.
     cfg = scenario_config("fbm035", {"simulate": {"horizon": "2.0"}})
-    run = replace(sim_template(cfg), observer_enabled=True)
+    run = sim_template(cfg)
     model = run.model
     design = pendulum_design(model)
     observer = _observer_for(model)
@@ -354,7 +344,7 @@ def test_estimation_error_is_the_same_under_every_controller():
         e = simulate_error_process(
             model.A, observer.L, model.C, v.increments[None], w.increments[None], run.dt, e0=run.x0
         )[0]
-        trajs = [integrate(replace(run, controller=c), v, w, design, observer=observer) for c in ("classical", "glq")]
+        trajs = [integrate(replace(run, law=law), v, w, design, observer=observer) for law in ("classical", "glq:pathwise")]
         rows = min(t.x.shape[0] - t.diverged for t in trajs)  # the rows before either halts
         for traj in trajs:
             railed = np.abs(traj.u_raw[:rows, 0]) > run.saturation
@@ -391,10 +381,10 @@ def _reference_integrate(cfg, v, w, design, observer=None, offset=None):
     u_sat = np.zeros((n_steps + 1, model.m))
     cost = np.zeros(n_steps + 1)
     x[0] = cfg.x0
-    xhat[0] = 0.0 if cfg.observer_enabled else cfg.x0  # the observer starts at 0
+    xhat[0] = 0.0 if observer is not None else cfg.x0  # the observer starts at 0
     halt, prev = None, None
     for k in range(n_steps + 1):
-        fb = xhat[k] if cfg.observer_enabled else x[k]
+        fb = xhat[k] if observer is not None else x[k]
         if v_corr is not None:
             fb = fb + v_corr[k]
         u_raw[k] = -design.K @ fb + (0.0 if offset is None else offset[k])
@@ -412,7 +402,7 @@ def _reference_integrate(cfg, v, w, design, observer=None, offset=None):
         if k == n_steps:
             break
         x[k + 1] = a_dt @ x[k] + b_dt @ u_sat[k] + dv[k]
-        if cfg.observer_enabled:
+        if observer is not None:
             innovation = c_dt @ x[k] + dw[k] - c_dt @ xhat[k]
             xhat[k + 1] = a_dt @ xhat[k] + b_dt @ u_sat[k] + observer.L @ innovation
         else:
@@ -457,9 +447,9 @@ def _observer_for(model):
     return solve_observer_steady_state(model.A, model.C, mom)
 
 
-@pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
-@pytest.mark.parametrize("controller", ["classical", "glq"])
-def test_integrate_matches_reference_loop(controller, observer_enabled):
+@pytest.mark.parametrize("observed", [False, True], ids=["fullstate", "observer"])
+@pytest.mark.parametrize("law", ["classical", "glq:pathwise"], ids=["classical", "glq"])
+def test_integrate_matches_reference_loop(law, observed):
     model = pendulum_model()
     design = pendulum_design(model)
     noise_v = NoiseModel.fbm(hurst=0.35, sigma=2.0)
@@ -467,8 +457,7 @@ def test_integrate_matches_reference_loop(controller, observer_enabled):
         model=model,
         noise_v=noise_v,
         noise_w=NoiseModel.brownian(sigma=0.2),
-        controller=controller,
-        observer_enabled=observer_enabled,
+        law=law,
         dt=1e-3,
         horizon=1.5,
         saturation=20.0,
@@ -477,7 +466,7 @@ def test_integrate_matches_reference_loop(controller, observer_enabled):
     grid = cfg.grid()
     v = sample_path(noise_v, grid, d=4, seed=3)
     w = sample_path(NoiseModel.brownian(sigma=0.2), grid, d=4, seed=4)
-    observer = _observer_for(model) if observer_enabled else None
+    observer = _observer_for(model) if observed else None
     traj = integrate(cfg, v, w, design, observer=observer)
     ref = _reference_integrate(cfg, v, w, design, observer=observer)
     _assert_same_run(traj, ref)
@@ -496,7 +485,7 @@ def test_integrate_matches_reference_with_one_input_railed():
         model=model,
         noise_v=noise_v,
         noise_w=NoiseModel.brownian(),
-        controller="glq",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=1.0,
         saturation=10.0,
@@ -513,22 +502,21 @@ def test_integrate_matches_reference_with_one_input_railed():
     assert 0 < railed[:, 0].sum() < railed.shape[0] and not railed[:, 1].any()
 
 
-@pytest.mark.parametrize("observer_enabled", [False, True], ids=["fullstate", "observer"])
-def test_integrate_matches_reference_when_saturation_diverges(observer_enabled):
+@pytest.mark.parametrize("observed", [False, True], ids=["fullstate", "observer"])
+def test_integrate_matches_reference_when_saturation_diverges(observed):
     model = pendulum_model()
     design = pendulum_design(model)
     cfg = SimConfig(
         model=model,
         noise_v=NoiseModel.brownian(),
         noise_w=NoiseModel.brownian(),
-        observer_enabled=observer_enabled,
         dt=1e-3,
         horizon=10.0,
         saturation=1e-9,  # effectively uncontrolled: the upright mode escapes
         x0=np.array([0.0, 1.0, 0.0, 0.0]),
     )
     v, w = zero_paths(cfg.grid(), 4, 4)
-    observer = _observer_for(model) if observer_enabled else None
+    observer = _observer_for(model) if observed else None
     traj = integrate(cfg, v, w, design, observer=observer)
     ref = _reference_integrate(cfg, v, w, design, observer=observer)
     assert ref.diverged
@@ -574,7 +562,7 @@ def test_integrate_matches_reference_without_saturation():
         model=model,
         noise_v=noise_v,
         noise_w=NoiseModel.brownian(),
-        controller="glq",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=3.0,
         saturation=float("inf"),
@@ -594,7 +582,7 @@ def test_integrate_matches_reference_on_a_chattering_observer_run(monkeypatch):
     # switches between rails every few steps in places and holds elsewhere,
     # so the loop takes both the band solve and the per-row step
     cfg = scenario_config("fbm035", {"simulate": {"horizon": "2.0"}})
-    run = replace(sim_template(cfg), controller="glq", observer_enabled=True)
+    run = replace(sim_template(cfg), law="glq:pathwise")
     model = run.model
     design = pendulum_design(model)
     observer = _observer_for(model)
@@ -637,11 +625,11 @@ _BAD_CASES = [
 
 
 @pytest.mark.parametrize(
-    "noise, observer_enabled, row, bad",
+    "noise, observed, row, bad",
     [pytest.param(noise, enabled, row, np.nan, id=case) for noise, enabled, row, case in _BAD_CASES]
     + [pytest.param(noise, enabled, row, np.inf, id=f"{case}-inf") for noise, enabled, row, case in _BAD_CASES],
 )
-def test_nan_increment_halts_at_its_step(noise, observer_enabled, row, bad):
+def test_nan_increment_halts_at_its_step(noise, observed, row, bad):
     model = pendulum_model()
     design = pendulum_design(model)
     noise_model = NoiseModel.brownian(sigma=0.1)
@@ -649,7 +637,6 @@ def test_nan_increment_halts_at_its_step(noise, observer_enabled, row, bad):
         model=model,
         noise_v=noise_model,
         noise_w=noise_model,
-        observer_enabled=observer_enabled,
         dt=1e-3,
         horizon=1.0,
     )
@@ -661,7 +648,7 @@ def test_nan_increment_halts_at_its_step(noise, observer_enabled, row, bad):
     v, w = paths["v"], paths["w"]
     last_input = noise == "w" and row == grid.size - 1
     halt = row if noise == "v" or last_input else row + 1
-    observer = _observer_for(model) if observer_enabled else None
+    observer = _observer_for(model) if observed else None
     traj = integrate(cfg, v, w, design, observer=observer)
     with np.errstate(invalid="ignore"):  # the step-by-step oracle may warn; integrate may not
         ref = _reference_integrate(cfg, v, w, design, observer=observer)
@@ -677,6 +664,44 @@ def test_nan_increment_halts_at_its_step(noise, observer_enabled, row, bad):
     else:  # the row before the halt already took the bad input, and its cost rate with it
         assert not np.isfinite(traj.cost_running[-2:]).any()
     _assert_same_run(traj, ref)
+
+
+# ---------------------------------------------------------------------------
+# what each law reads
+# ---------------------------------------------------------------------------
+
+#: rows j whose increments dv[j] and dw[j] are moved, fixed before any run
+_LAW_ROWS = (3, 200, 517, 998)
+#: whether a law's input at row j may move with dv[j], by its information
+_READS_AHEAD = {"none": False, "v:causal": False, "v:anticipative": True}
+
+
+@pytest.mark.parametrize("saturation", [1000.0, math.inf], ids=["sat1000", "unsaturated"])
+@pytest.mark.parametrize("observed", [False, True], ids=["fullstate", "observer"])
+@pytest.mark.parametrize("law", sorted(sim.LAWS))
+def test_each_law_reads_what_its_information_declares(law, observed, saturation):
+    # fbm035 seed 7 on a 1 s grid.  Moving dv[j] or dw[j] leaves the input
+    # at rows <= j bit for bit unless the law reads v ahead, and then dv[j]
+    # moves some row <= j; no law reads dw ahead
+    cfg = scenario_config("fbm035", {"simulate": {"horizon": "1.0"}})
+    run = replace(sim_template(cfg), law=law, saturation=saturation)
+    design = pendulum_design(run.model)
+    observer = _observer_for(run.model) if observed else None
+    v, w = noise_paths(run, 7)
+    reads_ahead = _READS_AHEAD[run.information]
+
+    def u_raw(v, w):
+        return integrate(run, v, w, design, observer=observer).u_raw
+
+    def moved(path, j):
+        values = path.values.copy()
+        values[j + 1 :] += 1.0  # increment j alone, in every coordinate
+        return SamplePath(t=path.t, values=values)
+
+    base = u_raw(v, w)
+    for j in _LAW_ROWS:
+        assert np.array_equal(u_raw(v, moved(w, j))[: j + 1], base[: j + 1]), f"dw[{j}]"
+        assert np.array_equal(u_raw(moved(v, j), w)[: j + 1], base[: j + 1]) != reads_ahead, f"dv[{j}]"
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +728,7 @@ def test_completion_identity_on_pendulum():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.35, sigma=3e-3),
         noise_w=NoiseModel.brownian(),
-        controller="glq",
-        predictor="pathwise",
+        law="glq:pathwise",
         dt=dt,
         horizon=horizon,
     )
@@ -735,8 +759,7 @@ def test_completion_gap_rejects_mismatched_drivers():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.4),
         noise_w=NoiseModel.brownian(),
-        controller="glq",
-        predictor="pathwise",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=1.0,
     )
@@ -761,8 +784,7 @@ def test_identity_case_zero_gap():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.4),
         noise_w=NoiseModel.brownian(),
-        controller="glq",
-        predictor="pathwise",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=1.0,
     )
@@ -810,8 +832,7 @@ def test_continuity_probe_monotone_with_positive_slope():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.35, sigma=0.5),
         noise_w=NoiseModel.brownian(),
-        controller="glq",
-        predictor="pathwise",
+        law="glq:pathwise",
         dt=1e-3,
         horizon=2.0,
     )
@@ -841,7 +862,7 @@ def test_continuity_probe_metric_relevance():
         model=model,
         noise_v=NoiseModel.fbm(hurst=0.35, sigma=0.5),
         noise_w=NoiseModel.brownian(),
-        controller="classical",
+        law="classical",
         dt=1e-3,
         horizon=1.0,
     )
@@ -899,7 +920,7 @@ def test_refinement_convergence_orders():
     base = dict(
         model=model,
         noise_w=NoiseModel.brownian(),
-        controller="classical",
+        law="classical",
         dt=4e-3,
         horizon=2.0,
         x0=np.array([0.1, 0.05, 0.0, 0.0]),
@@ -930,7 +951,7 @@ def test_refinement_convergence_orders():
 def test_config_validation():
     model = pendulum_model()
     with pytest.raises(SimError):
-        SimConfig(model=model, noise_v=NoiseModel.brownian(), noise_w=NoiseModel.brownian(), controller="bogus")
+        SimConfig(model=model, noise_v=NoiseModel.brownian(), noise_w=NoiseModel.brownian(), law="bogus")
     with pytest.raises(SimError):
         SimConfig(model=model, noise_v=NoiseModel.brownian(), noise_w=NoiseModel.brownian(), dt=1.0, horizon=2.0)
     with pytest.raises(SimError):
