@@ -521,33 +521,27 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list:
     if report.out_dir is None:
         raise ConfigError("report was produced without an output directory")
     src = Path(report.out_dir)
-    dst = Path(out_dir)
-    dst.mkdir(parents=True, exist_ok=True)
-    manifest = []
+    tables = {}  # every trajectory file is read before anything is written
     for rec in report.records:
         if not rec.trajectory_file:
             continue
-        data = np.genfromtxt(src / rec.trajectory_file, delimiter=",", names=True)
+        path = src / rec.trajectory_file
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+            t, x1, x2, x3, x4, u_raw, u_sat = (
+                np.atleast_1d(data[name]) for name in ("t", "x1", "x2", "x3", "x4", "u_raw", "u_sat")
+            )
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read trajectory file {path}: {getattr(exc, 'strerror', None) or exc}") from None
         tag = Path(rec.trajectory_file).stem
-        t = np.atleast_1d(data["t"])
-        states = np.column_stack(
-            [
-                t,
-                np.atleast_1d(data["x1"]),
-                ANGLE_EQUILIBRIUM_DEG + np.degrees(np.atleast_1d(data["x2"])),
-                np.atleast_1d(data["x3"]),
-                np.degrees(np.atleast_1d(data["x4"])),
-            ]
-        )
-        state_file = f"{tag}_states.csv"
-        _write_table(dst / state_file, "t,cart_m,angle_deg,cart_rate,angle_rate_deg", states)
-        control = np.column_stack([t, np.atleast_1d(data["u_raw"]), np.atleast_1d(data["u_sat"])])
-        ctrl_file = f"{tag}_control.csv"
-        _write_table(dst / ctrl_file, "t,u_raw,u_sat", control)
-        manifest.append(state_file)
-        manifest.append(ctrl_file)
-
-    rows = [(name, hashlib.sha256((dst / name).read_bytes()).hexdigest()) for name in manifest]
+        states = np.column_stack([t, x1, ANGLE_EQUILIBRIUM_DEG + np.degrees(x2), x3, np.degrees(x4)])
+        tables[f"{tag}_states.csv"] = "t,cart_m,angle_deg,cart_rate,angle_rate_deg", states
+        tables[f"{tag}_control.csv"] = "t,u_raw,u_sat", np.column_stack([t, u_raw, u_sat])
+    dst = Path(out_dir)
+    dst.mkdir(parents=True, exist_ok=True)
+    for name, (header, table) in tables.items():
+        _write_table(dst / name, header, table)
+    rows = [(name, hashlib.sha256((dst / name).read_bytes()).hexdigest()) for name in tables]
     lines = ["file,sha256"] + [f"{name},{digest}" for name, digest in rows]
     lines.append("# generating config")
     lines.append(format_config(report.config))

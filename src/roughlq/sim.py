@@ -32,18 +32,19 @@ with M_mu the matrix M with the railed input columns zeroed and const_mu
 their +-saturation contribution.  Stacked over a window of rows that is a
 unit lower-triangular block-bidiagonal system, and one banded forward
 substitution (LAPACK ``dtbtrs`` on ``riccati._step_band``, the solve
-behind every linear recursion in the package) solves it in place.  The
-window is speculative: the loop keeps the rows up to and including the
-first row in a new mode, tests them for divergence and starts again from
-the last kept row.  A window is 64 rows after a mode change and doubles
-up to 1024 while the mode holds.  Where the input chatters, a mode change
-within the first 16 rows of a window sends the next 256 rows through the
-per-row loop: one explicit step w[k+1] = M clip(w[k]) + c[k] each, one
-BLAS matrix-vector product.  The band solve multiplies a NaN or inf by the
-band's structural zeros, so the halt row is recomputed as one explicit
-step from the row before it, and xhat there too.  No state takes the last
-row's input, so a non-finite one halts the run at that row.  The clipped
-inputs and the running cost are formed after the loop.
+behind every linear recursion in the package) solves it in place.  One
+rule steps the loop: band solves of 1024 rows run while a mode holds; the
+first row in a new mode hands back to single steps, one explicit step
+w[k+1] = M clip(w[k]) + c[k] each (one BLAS matrix-vector product), until
+one mode has held for 64 rows, and from that row band solves run again.
+A band solve is speculative: the loop keeps its rows through the first
+row in a new mode and tests them, with the single steps that follow, for
+divergence.  The band solve multiplies a NaN or inf by the band's
+structural zeros, so the halt row, the first that fails the test, is
+recomputed as one explicit step from the row before it, and xhat there
+too.  No state takes the last row's input, so a non-finite one halts the
+run at that row.  The clipped inputs and the running cost are formed
+after the loop.
 """
 
 from __future__ import annotations
@@ -77,13 +78,9 @@ __all__ = [
 #: before floating-point overflow can contaminate stored values
 DIVERGENCE_NORM = 1e12
 
-#: rows of one chattering stretch stepped one at a time
-_BLOCK = 256
-#: rows of the first speculative band solve after a mode change, and the
-#: cap it doubles up to while the mode holds; a change within the first
-#: ``_CHATTER`` rows of a window sends the next ``_BLOCK`` rows to the
-#: per-row loop
-_WINDOW, _MAX_WINDOW, _CHATTER = 64, 1024, 16
+#: rows one mode holds under single steps before band solves take over,
+#: and rows of one band solve
+_HOLD, _WINDOW = 64, 1024
 
 #: the laws u = -K (xhat + V): what V reads (``v``, the true process noise
 #: in observer runs too, and how far ahead; ``none``: no V) and how a run
@@ -294,12 +291,19 @@ def integrate(
         return (u > sat).view(np.int8) - (u < -sat).view(np.int8)
 
     def step_rows(k0, k1):
-        """Rows k0 + 1 .. k1, one explicit step each."""
-        wk = w[k0]
-        for k, ck in enumerate(c[k0:k1], k0 + 1):
-            if max(map(abs, wk[n:].tolist())) > sat:
+        """Rows k0 + 1 .. k1, one explicit step each, up to the first row
+        that ends ``_HOLD`` rows in one mode; returns the last row reached."""
+        wk, since, last = w[k0], k0, None
+        for k in range(k0, k1):
+            mode = [(u > sat) - (u < -sat) for u in wk[n:].tolist()]
+            if mode != last:
+                since, last = k, mode
+            elif k - since == _HOLD - 1:  # rows since .. k hold one mode
+                return k
+            if any(mode):
                 wk = np.minimum(np.maximum(wk, lo), hi)
-            w[k] = wk = dgemv(1.0, m_step, wk, 1.0, ck)  # M wk + ck in one BLAS call
+            w[k + 1] = wk = dgemv(1.0, m_step, wk, 1.0, c[k])  # M wk + c[k] in one BLAS call
+        return k1
 
     bands = {}  # mode -> (band of the windowed system, constant input of the railed inputs)
 
@@ -311,27 +315,22 @@ def integrate(
             m_mode = m_step.copy()
             m_mode[:, railed] = 0.0
             const = m_step[:, railed] @ (sat * mode[mode != 0])
-            bands[key] = _step_band(m_mode, min(_MAX_WINDOW, n_steps) + 1), const
+            bands[key] = _step_band(m_mode, min(_WINDOW, n_steps) + 1), const
         band, const = bands[key]
         rows = w[k0 : k1 + 1]
         np.add(c[k0:k1], const, out=rows[1:])
         # overwrite_b: the solve runs in place on the contiguous rows
         dtbtrs(band[:, : rows.size], rows.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
 
-    halt, k0, window = None, 0, _WINDOW
+    halt, k0 = None, 0
     with np.errstate(over="ignore", invalid="ignore"):  # rows past a halt may overflow
         while k0 < n_steps:
             mode = rails(w[k0])
-            k1 = min(k0 + window, n_steps)
+            k1 = min(k0 + _WINDOW, n_steps)
             solve_rows(k0, k1, mode)
             switched = np.flatnonzero((rails(w[k0 + 1 : k1 + 1]) != mode).any(axis=1))
-            window = _WINDOW if switched.size else min(2 * window, _MAX_WINDOW)
-            if switched.size:
-                k1 = k0 + 1 + int(switched[0])  # keep rows through the first in a new mode
-                if k1 - k0 <= _CHATTER:  # chattering: one explicit step per row
-                    chatter_end = min(k1 + _BLOCK, n_steps)
-                    step_rows(k1, chatter_end)
-                    k1 = chatter_end
+            if switched.size:  # keep rows through the first in a new mode, then step from it
+                k1 = step_rows(k0 + 1 + int(switched[0]), n_steps)
             states = w[k0 + 1 : k1 + 1, :n]
             # squared norms screen the rows; the norm decides, and a
             # non-finite state has a NaN or infinite norm and fails it too

@@ -256,8 +256,22 @@ _RUNS_HEADER = (
              + "fbm035,glq,fullstate,v:anticipative,x,0,,1,1,1,1,1,b.csv\n"},
             "runs.csv line 3:",
         ),
+        (
+            ["plot-data", "--report", "BAD", "--out", "OUT"],
+            {"runs.csv": _RUNS_HEADER + "fbm035,glq,fullstate,v:anticipative,0,0,,1,1,1,1,1,gone.csv\n"},
+            "gone.csv",
+        ),
+        (
+            ["plot-data", "--report", "BAD", "--out", "OUT"],
+            {"runs.csv": _RUNS_HEADER + "fbm035,glq,fullstate,v:anticipative,0,0,,1,1,1,1,1,ab.csv\n",
+             "ab.csv": "a,b\n0,1\n"},
+            "ab.csv",
+        ),
     ],
-    ids=["lift-check-nan-grid", "lift-check-nan-value", "plot-data-short-row", "plot-data-non-numeric"],
+    ids=[
+        "lift-check-nan-grid", "lift-check-nan-value", "plot-data-short-row", "plot-data-non-numeric",
+        "plot-data-missing-trajectory", "plot-data-malformed-trajectory",
+    ],
 )
 def test_cli_malformed_input_file_exits_2(tmp_path, capsys, argv, files, where):
     bad = tmp_path / "bad"

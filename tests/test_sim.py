@@ -14,8 +14,7 @@ from roughlq.observer import NoiseSecondMoments, simulate_error_process, solve_o
 from roughlq.pendulum import build_pendulum
 from roughlq.riccati import solve_care
 from roughlq.sim import (
-    _BLOCK,
-    _WINDOW,
+    _HOLD,
     DIVERGENCE_NORM,
     SimConfig,
     SimError,
@@ -523,14 +522,26 @@ def test_integrate_matches_reference_when_saturation_diverges(observed):
     _assert_same_run(traj, ref)
 
 
-@pytest.mark.parametrize(
-    "row",
-    [_WINDOW, _WINDOW + 1, 1000],
-    ids=["last-row-of-a-window", "first-row-of-a-window", "last-step"],
-)
-def test_integrate_matches_reference_when_a_kick_rails_the_input(row):
-    # noise-free but for one kick in dv[row - 1]: the input rails first at
-    # exactly ``row`` and returns to its bound afterwards
+def _count_calls(monkeypatch, *names):
+    """Count the calls ``integrate`` makes to each of ``sim``'s ``names``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        inner = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sim, name, counted(name))
+    return calls
+
+
+def _kick_run(row):
+    """A noise-free run but for one kick in dv[row - 1], with its reference."""
     model = pendulum_model()
     design = pendulum_design(model)
     cfg = SimConfig(
@@ -546,11 +557,35 @@ def test_integrate_matches_reference_when_a_kick_rails_the_input(row):
     values = v.values.copy()
     values[row:, 1] = 1.0
     v = SamplePath(t=grid, values=values)
-    traj = integrate(cfg, v, w, design)
-    ref = _reference_integrate(cfg, v, w, design)
+    return integrate(cfg, v, w, design), _reference_integrate(cfg, v, w, design), cfg
+
+
+@pytest.mark.parametrize(
+    "row",
+    [64, 65, 1000],
+    ids=["last-row-of-a-window", "first-row-of-a-window", "last-step"],
+)
+def test_integrate_matches_reference_when_a_kick_rails_the_input(row):
+    # the input rails first at exactly ``row`` and returns to its bound afterwards
+    traj, ref, cfg = _kick_run(row)
     _assert_same_run(traj, ref)
     railed = np.flatnonzero(np.abs(ref.u_raw[:, 0]) > cfg.saturation)
-    assert railed[0] == row and (row == grid.size - 1 or railed[-1] < grid.size - 1)
+    assert railed[0] == row and (row == traj.t.size - 1 or railed[-1] < traj.t.size - 1)
+
+
+def test_single_steps_do_not_depend_on_window_alignment(monkeypatch):
+    # the kick rails the input for 103 rows wherever it lands; the rows
+    # stepped one at a time follow the mode changes, not where a band
+    # solve happens to start
+    steps, calls = [], _count_calls(monkeypatch, "dgemv")
+    for row in (64, 65, 300):
+        calls["dgemv"] = 0
+        traj, ref, cfg = _kick_run(row)
+        _assert_same_run(traj, ref)
+        railed = np.flatnonzero(np.abs(ref.u_raw[:, 0]) > cfg.saturation)
+        assert railed[0] == row and railed.size == 103
+        steps.append(calls["dgemv"])
+    assert steps[0] == steps[1] == steps[2] <= 103 + 2 * 64
 
 
 def test_integrate_matches_reference_without_saturation():
@@ -587,30 +622,19 @@ def test_integrate_matches_reference_on_a_chattering_observer_run(monkeypatch):
     design = pendulum_design(model)
     observer = _observer_for(model)
     v, w = noise_paths(run, 0)
-    calls = {"dtbtrs": 0, "dgemv": 0}
-
-    def counted(name):
-        inner = getattr(sim, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(sim, name, counted(name))
+    calls = _count_calls(monkeypatch, "dtbtrs", "dgemv")
     traj = integrate(run, v, w, design, observer=observer)
-    assert calls["dtbtrs"] > 0 and calls["dgemv"] >= _BLOCK
+    # a stretch of single steps runs until one mode holds _HOLD rows
+    assert calls["dtbtrs"] > 0 and calls["dgemv"] >= _HOLD - 1
     ref = _reference_integrate(run, v, w, design, observer=observer)
     _assert_same_run(traj, ref)
 
 
 _NAN_ROWS = {
-    "block-boundary": _BLOCK,
-    "inside-a-block": _BLOCK + 45,
+    "block-boundary": 256,
+    "inside-a-block": 301,
     "last-step": 1000,
-    "window-edge": _WINDOW,
+    "window-edge": 64,
     "inside-a-long-free-segment": 700,
 }
 
