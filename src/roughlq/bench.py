@@ -22,6 +22,7 @@ alike, and the ``observer`` subcommand take their observer from
 from __future__ import annotations
 
 import hashlib
+import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -374,6 +375,7 @@ def run_comparison(
     for seed in seeds:
         v, w = noise_paths(base, seed, measured=observer is not None)
         series = {}  # the seed's correction series, by law
+        written = {}  # the seed's correction files, by (law, rows): equal keys mean equal bytes
         for controller in controllers:
             run = by_controller[controller]
             for mode in modes:
@@ -401,7 +403,13 @@ def run_comparison(
                     fname = f"trajectories/{tag}.csv"
                     trajectory_to_csv(traj, str(out_path / fname))
                     if traj.v_correction is not None:
-                        correction_to_csv(traj, str(out_path / f"trajectories/{tag}_correction.csv"))
+                        corr_file = out_path / f"trajectories/{tag}_correction.csv"
+                        key = (run.law, traj.t.shape[0])
+                        if key in written:
+                            shutil.copyfile(written[key], corr_file)
+                        else:
+                            correction_to_csv(traj, str(corr_file))
+                            written[key] = corr_file
                 records.append(
                     RunRecord(
                         scenario=scenario,

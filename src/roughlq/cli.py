@@ -49,6 +49,11 @@ SIMULATE_BASE = merge(
     BASE_CONFIG, {"noise": {"kind": "fbm", "w_kind": "brownian"}, "simulate": {"controller": "classical"}}
 )
 
+#: entries of one (b, d, d) array in a ``lift-check`` block of b triples;
+#: ``chen_defect`` holds a handful of them at once, so a block stays under
+#: about 1 MB whatever ``--triples`` and ``--dim``
+_BLOCK_ENTRIES = 1 << 14
+
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
     path.write_text("".join(_format_rows(np.atleast_2d(mat))))
@@ -141,11 +146,13 @@ def cmd_lift_check(args) -> int:
     rough = lift_piecewise_linear(path)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     worst = 0.0
-    n = rough.n_steps
-    for _ in range(args.triples):
-        i, u, j = np.sort(rng.integers(0, n + 1, size=3))
+    block = max(1, _BLOCK_ENTRIES // rough.d**2)
+    for start in range(0, args.triples, block):
+        # one (b, 3) draw gives the same triples as b draws of 3
+        ijk = np.sort(rng.integers(0, rough.n_steps + 1, size=(min(block, args.triples - start), 3)), axis=1)
+        times = rough.t[ijk]
         # np.maximum keeps a NaN defect, where max() would drop it
-        worst = float(np.maximum(worst, chen_defect(rough, rough.t[i], rough.t[u], rough.t[j])))
+        worst = float(np.maximum.reduce(chen_defect(rough, *times.T), initial=worst))
     print(f"max_chen_defect = {worst:.3e} over {args.triples} random triples")
     try:
         est = holder_estimate(path)

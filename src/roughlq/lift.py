@@ -7,7 +7,9 @@ from Chen's relation
     XX[s, t] = XX[s, u] + XX[u, t] + X[s, u] (x) X[u, t],
 
 applied once to prefix sums from the start of the grid, so each
-interval costs O(d^2) whatever its length.
+interval costs O(d^2) whatever its length.  :func:`reconstruct` and
+:func:`chen_defect` take scalar grid times or arrays of them, and answer
+any number of intervals in one call.
 
 Lifts built here interpolate the samples piecewise-linearly, so the
 per-step tensor is the iterated integral of the interpolant,
@@ -58,7 +60,7 @@ class RoughPath:
 
     Immutable after construction.  Wider intervals are reconstructed from
     the prefix sums ``x_k = X[t_0, t_k]`` and ``S_k = XX[t_0, t_k]``, built
-    once on the first query (O(N d^2)); each query then costs O(d^2).
+    once on the first query (O(N d^2)); each interval then costs O(d^2).
     """
 
     t: np.ndarray
@@ -84,13 +86,23 @@ class RoughPath:
     def n_steps(self) -> int:
         return self.dx.shape[0]
 
-    def index_of(self, time: float) -> int:
-        """Grid index of ``time``; rejects off-grid queries."""
+    def index_of(self, time):
+        """Grid index of ``time``, an int for a scalar and an index array
+        of the same shape for an array; rejects off-grid queries.
+
+        The index is the nearest step count from ``t[0]``, and the time
+        must match the stored ``t[k]``, so grids whose steps drift within
+        :class:`SamplePath`'s tolerance keep every point.
+        """
+        time = np.asarray(time, dtype=float)
         dt = self.t[1] - self.t[0]
-        k = int(round((time - self.t[0]) / dt))
-        if k < 0 or k > self.n_steps or abs(self.t[0] + k * dt - time) > 1e-9 * max(dt, 1.0):
-            raise OffGridError(f"time {time} is not on the lift grid")
-        return k
+        k = np.rint((time - self.t[0]) / dt)
+        on = (k >= 0) & (k <= self.n_steps)  # False for NaN
+        k = np.where(on, k, 0).astype(np.intp)
+        on &= np.abs(self.t[k] - time) <= 1e-9 * max(dt, 1.0)
+        if not np.all(on):
+            raise OffGridError(f"time {float(time[~on].flat[0])} is not on the lift grid")
+        return int(k) if k.ndim == 0 else k
 
     @cached_property
     def area(self) -> np.ndarray:
@@ -120,34 +132,44 @@ def lift_piecewise_linear(path: SamplePath) -> RoughPath:
     return RoughPath(t=path.t, dx=path.increments, holder=path.holder)
 
 
-def reconstruct(rp: RoughPath, s: float, t: float):
-    """``(X[s,t], XX[s,t])`` from the path's prefix sums, in O(d^2).
+def reconstruct(rp: RoughPath, s, t):
+    """``(X[s,t], XX[s,t])`` from the path's prefix sums, in O(d^2) per
+    interval.
 
     Chen's relation over ``[t_0, s, t]`` gives ``X[s,t] = x_j - x_i`` and
-    ``XX[s,t] = S_j - S_i - x_i (x) X[s,t]``.  ``s`` and ``t`` must be grid
-    times with ``s <= t``.
+    ``XX[s,t] = S_j - S_i - x_i (x) X[s,t]``.  ``s`` and ``t`` are grid
+    times with ``s <= t``, scalars or arrays that broadcast together;
+    arrays give results of shapes ``(..., d)`` and ``(..., d, d)``.
     """
     i = rp.index_of(s)
     j = rp.index_of(t)
-    if i > j:
+    if np.any(i > j):
         raise LiftError("need s <= t")
     x, xx = rp._prefix_sums
     x_st = x[j] - x[i]
-    return x_st, xx[j] - xx[i] - np.outer(x[i], x_st)
+    return x_st, xx[j] - xx[i] - x[i][..., :, None] * x_st[..., None, :]
 
 
-def chen_gap(xx_st, xx_su, xx_ut, x_su, x_ut) -> float:
+def chen_gap(xx_st, xx_su, xx_ut, x_su, x_ut):
     """Raw Chen identity residual for explicitly supplied blocks.
 
     Lets callers check a *claimed* second-level value against the
     composition of its pieces, e.g. to exhibit a constructed violation.
+    A float for one set of blocks; for stacks of them, one Frobenius norm
+    per trailing ``(d, d)`` block.
     """
-    defect = np.asarray(xx_st) - np.asarray(xx_su) - np.asarray(xx_ut) - np.outer(x_su, x_ut)
-    return float(np.linalg.norm(defect))
+    x_su, x_ut = np.asarray(x_su), np.asarray(x_ut)
+    defect = np.asarray(xx_st) - xx_su - xx_ut - x_su[..., :, None] * x_ut[..., None, :]
+    norm = np.sqrt(np.sum(defect * defect, axis=(-2, -1)))
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def chen_defect(rp: RoughPath, s: float, u: float, t: float) -> float:
-    """Frobenius norm of XX[s,t] - XX[s,u] - XX[u,t] - X[s,u] (x) X[u,t]."""
+def chen_defect(rp: RoughPath, s, u, t):
+    """Frobenius norm of XX[s,t] - XX[s,u] - XX[u,t] - X[s,u] (x) X[u,t].
+
+    A float for scalar grid times; for arrays that broadcast together, an
+    array of their shape with one defect per triple.
+    """
     x_su, xx_su = reconstruct(rp, s, u)
     x_ut, xx_ut = reconstruct(rp, u, t)
     _, xx_st = reconstruct(rp, s, t)

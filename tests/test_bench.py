@@ -232,6 +232,50 @@ def test_one_correction_series_per_seed(monkeypatch, tmp_path, scenario):
     assert _tree(tmp_path / "shared") == _tree(tmp_path / "alone")
 
 
+@pytest.mark.parametrize("cut", [False, True], ids=["same-rows", "observer-runs-cut"])
+def test_correction_files_encoded_once_per_law_and_rows(monkeypatch, tmp_path, cut):
+    # glq's two modes share a seed's series: a correction file of the same
+    # rows is a copy, one of other rows its own encoding; either way each
+    # file holds its own run's correction exactly
+    import io
+    from dataclasses import fields, replace
+
+    from roughlq.sim import correction_to_csv
+
+    trajectories, encoded = [], []
+    real_integrate = bench.integrate
+
+    def recorded(run, v, w, design, observer=None, v_correction=None):
+        traj = real_integrate(run, v, w, design, observer=observer, v_correction=v_correction)
+        if cut and observer is not None:
+            half = traj.t.shape[0] // 2
+            cols = {f.name: getattr(traj, f.name)[:half] for f in fields(traj)
+                    if f.name not in ("diverged", "t_diverge", "v_increments") and getattr(traj, f.name) is not None}
+            traj = replace(traj, diverged=True, t_diverge=float(traj.t[half - 1]), **cols)
+        trajectories.append(traj)
+        return traj
+
+    def counted(traj, file):
+        encoded.append(file)
+        correction_to_csv(traj, file)
+
+    monkeypatch.setattr(bench, "integrate", recorded)
+    monkeypatch.setattr(bench, "correction_to_csv", counted)
+    overrides = {"run": {"observer": "both"}, "simulate": {"horizon": "0.2"}}
+    report = bench.run_comparison("fbm035", seeds=[0, 1, 2], overrides=overrides, out_dir=tmp_path)
+    assert len(encoded) == (6 if cut else 3)
+    checked = 0
+    for record, traj in zip(report.records, trajectories):
+        if traj.v_correction is None:
+            continue
+        buf = io.StringIO()
+        correction_to_csv(traj, buf)
+        corr_file = tmp_path / record.trajectory_file.replace(".csv", "_correction.csv")
+        assert corr_file.read_text() == buf.getvalue()
+        checked += 1
+    assert checked == 6
+
+
 def test_integrate_checks_a_given_correction_series():
     run = bench.sim_template(bench.scenario_config("fbm035", SMALL))
     design = bench.solve_care(run.model.A, run.model.B, run.model.Q, run.model.R)

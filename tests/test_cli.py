@@ -337,15 +337,69 @@ def test_cli_lift_check_reports_a_nan_defect(monkeypatch, capsys):
     import roughlq.cli
 
     real = roughlq.cli.chen_defect
-    calls = []
 
     def one_nan(rough, s, u, t):
-        calls.append(None)
-        return float("nan") if len(calls) == 2 else real(rough, s, u, t)
+        defects = real(rough, s, u, t)
+        defects[1] = np.nan
+        return defects
 
     monkeypatch.setattr(roughlq.cli, "chen_defect", one_nan)
     assert main(["lift-check", "--dt", "0.01", "--horizon", "1.0", "--triples", "5"]) == 0
     assert "max_chen_defect = nan over 5 random triples" in capsys.readouterr().out
+
+
+def test_cli_lift_check_runs_the_benchmark_size(capsys):
+    # the lift-check workload's own argv: 400 triples on a 2,000-step path
+    argv = ["lift-check", "--kind", "fbm", "--hurst", "0.35", "--dim", "2", "--dt", "0.001",
+            "--horizon", "2.0", "--seed", "0", "--triples", "400"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("max_chen_defect = ") and line.endswith(" over 400 random triples")
+    assert float(line.split()[2]) < 1e-10
+
+
+@pytest.mark.parametrize("high", [2001, 2**33 + 1])
+def test_block_draws_give_the_per_triple_draws(high):
+    # lift-check draws its triples b at a time; the draws must not move
+    one = np.random.Generator(np.random.PCG64(5))
+    block = np.random.Generator(np.random.PCG64(5))
+    each = np.array([one.integers(0, high, size=3) for _ in range(333)])
+    assert np.array_equal(block.integers(0, high, size=(333, 3)), each)
+
+
+def test_cli_lift_check_blocks_match_a_per_triple_loop(tmp_path, monkeypatch, capsys):
+    import roughlq.cli
+    from roughlq.lift import chen_defect, lift_piecewise_linear
+    from roughlq.noise import path_from_csv
+
+    assert main(["noise-gen", "--dim", "2", "--dt", "0.01", "--horizon", "1.0", "--seed", "2",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(roughlq.cli, "_BLOCK_ENTRIES", 7 * 2 * 2)  # blocks of 7 triples at d = 2
+    assert main(["lift-check", "--in", str(tmp_path / "noise.csv"), "--seed", "3", "--triples", "20"]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    rough = lift_piecewise_linear(path_from_csv(str(tmp_path / "noise.csv")))
+    rng = np.random.Generator(np.random.PCG64(3))
+    worst = 0.0
+    for _ in range(20):
+        i, u, j = np.sort(rng.integers(0, rough.n_steps + 1, size=3))
+        worst = float(np.maximum(worst, chen_defect(rough, rough.t[i], rough.t[u], rough.t[j])))
+    assert printed == f"max_chen_defect = {worst:.3e} over 20 random triples"
+    assert worst > 0.0  # round-off, so the line tells the draws apart
+
+
+def test_cli_lift_check_accepts_a_drifting_grid(tmp_path, capsys):
+    # steps of 1e-3 + 0.9e-12 after a first step of 1e-3: uniform to
+    # SamplePath's 1e-12, but 20,000 steps drift 1.8e-8 off t0 + k * dt
+    n = 20000
+    t = np.concatenate([[0.0], 1e-3 + np.arange(n) * (1e-3 + 0.9e-12)])
+    rng = np.random.Generator(np.random.PCG64(4))
+    values = np.vstack([np.zeros(2), np.cumsum(0.03 * rng.standard_normal((n, 2)), axis=0)])
+    csv = tmp_path / "drift.csv"
+    np.savetxt(csv, np.column_stack([t, values]), delimiter=",", header="t,v1,v2", comments="", fmt="%.17g")
+    assert main(["lift-check", "--in", str(csv), "--triples", "50"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith(" over 50 random triples") and float(line.split()[2]) < 1e-10
 
 
 def test_cli_lift_check_programming_error_propagates(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from roughlq.lift import (
     DegeneratePathError,
+    LiftError,
     OffGridError,
     RoughPath,
     chen_defect,
@@ -134,6 +135,25 @@ def test_rough_paths_keep_their_own_prefix_sums():
     assert np.allclose(xx, 0.5 * np.outer(a, a) + 0.5 * np.outer(b, b) + np.outer(a, b))
 
 
+def _drifting_path(n=20000, h=1e-3, drift=0.9e-12):
+    """A 2-d path whose steps after the first are ``h + drift``: uniform
+    within SamplePath's tolerance, off ``t0 + k * h`` by ``~n * drift``."""
+    t = np.concatenate([[0.0], h + np.arange(n) * (h + drift)])
+    rng = np.random.Generator(np.random.PCG64(4))
+    values = np.vstack([np.zeros(2), np.cumsum(0.03 * rng.standard_normal((n, 2)), axis=0)])
+    return SamplePath(t=t, values=values)
+
+
+def test_reconstruct_accepts_every_point_of_a_drifting_grid():
+    path = _drifting_path()
+    rp = lift_piecewise_linear(path)
+    assert abs(path.t[-1] - path.dt * path.n_steps) > 1e-9  # the drift index_of once rejected
+    assert np.array_equal(rp.index_of(path.t), np.arange(path.n_steps + 1))
+    x, xx = reconstruct(rp, 0.0, path.t)
+    assert x.shape == (path.n_steps + 1, 2) and xx.shape == (path.n_steps + 1, 2, 2)
+    assert np.array_equal(x[-1], reconstruct(rp, 0.0, path.t[-1])[0])
+
+
 # ---------------------------------------------------------------------------
 # Chen defect
 # ---------------------------------------------------------------------------
@@ -149,6 +169,37 @@ def test_chen_defect_zero_on_lifts():
             i, u, j = np.sort(rng.integers(0, 129, size=3))
             worst = max(worst, chen_defect(rp, grid[i], grid[u], grid[j]))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_batched_chen_defect_and_reconstruct_match_scalar_calls(dim):
+    grid = make_grid(1.0 / 512.0, 1.0)
+    rp = lift_piecewise_linear(sample_path(NoiseModel.fbm(hurst=0.35), grid, d=dim, seed=7))
+    rng = np.random.Generator(np.random.PCG64(21))
+    triples = np.sort(rng.integers(0, grid.size, size=(300, 3)), axis=1)
+    s, u, t = grid[triples].T
+    defects = chen_defect(rp, s, u, t)
+    assert defects.shape == (300,)
+    x, xx = reconstruct(rp, s, t)
+    assert x.shape == (300, dim) and xx.shape == (300, dim, dim)
+    for k in range(300):
+        scalar = chen_defect(rp, s[k], u[k], t[k])
+        assert isinstance(scalar, float) and scalar == defects[k]
+        x_k, xx_k = reconstruct(rp, s[k], t[k])
+        assert np.array_equal(x_k, x[k]) and np.array_equal(xx_k, xx[k])
+
+
+def test_batched_queries_reject_an_off_grid_time_or_a_reversed_pair():
+    grid = make_grid(0.25, 2.0)
+    rp = lift_piecewise_linear(sample_path(NoiseModel.fbm(hurst=0.35), grid, d=2, seed=1))
+    s, u, t = grid[[0, 1, 2]], grid[[3, 4, 5]], grid[[6, 7, 8]]
+    with pytest.raises(OffGridError, match=r"time 1\.1 is not on the lift grid"):
+        chen_defect(rp, s, np.array([0.75, 1.1, 1.25]), t)
+    with pytest.raises(OffGridError, match="time nan"):
+        reconstruct(rp, s, np.array([1.5, np.nan, 2.0]))
+    with pytest.raises(LiftError, match="need s <= t"):
+        chen_defect(rp, s, u, np.array([2.0, 0.5, 2.0]))
+    assert np.all(chen_defect(rp, s, u, t) < 1e-12)
 
 
 def test_chen_defect_detects_violation():
