@@ -34,7 +34,6 @@ from .control import (
     PredictorError,
     completion_of_squares_gap,
     default_horizon,
-    pathwise_cost,
 )
 from .observer import (
     NoiseSecondMoments,

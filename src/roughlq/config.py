@@ -1,8 +1,9 @@
 """Flat sectioned key-value run configuration.
 
 The format is deliberately tiny: ``[section]`` headers, ``key = value``
-pairs, ``#`` comments.  Unknown sections or keys are hard errors so that
-typos cannot silently change an experiment.
+pairs, ``#`` comments.  Unknown sections or keys, in a file or in an
+overlay (:func:`merge`), are hard errors so that typos cannot silently
+change an experiment.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ ALLOWED_KEYS = {
 }
 
 
+def _check_key(section: str, key: str | None = None, where: str = "") -> None:
+    """Refuse ``[section]``, or ``key`` in it, unless ``ALLOWED_KEYS`` names
+    it; ``where`` starts the :class:`ConfigError` message."""
+    if section not in ALLOWED_KEYS:
+        raise ConfigError(f"{where}unknown section [{section}]")
+    if key is not None and key not in ALLOWED_KEYS[section]:
+        raise ConfigError(f"{where}unknown key {key!r} in [{section}]")
+
+
 def parse_config(text: str) -> dict:
     """Parse config text into ``{section: {key: value-string}}``."""
     out: dict[str, dict[str, str]] = {}
@@ -63,8 +73,7 @@ def parse_config(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ALLOWED_KEYS:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            _check_key(section, where=f"line {lineno}: ")
             out.setdefault(section, {})
             continue
         if "=" not in line:
@@ -72,8 +81,7 @@ def parse_config(text: str) -> dict:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ALLOWED_KEYS[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        _check_key(section, key, f"line {lineno}: ")
         if key in out[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         out[section][key] = value
@@ -92,9 +100,13 @@ def format_config(cfg: dict) -> str:
 
 
 def merge(base: dict, override: dict) -> dict:
-    """Overlay ``override`` onto ``base`` (two-level deep)."""
+    """Overlay ``override`` onto ``base`` (two-level deep); ``override`` may
+    hold only what a config file may (:func:`_check_key`)."""
     out = {s: dict(kv) for s, kv in base.items()}
     for section, kv in override.items():
+        _check_key(section)
+        for key in kv:
+            _check_key(section, key)
         out.setdefault(section, {})
         out[section].update(kv)
     return out

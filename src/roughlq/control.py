@@ -39,7 +39,6 @@ __all__ = [
     "default_horizon",
     "pathwise_correction_series",
     "gaussian_correction_series",
-    "pathwise_cost",
     "completion_of_squares_gap",
 ]
 
@@ -309,24 +308,20 @@ def pathwise_correction_series(
 
 
 # ---------------------------------------------------------------------------
-# pathwise cost
+# completion of squares
 # ---------------------------------------------------------------------------
 
-def pathwise_cost(traj, q: np.ndarray, r: np.ndarray) -> float:
-    """Trapezoidal integral of x'Qx + u'Ru along one trajectory."""
-    t, x, u = traj.t, traj.x, traj.u_sat
-    integrand = np.einsum("ki,ij,kj->k", x, q, x) + np.einsum("ki,ij,kj->k", u, r, u)
-    return float(np.trapezoid(integrand, t))
-
-
-def completion_of_squares_gap(traj_u, traj_ustar, design: ControlDesign, q, r):
+def completion_of_squares_gap(traj_u, traj_ustar, design: ControlDesign, r):
     """Excess cost of ``traj_u`` versus the R-weighted control deviation.
 
-    Returns ``(lhs, rhs)`` with ``lhs = J(u) - J(u*)`` and
+    Returns ``(lhs, rhs)`` with ``lhs = J(u) - J(u*)`` from the final costs and
     ``rhs = integral ||u(t) - u_law(t)||_R^2 dt`` where ``u_law`` is the
     corrected feedback evaluated along ``traj_u``'s own states.  The two
-    trajectories must share the driver realisation and initial state.
+    trajectories must share the driver realisation, initial state and
+    horizon (a diverged run is cut short).
     """
+    if traj_u.t.shape != traj_ustar.t.shape:
+        raise PredictorError(f"trajectories cover {traj_u.t.size} and {traj_ustar.t.size} grid points")
     if traj_u.v_increments is None or traj_ustar.v_increments is None:
         raise PredictorError("trajectories lack driver records")
     if not np.array_equal(traj_u.v_increments, traj_ustar.v_increments):
@@ -339,7 +334,7 @@ def completion_of_squares_gap(traj_u, traj_ustar, design: ControlDesign, q, r):
     if v_series is None:
         raise PredictorError("no correction series recorded on either trajectory")
 
-    lhs = pathwise_cost(traj_u, q, r) - pathwise_cost(traj_ustar, q, r)
+    lhs = traj_u.final_cost - traj_ustar.final_cost
 
     dev = traj_u.u_raw + (traj_u.x + v_series) @ design.K.T
     integrand = np.einsum("ki,ij,kj->k", dev, np.atleast_2d(r), dev)

@@ -661,9 +661,20 @@ def path_to_csv(path: SamplePath, file) -> None:
 
 
 def path_from_csv(file) -> SamplePath:
-    """Read a path written by :func:`path_to_csv`; every value must be a
-    finite number (an unreadable cell reads as NaN)."""
-    data = np.atleast_2d(np.genfromtxt(file, delimiter=",", skip_header=1))
+    """Read a path written by :func:`path_to_csv`: a header of ``t`` and at
+    least one value column, then rows of as many cells, each a finite number
+    (an unreadable cell reads as NaN).  Any other file raises :class:`NoiseError`."""
+    if isinstance(file, (str, bytes, os.PathLike)):
+        with open(file, encoding="utf-8", errors="replace") as fh:
+            return path_from_csv(fh)
+    width = len(file.readline().split(","))
+    rows = [line for line in file.read().splitlines() if line.strip()]
+    if width < 2 or not rows:
+        raise NoiseError(f"need t and value columns and data rows; got {width} column(s), {len(rows)} row(s)")
+    for i, line in enumerate(rows, start=1):
+        if line.count(",") != width - 1:
+            raise NoiseError(f"data row {i} has {line.count(',') + 1} cells, but the header has {width}")
+    data = np.genfromtxt(rows, delimiter=",", comments=None, ndmin=2)
     if not np.all(np.isfinite(data[:, 1:])):
         raise NoiseError("path values must be finite")
     return SamplePath(t=data[:, 0], values=data[:, 1:])

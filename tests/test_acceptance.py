@@ -269,7 +269,7 @@ def test_criterion_07_completion_of_squares():
         amp = rng.uniform(0.02, 0.08)
         delta[window, 0] = amp * np.sin(2.0 * np.pi * freq * grid[window])
         pert = _offset_run(cfg, v, w, design, delta)
-        lhs, rhs = completion_of_squares_gap(pert, opt, design, model.Q, model.R)
+        lhs, rhs = completion_of_squares_gap(pert, opt, design, model.R)
         ratios.append(lhs / rhs)
         ok = ok and 0.95 < lhs / rhs < 1.05
     _line(7, ok, f"terminal |x(T)| = {terminal:.1e} (<1e-4), lhs/rhs in "
@@ -391,8 +391,7 @@ def test_criterion_11_continuity_probe():
                     dt=1e-3, horizon=2.0)
     grid = cfg.grid()
     v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=110)
-    w = SamplePath(t=grid, values=np.zeros((grid.size, 4)))
-    pairs = continuity_probe(cfg, design, v, w, etas=[1e-1, 1e-2, 1e-3])
+    pairs = continuity_probe(cfg, design, v, etas=[1e-1, 1e-2, 1e-3])
     sizes = np.array([p[0] for p in pairs])
     devs = np.array([p[1] for p in pairs])
     monotone = bool(devs[0] >= devs[1] >= devs[2])

@@ -65,6 +65,21 @@ def test_compare_rejects_simulate_controller():
         run_comparison("fbm035", seeds=[], overrides={"simulate": {"controller": "glq"}})
 
 
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"simulate": {"horizn": "0.1"}}, "unknown key 'horizn' in [simulate]"),
+        ({"simulatee": {"horizon": "0.1"}}, "unknown section [simulatee]"),
+    ],
+    ids=["key", "section"],
+)
+def test_compare_refuses_unknown_override(tmp_path, overrides, where):
+    with pytest.raises(ConfigError) as info:
+        run_comparison("fbm035", seeds=[0], overrides=overrides, out_dir=str(tmp_path / "out"))
+    assert where in str(info.value)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_simulate_rejects_run_section(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nseeds = 0:2\n")
@@ -310,6 +325,24 @@ def test_zero_work_calls_stay_legal(capsys):
     assert "over 0 random triples" in capsys.readouterr().out
     report = run_comparison("fbm035", controllers=["glq"], seeds=[], overrides={"run": {"observer": "fullstate"}})
     assert report.records == []
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("t,v1,v2\n", "got 3 column(s), 0 row(s)"),
+        ("t,v1,v2\n0,0,0\n0.1,1\n0.2,2,3\n", "data row 2 has 2 cells, but the header has 3"),
+        ("t,v1,v2\n0,0\n0.1,1\n0.2,2\n", "data row 1 has 2 cells, but the header has 3"),
+    ],
+    ids=["header-only", "short-row", "header-wider-than-rows"],
+)
+def test_cli_lift_check_refuses_a_malformed_path_file(tmp_path, capsys, text, where):
+    (tmp_path / "f.csv").write_text(text)
+    assert main(["lift-check", "--in", str(tmp_path / "f.csv"), "--triples", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and where in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_lift_check_short_path_has_no_holder_estimate(capsys):

@@ -110,9 +110,18 @@ def test_non_stabilizable_pair_rejected():
         solve_care(a, b, np.eye(2), np.eye(1))
 
 
-def test_indefinite_r_rejected():
+@pytest.mark.parametrize(
+    "a, b, q, r",
+    [
+        pytest.param(np.zeros((1, 1)), np.eye(1), np.eye(1), -np.eye(1), id="indefinite-r"),
+        # scipy's own check refuses an asymmetric weight; solve_care keeps no copy of it
+        pytest.param(-np.eye(2), np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2), id="asymmetric-q"),
+        pytest.param(-np.eye(2), np.eye(2), np.eye(2), [[1.0, 0.5], [0.0, 1.0]], id="asymmetric-r"),
+    ],
+)
+def test_indefinite_r_rejected(a, b, q, r):
     with pytest.raises(RiccatiError):
-        solve_care(np.zeros((1, 1)), np.eye(1), np.eye(1), -np.eye(1))
+        solve_care(a, b, q, r)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from scipy.linalg import expm
 
 from roughlq import sim
 from roughlq.bench import SCENARIOS, _parse_floats, noise_paths, scenario_config, sim_template
-from roughlq.control import completion_of_squares_gap, pathwise_cost
+from roughlq.control import completion_of_squares_gap
 from roughlq.noise import NoiseModel, SamplePath, make_grid, sample_path
 from roughlq.observer import NoiseSecondMoments, simulate_error_process, solve_observer_steady_state
 from roughlq.pendulum import build_pendulum
-from roughlq.riccati import solve_care
+from roughlq.riccati import RiccatiError, solve_care
 from roughlq.sim import (
     _HOLD,
     DIVERGENCE_NORM,
@@ -769,7 +769,7 @@ def test_completion_identity_on_pendulum():
         delta[window, 0] = 0.05 * np.sin(2 * np.pi * freq * grid[window])
         pert = _reference_integrate(cfg, v, w, design, offset=delta)
         assert np.linalg.norm(pert.x[-1]) < 1e-3
-        lhs, rhs = completion_of_squares_gap(pert, opt, design, model.Q, model.R)
+        lhs, rhs = completion_of_squares_gap(pert, opt, design, model.R)
         assert rhs > 0.0
         assert 0.95 < lhs / rhs < 1.05
         assert lhs > -1e-9  # nonnegativity of the excess cost
@@ -795,7 +795,36 @@ def test_completion_gap_rejects_mismatched_drivers():
     from roughlq.control import PredictorError
 
     with pytest.raises(PredictorError):
-        completion_of_squares_gap(t1, t2, design, model.Q, model.R)
+        completion_of_squares_gap(t1, t2, design, model.R)
+
+
+def test_completion_gap_rejects_runs_of_different_lengths():
+    # the same driver and start, but the perturbed run diverges and is cut short
+    model = pendulum_model()
+    design = pendulum_design(model)
+    cfg = SimConfig(
+        model=model,
+        noise_v=NoiseModel.fbm(hurst=0.4),
+        noise_w=NoiseModel.brownian(),
+        law="glq:pathwise",
+        dt=1e-3,
+        horizon=1.0,
+        saturation=np.inf,
+    )
+    grid = cfg.grid()
+    v = sample_path(NoiseModel.fbm(hurst=0.4, sigma=0.1), grid, d=4, seed=1)
+    w = zero_paths(grid, 4, 4)[1]
+    opt = integrate(cfg, v, w, design)
+    offset = np.zeros((grid.size, 1))
+    offset[grid > 0.5, 0] = 1e20
+    cut = _reference_integrate(cfg, v, w, design, offset=offset)
+    assert cut.diverged and not opt.diverged
+    from roughlq.control import PredictorError
+
+    with pytest.raises(PredictorError, match="grid points"):
+        completion_of_squares_gap(cut, opt, design, model.R)
+    with pytest.raises(PredictorError, match="grid points"):
+        completion_of_squares_gap(opt, cut, design, model.R)
 
 
 def test_identity_case_zero_gap():
@@ -813,36 +842,9 @@ def test_identity_case_zero_gap():
         horizon=1.0,
     )
     traj = integrate(cfg, v, w, design)
-    lhs, rhs = completion_of_squares_gap(traj, traj, design, model.Q, model.R)
+    lhs, rhs = completion_of_squares_gap(traj, traj, design, model.R)
     assert abs(lhs) < 1e-12
     assert rhs < 1e-20
-
-
-# ---------------------------------------------------------------------------
-# pathwise cost
-# ---------------------------------------------------------------------------
-
-def test_pathwise_cost_constant_and_refined():
-    traj = Trajectory(
-        t=np.linspace(0.0, 2.0, 41),
-        x=np.tile([1.0, 0.0], (41, 1)),
-        xhat=np.tile([1.0, 0.0], (41, 1)),
-        u_raw=np.zeros((41, 1)),
-        u_sat=np.zeros((41, 1)),
-        cost_running=np.zeros(41),
-    )
-    assert pathwise_cost(traj, np.eye(2), np.eye(1)) == pytest.approx(2.0, abs=1e-12)
-
-    # random trajectory against a finer re-quadrature of the same samples
-    rng = np.random.Generator(np.random.PCG64(2))
-    t = np.linspace(0.0, 1.0, 2001)
-    x = rng.standard_normal((2001, 2)).cumsum(axis=0) * 0.01
-    u = rng.standard_normal((2001, 1)) * 0.1
-    smooth = Trajectory(t=t, x=x, xhat=x, u_raw=u, u_sat=u, cost_running=np.zeros(2001))
-    val = pathwise_cost(smooth, np.eye(2), np.eye(1))
-    integrand = np.einsum("ki,ki->k", x, x) + np.einsum("ki,ki->k", u, u)
-    fine = np.trapezoid(integrand, t)
-    assert val == pytest.approx(fine, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -862,15 +864,14 @@ def test_continuity_probe_monotone_with_positive_slope():
     )
     grid = cfg.grid()
     v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=31)
-    w = zero_paths(grid, 4, 4)[1]
-    pairs = continuity_probe(cfg, design, v, w, etas=[1e-1, 1e-2, 1e-3])
+    pairs = continuity_probe(cfg, design, v, etas=[1e-1, 1e-2, 1e-3])
     sizes = [p[0] for p in pairs]
     devs = [p[1] for p in pairs]
     assert devs[0] >= devs[1] >= devs[2]
     slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
     assert slope > 0.0
     # eta = 0 leaves the trajectory untouched
-    zero = continuity_probe(cfg, design, v, w, etas=[0.0])
+    zero = continuity_probe(cfg, design, v, etas=[0.0])
     assert zero[0][1] == 0.0
 
 
@@ -892,10 +893,9 @@ def test_continuity_probe_metric_relevance():
     )
     grid = cfg.grid()
     v = sample_path(NoiseModel.fbm(hurst=0.35, sigma=0.5), grid, d=4, seed=7)
-    w = zero_paths(grid, 4, 4)[1]
     sup_ratio = np.max(np.abs(_smooth_bump(grid))) / np.max(np.abs(_sawtooth(grid)))
-    smooth = continuity_probe(cfg, design, v, w, etas=[1e-2], shape="smooth")[0]
-    saw = continuity_probe(cfg, design, v, w, etas=[1e-2 * sup_ratio], shape="sawtooth")[0]
+    smooth = continuity_probe(cfg, design, v, etas=[1e-2], shape="smooth")[0]
+    saw = continuity_probe(cfg, design, v, etas=[1e-2 * sup_ratio], shape="sawtooth")[0]
     assert saw[0] > smooth[0]  # rougher shape, larger Holder size
     # sup-norm is not the relevant metric: matched sup-norms, deviations apart
     assert not 0.5 < saw[1] / smooth[1] < 2.0
@@ -999,6 +999,19 @@ def test_state_space_rejects_bad_weights(q, r, message):
     b = np.column_stack([pm.B] * len(r))
     with pytest.raises(SimError, match=message):
         StateSpaceModel(A=pm.A, B=b, C=pm.C, Q=q, R=r)
+
+
+def test_state_space_keeps_the_symmetric_part_of_a_near_symmetric_q():
+    pm = build_pendulum()
+    q = np.eye(4)
+    q[0, 1] = 1e-12  # inside the model's tolerance, but scipy's CARE refuses it
+    with pytest.raises(RiccatiError, match="symmetric"):
+        solve_care(pm.A, pm.B, q, [[1.0]])
+    model = StateSpaceModel(A=pm.A, B=pm.B, C=pm.C, Q=q, R=[[1.0]])
+    assert np.array_equal(model.Q, model.Q.T)
+    assert model.Q[0, 1] == 0.5e-12
+    design = solve_care(model.A, model.B, model.Q, model.R)
+    assert np.allclose(design.P, solve_care(pm.A, pm.B, np.eye(4), [[1.0]]).P, rtol=1e-9, atol=0.0)
 
 
 def test_state_space_accepts_semidefinite_q():
