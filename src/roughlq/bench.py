@@ -283,14 +283,6 @@ def saturation_onset_duty(traj: Trajectory, saturation: float) -> float:
     return float(tail.mean()) if tail.size else 0.0
 
 
-def _final_window(traj: Trajectory, grid_size: int):
-    """Slice covering the last 20% of the nominal horizon (if reached)."""
-    k0 = int(0.8 * grid_size)
-    if traj.t.shape[0] <= k0:
-        return None
-    return slice(k0, traj.t.shape[0])
-
-
 def _observer_design_for(model, noise_v, noise_w, dt: float):
     """Estimate the noise moments for run step ``dt`` and solve the observer
     of ``model``, which supplies only ``A`` and ``C``: the observer every
@@ -364,7 +356,7 @@ def run_comparison(
     if "observer" in modes:
         observer, _ = _observer_design_for(model, base.noise_v, base.noise_w, base.dt)
 
-    grid = base.grid()
+    final_rows = int(0.8 * base.grid().shape[0])  # a survivor's last 20%; a bad grid is refused before --out
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -391,13 +383,10 @@ def run_comparison(
                     row = (scenario, controller, mode, run.information, seed, True, 0.0, inf, inf, inf, 1.0, inf, "")
                     records.append(RunRecord(*row))
                     continue
-                window = _final_window(traj, grid.shape[0])
-                if traj.diverged or window is None:
-                    final_norm = float("inf")
-                    final_angle = float("inf")
-                else:
-                    final_norm = float(np.max(np.linalg.norm(traj.x[window], axis=1)))
-                    final_angle = float(np.degrees(np.max(np.abs(traj.x[window, 1]))))
+                final_norm = final_angle = float("inf")
+                if not traj.diverged:
+                    final_norm = float(np.max(np.linalg.norm(traj.x[final_rows:], axis=1)))
+                    final_angle = float(np.degrees(np.max(np.abs(traj.x[final_rows:, 1]))))
                 fname = ""
                 if out_path is not None:
                     fname = f"trajectories/{tag}.csv"

@@ -124,10 +124,13 @@ def cmd_care(args) -> int:
     return EXIT_OK
 
 
+def _drawn_path(args):
+    """The ``--dim`` path of the noise flags on the ``--dt``/``--horizon`` grid, from stream ``--seed``."""
+    return sample_path(_noise_from(vars(args)), make_grid(args.dt, args.horizon), d=args.dim, seed=args.seed)
+
+
 def cmd_noise_gen(args) -> int:
-    model = _noise_from(vars(args))
-    grid = make_grid(args.dt, args.horizon)
-    path = sample_path(model, grid, d=args.dim, seed=args.seed)
+    path = _drawn_path(args)
     out = _out_dir(args)
     path_to_csv(path, str(out / "noise.csv"))
     print(f"wrote {out / 'noise.csv'} ({path.n_steps} steps, d={path.d})")
@@ -140,9 +143,7 @@ def cmd_lift_check(args) -> int:
     if args.infile:
         path = _read_input("--in", Path(args.infile), path_from_csv)
     else:
-        model = _noise_from(vars(args))
-        grid = make_grid(args.dt, args.horizon)
-        path = sample_path(model, grid, d=args.dim, seed=args.seed)
+        path = _drawn_path(args)
     rough = lift_piecewise_linear(path)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     worst = 0.0

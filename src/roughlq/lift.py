@@ -176,6 +176,14 @@ def chen_defect(rp: RoughPath, s, u, t):
     return chen_gap(xx_st, xx_su, xx_ut, x_su, x_ut)
 
 
+def _dyadic_peaks(values: np.ndarray, max_lag: int):
+    """Lags l = 1, 2, 4, ... up to ``max_lag`` and, for each, the largest
+    increment ``max_k |x(t_{k+l}) - x(t_k)|`` of ``values`` over all rows
+    and coordinates; the one scan behind every Holder measure here."""
+    lags = [2**j for j in range(max_lag.bit_length())]
+    return lags, [float(np.max(np.abs(values[lag:] - values[:-lag]))) for lag in lags]
+
+
 def holder_estimate(path: SamplePath) -> float:
     """Regularity exponent from max-increment scaling over dyadic lags.
 
@@ -188,20 +196,10 @@ def holder_estimate(path: SamplePath) -> float:
     n = path.n_steps
     if n < 64:
         raise LiftError("need at least 64 steps for a regularity estimate")
-    max_lag = min(32, n // 8)
-    values = path.values
-    lags, peaks = [], []
-    lag = 1
-    while lag <= max_lag:
-        inc = values[lag:] - values[:-lag]
-        peak = float(np.max(np.abs(inc)))
-        if peak == 0.0:
-            raise DegeneratePathError("constant path: regularity undefined")
-        lags.append(lag * path.dt)
-        peaks.append(peak)
-        lag *= 2
-    slope = np.polyfit(np.log(lags), np.log(peaks), 1)[0]
-    return float(slope)
+    lags, peaks = _dyadic_peaks(path.values, min(32, n // 8))
+    if 0.0 in peaks:
+        raise DegeneratePathError("constant path: regularity undefined")
+    return float(np.polyfit(np.log([lag * path.dt for lag in lags]), np.log(peaks), 1)[0])
 
 
 def rough_integral_admissible(integrand_holder: float, driver_holder: float) -> bool:

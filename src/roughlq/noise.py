@@ -185,10 +185,14 @@ def make_grid(dt: float, horizon: float) -> np.ndarray:
     """Uniform grid 0, dt, 2*dt, ... covering [0, horizon]."""
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise NoiseError(f"dt and horizon must be finite and positive, got {dt} and {horizon}")
-    n = int(round(horizon / dt))
+    try:
+        n = int(round(horizon / dt))
+        grid = dt * np.arange(n + 1)
+    except (OverflowError, ValueError):  # an infinite step count, or one numpy cannot index
+        raise NoiseError(f"{horizon / dt:.3g} steps of dt {dt} over horizon {horizon} are more than a grid can hold") from None
     if n < 1:
         raise NoiseError("horizon shorter than one step")
-    return dt * np.arange(n + 1)
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dtbtrs
 
 from .control import gaussian_correction_series, pathwise_correction_series
-from .lift import lift_piecewise_linear
+from .lift import _dyadic_peaks, lift_piecewise_linear
 from .noise import NoiseModel, SamplePath, _write_table, make_grid
 from .observer import ObserverDesign, simulate_error_process
 from .riccati import ControlDesign, _step_band
@@ -250,17 +250,16 @@ def integrate(
     """
     model = config.model
     grid = config.grid()
-    if v_path.t.shape != grid.shape or abs(v_path.t[-1] - grid[-1]) > 1e-9:
-        raise SimError("v_path grid does not match the configured grid")
-    if v_path.d != model.n:
-        raise SimError("process noise dimension must equal the state dimension")
+    paths = [("v_path", v_path, "process", "state", model.n)]
     if observer is not None:
         if w_path is None:
             raise SimError("observer run requested without a measurement noise path")
-        if w_path.t.shape != grid.shape or abs(w_path.t[-1] - grid[-1]) > 1e-9:
-            raise SimError("w_path grid does not match the configured grid")
-        if w_path.d != model.p:
-            raise SimError("measurement noise dimension must equal the output dimension")
+        paths.append(("w_path", w_path, "measurement", "output", model.p))
+    for name, path, noise, space, dim in paths:
+        if path.t.shape != grid.shape or abs(path.t[-1] - grid[-1]) > 1e-9:
+            raise SimError(f"{name} grid does not match the configured grid")
+        if path.d != dim:
+            raise SimError(f"{noise} noise dimension must equal the {space} dimension")
 
     n_steps, n, m, sat = grid.shape[0] - 1, model.n, model.m, config.saturation
     dv, v_corr = v_path.increments, v_correction
@@ -394,16 +393,8 @@ def _sawtooth(grid: np.ndarray, teeth: int = 64) -> np.ndarray:
     return saw * (s * (1.0 - s)) * horizon
 
 
-def holder_size(values: np.ndarray, grid: np.ndarray, exponent: float) -> float:
-    """Discrete Holder constant sup |f(t)-f(s)| / |t-s|^exponent."""
-    best = 0.0
-    n = grid.shape[0] - 1
-    lag = 1
-    while lag <= n:
-        num = np.max(np.abs(values[lag:] - values[:-lag]))
-        best = max(best, float(num) / (lag * (grid[1] - grid[0])) ** exponent)
-        lag *= 2
-    return best
+#: the perturbation shapes of :func:`continuity_probe`
+_BUMPS = {"smooth": _smooth_bump, "sawtooth": _sawtooth}
 
 
 def continuity_probe(
@@ -415,23 +406,27 @@ def continuity_probe(
 ):
     """Full-state trajectory deviation under driver perturbations of shrinking size.
 
-    Perturbs every noise coordinate by ``eta`` times a fixed smooth (or
-    sawtooth) path and reports ``(measured Holder size, sup-norm state
-    deviation)`` pairs, ordered as given.
+    Perturbs every noise coordinate by ``eta`` times a fixed ``"smooth"``
+    (or ``"sawtooth"``) path and reports ``(measured Holder size, sup-norm
+    state deviation)`` pairs, ordered as given.
     """
+    if shape not in _BUMPS:
+        raise SimError(f"unknown shape {shape!r}; expected one of {sorted(_BUMPS)}")
     grid = config.grid()
-    bump = _smooth_bump(grid) if shape == "smooth" else _sawtooth(grid)
+    bump = _BUMPS[shape](grid)
     base_traj = integrate(config, base_v, None, design)
     out = []
-    exponent = base_v.holder if base_v.holder is not None else 0.5
+    exponent = float(base_v.holder if base_v.holder is not None else 0.5)
+    # discrete Holder constant of the bump, sup |f(t) - f(s)| / |t - s|^exponent over dyadic lags
+    lags, peaks = _dyadic_peaks(bump, grid.shape[0] - 1)
+    bump_size = max(peak / (lag * (grid[1] - grid[0])) ** exponent for lag, peak in zip(lags, peaks))
     for eta in etas:
         pert_values = base_v.values + eta * bump[:, None]
         pert = SamplePath(t=grid, values=pert_values, seed=base_v.seed, holder=base_v.holder)
         traj = integrate(config, pert, None, design)
         k = min(base_traj.x.shape[0], traj.x.shape[0])
         deviation = float(np.max(np.abs(traj.x[:k] - base_traj.x[:k])))
-        size = eta * holder_size(bump, grid, float(exponent))
-        out.append((size, deviation))
+        out.append((eta * bump_size, deviation))
     return out
 
 

@@ -52,6 +52,19 @@ def test_runs_csv_round_trips_through_load_report(monkeypatch, tmp_path):
     assert bench.load_report(tmp_path).records == report.records
 
 
+def test_survivor_final_fields_recompute_from_the_stored_trajectory(tmp_path):
+    # final_norm and final_angle_deg are maxima over the stored rows from int(0.8 N)
+    report = bench.run_comparison("fbm035", seeds=[3, 4], overrides={"simulate": {"horizon": "1.0"}}, out_dir=tmp_path)
+    survivors = [r for r in report.records if not r.diverged]
+    assert survivors
+    for record in survivors:
+        data = np.genfromtxt(tmp_path / record.trajectory_file, delimiter=",", names=True)
+        tail = data[int(0.8 * data.shape[0]) :]
+        x = np.column_stack([tail[f"x{i}"] for i in range(1, 5)])
+        assert record.final_norm == float(np.max(np.linalg.norm(x, axis=1)))
+        assert record.final_angle_deg == float(np.degrees(np.max(np.abs(tail["x2"]))))
+
+
 @pytest.mark.parametrize("predictor, glq_reads", [("pathwise", "v:anticipative"), ("gaussian", "v:causal")])
 def test_runs_record_what_each_correction_reads(tmp_path, predictor, glq_reads):
     # observer-mode glq reads the true v as well, so both modes name v

@@ -319,6 +319,25 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, argv, text, where):
     assert not (tmp_path / "out").exists()  # nothing is written before the config is checked
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out"],
+        ["compare", "--scenario", "fbm035", "--out"],
+        ["noise-gen", "--out"],
+        ["observer", "--out"],
+        ["lift-check", "--out"],
+    ],
+    ids=["simulate", "compare", "noise-gen", "observer", "lift-check"],
+)
+def test_cli_grid_too_large_to_build_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--dt", "1e-300"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "more than a grid can hold" in err[0]
+    assert not out.exists()  # compare refuses the grid before it makes --out
+
+
 def test_zero_work_calls_stay_legal(capsys):
     # no triples and no seeds are empty runs, not config errors
     assert main(["lift-check", "--dt", "0.1", "--horizon", "1.0", "--triples", "0"]) == 0

@@ -903,6 +903,17 @@ def test_continuity_probe_metric_relevance():
     assert saw[1] / saw[0] <= smooth[1] / smooth[0] * 1.001
 
 
+@pytest.mark.parametrize("shape", ["smoth", ""])
+def test_continuity_probe_refuses_an_unknown_shape(shape):
+    # a misspelt shape is refused, not run as the sawtooth
+    model = pendulum_model()
+    noise = NoiseModel.fbm(hurst=0.35, sigma=0.5)
+    cfg = SimConfig(model=model, noise_v=noise, noise_w=NoiseModel.brownian(), dt=1e-3, horizon=0.1)
+    v = sample_path(noise, cfg.grid(), d=4, seed=1)
+    with pytest.raises(SimError, match=r"unknown shape .*'sawtooth', 'smooth'"):
+        continuity_probe(cfg, pendulum_design(model), v, etas=[1e-2], shape=shape)
+
+
 def _refinement_convergence(config, design, seed, levels=(1, 2, 4)):
     """Self-convergence under step halving with a shared noise realisation.
 
