@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, format_config, merge, parse_config
-from .noise import NoiseModel, _sample_increments, _write_table, make_grid, sample_path
+from .noise import NoiseError, NoiseModel, _sample_increments, _write_table, make_grid, sample_path
 from .observer import estimate_second_moments, solve_observer_steady_state
 from .pendulum import build_pendulum
 from .riccati import solve_care
@@ -295,7 +295,10 @@ def _observer_design_for(model, noise_v, noise_w, dt: float):
     with alpha < 2) both are clipped at the ``HEAVY_TAIL_QUANTILE`` of
     their joint absolute increments.  Returns ``(design, moments)``.
     """
-    grid = make_grid(dt, max(0.5, 2000 * dt))
+    try:
+        grid = make_grid(dt, max(0.5, 2000 * dt))
+    except NoiseError as exc:  # the one grid here, whose horizon no caller sets: say which it is
+        raise NoiseError(f"observer moment grid (2000 steps of dt, at least 0.5 s): {exc}") from None
     increments = []
     for noise, d, stream in ((noise_v, model.A.shape[0], 0), (noise_w, model.C.shape[0], 1)):
         seeds = [MOMENT_SEED + 2 * j + stream for j in range(MOMENT_REPLICATIONS)]

@@ -170,9 +170,11 @@ def cmd_lift_check(args) -> int:
 def cmd_observer(args) -> int:
     if not 0.0 < args.dt < float("inf"):
         raise ConfigError(f"--dt must be finite and positive, got {args.dt}")
-    design, moments = _observer_design_for(
-        build_pendulum(), _noise_from(vars(args)), _noise_from(vars(args), prefix="w_"), args.dt
-    )
+    noise_v, noise_w = _noise_from(vars(args)), _noise_from(vars(args), prefix="w_")
+    try:
+        design, moments = _observer_design_for(build_pendulum(), noise_v, noise_w, args.dt)
+    except NoiseError as exc:  # the noises are checked above, so this is about the grid --dt sets
+        raise ConfigError(f"--dt {args.dt}: {exc}") from None
     print(f"replications = {MOMENT_REPLICATIONS}, dt = {args.dt:.17g}, samples = {moments.n_samples}")
     if moments.truncation is not None:
         print(f"truncation_level = {moments.truncation:.17g}")

@@ -188,7 +188,7 @@ def make_grid(dt: float, horizon: float) -> np.ndarray:
     try:
         n = int(round(horizon / dt))
         grid = dt * np.arange(n + 1)
-    except (OverflowError, ValueError):  # an infinite step count, or one numpy cannot index
+    except (OverflowError, ValueError, MemoryError):  # an infinite step count, or one numpy cannot index or allocate
         raise NoiseError(f"{horizon / dt:.3g} steps of dt {dt} over horizon {horizon} are more than a grid can hold") from None
     if n < 1:
         raise NoiseError("horizon shorter than one step")
@@ -469,13 +469,14 @@ _POW_MIN, _POW_MAX = -270, 300
 _TIE_MARGIN = 2.0**-24
 #: Dekker's splitter 2^27 + 1 for doubles
 _SPLIT = 134217729.0
-#: values encoded per chunk, which bounds the encoder's working memory
-_CHUNK_VALUES = 4096
-#: every character any ``%.17g`` layout can hold, in output order: sign,
-#: ``0.000`` for exponents -4 .. -1, the 17 digits with a point after each
-#: of the first 16, then ``e``, the exponent's sign, its 3 digits and the
-#: separator; a value's text keeps a subsequence of these columns
-_SUPERSET = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"
+#: values encoded per chunk, which bounds the encoder's working memory (about 6.5 MB)
+_CHUNK_VALUES = 16384
+#: every byte any ``%.17g`` layout can hold, in output order, as six 8-byte
+#: words: sign, ``0.000`` for exponents -4 .. -1 and the first digit; three
+#: words of 4 digits; the last 4 digits and ``e``; the exponent's sign, its 3
+#: digits, the separator and 3 NULs.  Each digit but the last is followed by
+#: a point, and a value's text keeps a subsequence of these bytes
+_SUPERSET = b"-0.0000." + b"0.0.0.0." * 3 + b"0.0.0.0e" + b"+000,\0\0\0"
 _WIDTH = len(_SUPERSET)
 _FIRST_DIGIT, _EXP_SIGN, _SEPARATOR = 6, 40, 44
 
@@ -504,18 +505,20 @@ def _pow10_table():
 
 
 @lru_cache(maxsize=1)
-def _layout_tables():
+def _word_tables():
     """Lookup tables of the encoder.
 
-    * ``keep``: per class ``(sign * 23 + layout) * 17 + nz - 1`` the 0/0xFF
-      mask of the ``_SUPERSET`` columns its text keeps.  ``layout`` is
+    * ``keep``: per class ``(sign * 23 + layout) * 17 + nz - 1`` the six
+      mask words of the ``_SUPERSET`` bytes its text keeps.  ``layout`` is
       ``X + 4`` for the fixed form (exponent X in -4 .. 16), 21 for the
       exponent form with two exponent digits and 22 with three; ``nz`` is
       the number of digits left when trailing zeros are stripped.
-    * ``quad``: the four ASCII digits of 0 .. 9999 as one uint32.
-    * ``last``: ``last[k, g]`` is the 1-based index among the 17 digits of
+    * ``lead``, ``group``, ``final``, ``exponent``: the filled-in words of
+      each first digit, each 4-digit group 0 .. 9999 (``final`` for the
+      last group) and each exponent X in -400 .. 400 (row X + 400).
+    * ``last``: ``last[k, g]`` is the 0-based index among the 17 digits of
       the last nonzero digit of 4-digit group k holding g (0 if g = 0).
-    * ``exponent``: row X + 400 holds the sign and three digits of X.
+    * ``layout``: row X + 400 holds 17 times the layout of exponent X.
     """
     keep = np.zeros((2, 23 * 17, _WIDTH), dtype=np.uint8)
     for layout in range(23):
@@ -535,12 +538,16 @@ def _layout_tables():
             keep[0, layout * 17 + nz - 1, cols + [_SEPARATOR]] = 0xFF
     keep[1] = keep[0]
     keep[1, :, 0] = 0xFF  # the minus sign
+    quads = [".".join(f"{g:04d}") for g in range(10000)]
+    text = [f"-0.000{d}." for d in range(10)] + [q + "." for q in quads] + [q + "e" for q in quads]
+    text += [f"{x:+04d},\0\0\0" for x in range(-400, 401)]
+    words = np.split(np.frombuffer("".join(text).encode("ascii"), dtype=np.uint64), [10, 10010, 20010])
     g = np.arange(10000)
-    quad = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")).astype(np.uint8)
     length = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
-    last = np.where(g > 0, 1 + 4 * np.arange(4)[:, None] + length, 0).astype(np.int8)
-    exponent = np.frombuffer("".join(f"{x:+04d}" for x in range(-400, 401)).encode("ascii"), dtype=np.uint8)
-    return keep.reshape(-1, _WIDTH), quad.view(np.uint32)[:, 0], last, exponent.reshape(-1, 4)
+    last = np.where(g > 0, 4 * np.arange(4)[:, None] + length, 0).astype(np.int8)
+    x = np.arange(-400, 401)
+    layout = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) < 100, 21, 22)) * 17
+    return keep.reshape(-1, _WIDTH).view(np.uint64), *words, last, layout
 
 
 def _format_block(block: np.ndarray) -> str:
@@ -552,16 +559,17 @@ def _format_block(block: np.ndarray) -> str:
     mag[~fast] = 1.0
     hi, hi_head, hi_tail, lo = _pow10_table()
     exp10 = np.floor(np.log10(mag)).astype(np.int64)
-    c = _SPLIT * mag
-    head = c - (c - mag)
-    tail = mag - head
     digits = np.empty(values.size, dtype=np.int64)
     tie = np.empty(values.size, dtype=bool)
-    todo = np.arange(values.size)
-    # log10 can misjudge E by one next to a power of ten: redo those values
+    # the whole chunk, then by index the few values whose E log10 misjudged
+    # by one next to a power of ten
+    todo = slice(None)
     for _ in range(3):
         k = 16 - _POW_MIN - exp10[todo]
-        x, xh, xt = mag[todo], head[todo], tail[todo]
+        x = mag[todo]
+        c = _SPLIT * x
+        xh = c - (c - x)
+        xt = x - xh
         # x * 10^(16 - E) = p + err exactly (Dekker), plus x * lo
         p = x * hi[k]
         err = xh * hi_head[k] - p
@@ -579,44 +587,46 @@ def _format_block(block: np.ndarray) -> str:
         digits[todo] = rounded
         tie[todo] = np.abs(frac - 0.5) < _TIE_MARGIN
         low, high = integer < 10**16, rounded > 10**17
+        todo = np.arange(values.size)[todo]
         exp10[todo[low]] -= 1
         exp10[todo[high]] += 1
         todo = todo[low | high]
         if not todo.size:
             break
     fast[todo] = False
-    fast &= ~tie
-    digits[~fast] = 10**16
-    exp10[~fast] = 0
+    slow = np.flatnonzero(~fast | tie)
+    digits[slow] = 10**16
+    exp10[slow] = 0
     # 17 digits that round up to 10^17 carry into the exponent
     carry = digits == 10**17
     digits[carry] = 10**16
     exp10 += carry
 
-    keep, quad, last, exponent = _layout_tables()
-    lead, rest = np.divmod(digits, 10**16)
-    groups = np.empty((values.size, 4), dtype=np.int64)
-    groups[:, 0], groups[:, 1] = np.divmod(rest // 10**8, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(rest % 10**8, 10**4)
-    nz = np.maximum(np.maximum(last[0, groups[:, 0]], last[1, groups[:, 1]]), last[2, groups[:, 2]])
-    np.maximum(nz, last[3, groups[:, 3]], out=nz)
-    np.maximum(nz, 1, out=nz)
-    layout = np.where(np.abs(exp10) < 100, 21, 22)
-    fixed = (exp10 >= -4) & (exp10 < 17)
-    layout[fixed] = exp10[fixed] + 4
-
-    chars = np.empty((values.size, _WIDTH), dtype=np.uint8)
-    chars[:] = np.frombuffer(_SUPERSET, dtype=np.uint8)
-    chars[:, _FIRST_DIGIT] = lead + ord("0")
-    chars[:, _FIRST_DIGIT + 2 : _EXP_SIGN - 1 : 2] = quad[groups].view(np.uint8)
-    chars[:, _EXP_SIGN : _EXP_SIGN + 4] = exponent[exp10 + 400]
+    keep, lead, group, final, exponent, last, layout = _word_tables()
+    # digits 1-9 and 10-17 are each below 2^53, so doubles split them exactly
+    head = digits // 10**8
+    halves = np.array([head, digits - head * 10**8], dtype=float)
+    first = np.floor(halves[0] * 1e-8)
+    halves[0] -= first * 1e8
+    quads = np.floor(halves * 1e-4)
+    halves -= quads * 1e4
+    # the first digit and the four 4-digit groups after it
+    index = np.empty((5, values.size), dtype=np.intp)
+    index[0], index[1::2], index[2::2] = first, quads, halves
+    last_nonzero = np.zeros(values.size, dtype=np.int8)
+    for table, i in zip(last, index[1:]):
+        np.maximum(last_nonzero, table.take(i), out=last_nonzero)
+    row = exp10 + 400
+    words = np.empty((values.size, 6), dtype=np.uint64)
+    for j, (table, i) in enumerate(zip((lead, group, group, group, final, exponent), (*index, row))):
+        words[:, j] = table.take(i)
+    chars = words.view(np.uint8)
     chars.reshape(nrow, ncol, _WIDTH)[:, -1, _SEPARATOR] = ord("\n")
-    chars &= keep[(np.signbit(values) * 23 + layout) * 17 + nz - 1]
-    for j in np.flatnonzero(~fast):
+    words &= keep.take(layout.take(row) + np.signbit(values) * (23 * 17) + last_nonzero, axis=0)
+    for j in slow:
         text = ("%.17g" % values[j]).encode("ascii")
-        chars[j, :_SEPARATOR] = 0
-        chars[j, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return chars.tobytes().translate(None, b"\0").decode("ascii")
+        chars[j, :_SEPARATOR] = np.frombuffer(text.ljust(_SEPARATOR, b"\0"), dtype=np.uint8)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _format_rows(table: np.ndarray):
@@ -636,18 +646,18 @@ def _write_table(file, header: str, table: np.ndarray) -> None:
     and call the encoder, :func:`_format_rows`, themselves.
 
     The text is exactly ``'%.17g' % v`` per value, ``,`` between values
-    and ``\\n`` after each row, encoded in bulk.  For a finite v with
-    1e-280 <= |v| <= 1e280 and E = floor(log10 |v|), the encoder forms
-    |v| * 10^(16 - E) as a double-double: 10^k = hi + lo to 2^-106 relative
-    from exact integers, and a Dekker two-product ``|v| * hi = p + err``
-    exactly.  The scaled value is then known to within 1e-12 of a unit,
-    far inside ``_TIE_MARGIN``, so rounding it to the nearest integer gives
-    Python's correctly rounded 17 digits unless its fraction lies within
-    the margin of 1/2.  Those near-ties, zeros, non-finite values and
-    values outside the range go through ``'%.17g' %`` itself, so every
-    value's bytes equal Python's by construction.  The fixed or exponent
-    layout, with trailing zeros stripped, is a per-value mask over
-    ``_SUPERSET``.
+    and ``\\n`` after each row, encoded ``_CHUNK_VALUES`` values at a time.
+    For a finite v with 1e-280 <= |v| <= 1e280 and E = floor(log10 |v|),
+    the encoder forms |v| * 10^(16 - E) as a double-double: 10^k = hi + lo
+    to 2^-106 relative from exact integers, and a Dekker two-product
+    ``|v| * hi = p + err`` exactly.  The scaled value is then known to
+    within 1e-12 of a unit, far inside ``_TIE_MARGIN``, so rounding it to
+    the nearest integer gives Python's correctly rounded 17 digits unless
+    its fraction lies within the margin of 1/2.  Those near-ties, zeros,
+    non-finite values and values outside the range go through ``'%.17g' %``
+    itself, so every value's bytes equal Python's by construction.  A value
+    is six ``_SUPERSET`` words looked up by its first digit, its 4-digit
+    groups and its exponent, ANDed with its layout's mask; NULs are deleted.
     """
     if isinstance(file, (str, bytes, os.PathLike)):
         with open(file, "w") as fh:

@@ -338,6 +338,29 @@ def test_cli_grid_too_large_to_build_exits_2(tmp_path, capsys, argv):
     assert not out.exists()  # compare refuses the grid before it makes --out
 
 
+def test_cli_grid_numpy_cannot_allocate_exits_2(monkeypatch, capsys):
+    # numpy's refusal of a 10^12-point grid is faked, so nothing large is requested
+    arange = np.arange
+
+    def arange_or_refuse(n, *args, **kwargs):
+        if n > 10**9:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange_or_refuse)
+    assert main(["lift-check", "--dt", "1e-11"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "more than a grid can hold" in err[0]
+
+
+def test_cli_observer_grid_refusal_names_dt(capsys):
+    # the moment grid's 0.5 s horizon is no flag of observer; its --dt is
+    assert main(["observer", "--dt", "1e-300"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "--dt" in err[0] and "moment grid (2000 steps of dt, at least 0.5 s)" in err[0]
+
+
 def test_zero_work_calls_stay_legal(capsys):
     # no triples and no seeds are empty runs, not config errors
     assert main(["lift-check", "--dt", "0.1", "--horizon", "1.0", "--triples", "0"]) == 0

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from roughlq.noise import (
     stable_char_fn,
 )
 from roughlq.bench import noise_paths, scenario_config, sim_template
-from roughlq.noise import _cms_standard, _fgn_cholesky, _format_rows, _sample_fgn_circulant, _sample_increments
+from roughlq.noise import (
+    _CHUNK_VALUES,
+    _cms_standard,
+    _fgn_cholesky,
+    _format_rows,
+    _sample_fgn_circulant,
+    _sample_increments,
+    _write_table,
+)
 from roughlq.riccati import solve_care
 from roughlq.sim import integrate, trajectory_to_csv
 
@@ -37,6 +46,18 @@ def test_fbm_rejects_low_hurst():
     with pytest.raises(NoiseError):
         NoiseModel.fbm(hurst=1.0 / 3.0)
     NoiseModel.fbm(hurst=0.35)  # fine
+
+
+def test_make_grid_refuses_a_grid_numpy_cannot_allocate(monkeypatch):
+    # numpy's refusal is faked: a real multi-TiB request can be granted under
+    # memory overcommit and then exhaust the host
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "arange", refuse)
+        with pytest.raises(NoiseError, match="more than a grid can hold"):
+            make_grid(1e-11, 10.0)
 
 
 def test_fbm_rejects_bad_sigma():
@@ -515,8 +536,31 @@ def test_encoder_matches_percent_on_specials_and_shapes():
     rng = np.random.Generator(np.random.PCG64(3))
     for ncol in (1, 3, 12, 5000):
         scale = 10.0 ** rng.integers(-8, 9, ncol)
-        _assert_encodes_like_percent(rng.standard_normal((9000 // ncol + 1, ncol)) * scale)
+        _assert_encodes_like_percent(rng.standard_normal((2 * _CHUNK_VALUES // ncol + 1, ncol)) * scale)
+    # 8 columns divide a chunk: a table that ends exactly at a chunk
+    # boundary, and one that goes a row past it
+    for nrow in (2 * _CHUNK_VALUES // 8, 2 * _CHUNK_VALUES // 8 + 1):
+        _assert_encodes_like_percent(rng.standard_normal((nrow, 8)) * 10.0 ** rng.integers(-8, 9, 8))
     assert "".join(_format_rows(np.empty((0, 3)))) == ""
+
+
+def test_encoder_memory_is_bounded_by_the_chunk_not_the_table(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(7))
+    tables = [rng.standard_normal((nrow, 12)) * 10.0 ** rng.integers(-8, 9, 12) for nrow in (10_000, 40_000)]
+    header = ",".join(f"c{j}" for j in range(12))
+    _write_table(io.StringIO(), header, tables[0][:1])  # the lookup tables are built once per process
+    peaks = []
+    tracemalloc.start()
+    try:
+        for i, table in enumerate(tables):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _write_table(tmp_path / f"table{i}.csv", header, table)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    small, large = peaks
+    assert abs(large - small) <= 0.1 * small and large < 16e6, peaks
 
 
 def test_encoder_matches_percent_on_a_fbm035_trajectory():
